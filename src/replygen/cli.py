@@ -166,6 +166,14 @@ def _load_vocabs(args, cfg):
     return (Vocabulary.load(post_path, "post"), Vocabulary.load(resp_path, "response"))
 
 
+def _check_vocab_sizes(params, post_vocab, resp_vocab):
+    """Refuse vocabularies whose ids would index outside the checkpoint's tables."""
+    if len(post_vocab) != params.dims.v_post or len(resp_vocab) != params.dims.v_resp:
+        raise CliError(
+            f"vocabulary sizes ({len(post_vocab)}, {len(resp_vocab)}) do not match "
+            f"checkpoint ({params.dims.v_post}, {params.dims.v_resp})")
+
+
 def _cmd_train(args, cfg):
     from .corpus import load_pairs
     from .model import Dims, load_checkpoint, save_checkpoint
@@ -287,10 +295,7 @@ def _cmd_generate(args, cfg, multi=False):
     post_vocab, resp_vocab = _load_vocabs(args, cfg)
 
     params = load_checkpoint(ckpt_path)
-    if len(post_vocab) != params.dims.v_post or len(resp_vocab) != params.dims.v_resp:
-        raise CliError(
-            f"vocabulary sizes ({len(post_vocab)}, {len(resp_vocab)}) do not match "
-            f"checkpoint ({params.dims.v_post}, {params.dims.v_resp})")
+    _check_vocab_sizes(params, post_vocab, resp_vocab)
 
     stream, owned = _out_stream(out_path)
     try:
@@ -322,6 +327,7 @@ def _cmd_perplexity(args, cfg):
     max_len = _get(args, cfg, "max-response-len", None, int)
     vocabs = _load_vocabs(args, cfg)
     params = load_checkpoint(ckpt_path)
+    _check_vocab_sizes(params, *vocabs)
     pairs = [p for p in load_pairs(pairs_path) if p.post]
     if not pairs:
         raise CliError("no usable pairs to evaluate")

@@ -21,9 +21,9 @@ import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
 from .model import (
-    EncodedPost,
     ModelParams,
-    _decoder_step_full,
+    _decoder_step,
+    attention_memory,
     decoder_init,
     encode_post,
 )
@@ -31,21 +31,6 @@ from .model import (
 __all__ = ["greedy_decode", "beam_search", "multi_response", "exhaustive_oracle"]
 
 _ENUMERATION_GUARD = 1_000_000
-
-
-def _tile(enc_out: EncodedPost, n: int) -> EncodedPost:
-    """Read-only views of a single-post encoding broadcast to n rows."""
-    if enc_out.states.shape[0] == n:
-        return enc_out
-    _, t_max, d_h = enc_out.states.shape
-    gf = enc_out.global_final
-    return EncodedPost(
-        states=np.broadcast_to(enc_out.states, (n, t_max, d_h)),
-        mask=np.broadcast_to(enc_out.mask, (n, t_max)),
-        lengths=np.broadcast_to(enc_out.lengths, (n,)),
-        final=np.broadcast_to(enc_out.final, (n, enc_out.final.shape[1])),
-        global_final=None if gf is None else np.broadcast_to(gf, (n, gf.shape[1])),
-    )
 
 
 def _banned_ids(suppress_unk: bool) -> list:
@@ -63,14 +48,15 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     if max_len == 0:
         return [], 0.0
     enc_out = encode_post(params, post_ids)
+    memory = attention_memory(params, enc_out)
     s = decoder_init(params, enc_out)
     y_prev = np.array([BOS_ID])
     banned = _banned_ids(suppress_unk)
     tokens: list[int] = []
     score = 0.0
     for pos in range(1, max_len + 1):
-        s, logp, _, _ = _decoder_step_full(params, enc_out, s, y_prev)
-        row = logp[0].copy()
+        s, logp, _, _ = _decoder_step(params, enc_out, memory, s, y_prev)
+        row = logp[0]
         row[banned] = -np.inf
         if pos == 1:
             row[EOS_ID] = -np.inf
@@ -81,7 +67,7 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
         tokens.append(tok)
         y_prev = np.array([tok])
     # length cap reached: close with the end marker so the score re-checks
-    _, logp, _, _ = _decoder_step_full(params, enc_out, s, y_prev)
+    _, logp, _, _ = _decoder_step(params, enc_out, memory, s, y_prev)
     return tokens, score + float(logp[0, EOS_ID])
 
 
@@ -100,7 +86,9 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len == 0:
         return [([], 0.0)]
+    # one post's encoding and memory, broadcast over the live hypotheses
     enc_out = encode_post(params, post_ids)
+    memory = attention_memory(params, enc_out)
     v_resp = params.dims.v_resp
     banned = _banned_ids(suppress_unk)
 
@@ -113,10 +101,8 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
 
     # position max_len + 1 exists only to close still-live hypotheses
     for pos in range(1, max_len + 2):
-        n = len(live_tokens)
-        states_new, logp, _, _ = _decoder_step_full(
-            params, _tile(enc_out, n), live_states, live_prev)
-        logp = logp.copy()
+        states_new, logp, _, _ = _decoder_step(params, enc_out, memory,
+                                               live_states, live_prev)
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -125,7 +111,8 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
             logp[:] = -np.inf
             logp[:, EOS_ID] = eos_col
 
-        flat = (live_scores[:, None] + logp).ravel()
+        logp += live_scores[:, None]
+        flat = logp.ravel()
         if flat.size > beam_size:
             kth = np.partition(flat, flat.size - beam_size)[flat.size - beam_size]
         else:
@@ -187,12 +174,13 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
             f"enumeration space {v_resp}^{max_len} exceeds the "
             f"{_ENUMERATION_GUARD} guard")
     enc_out = encode_post(params, post_ids)
+    memory = attention_memory(params, enc_out)
     alphabet = [i for i in range(v_resp) if i not in _banned_ids(suppress_unk)
                 and i != EOS_ID]
     best: list = [None]
 
     def walk(state, y_prev, tokens, score):
-        _state_new, logp, _, _ = _decoder_step_full(params, enc_out, state, y_prev)
+        _state_new, logp, _, _ = _decoder_step(params, enc_out, memory, state, y_prev)
         row = logp[0]
         if tokens:
             closed = (score + float(row[EOS_ID]), tokens)

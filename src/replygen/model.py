@@ -28,10 +28,12 @@ __all__ = [
     "AttentionParams",
     "ModelParams",
     "EncodedPost",
+    "AttentionMemory",
     "init_params",
     "gru_step",
     "encode",
     "encode_post",
+    "attention_memory",
     "attention_weights",
     "context_vector",
     "decoder_init",
@@ -301,38 +303,75 @@ def encode_post(params: ModelParams, post_ids) -> EncodedPost:
     return encode(params, ids, np.ones_like(ids, dtype=np.float64))
 
 
-def _attention_states(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
-    """Per-position vectors the attention scores and averages: the encoder
+@dataclass
+class AttentionMemory:
+    """What the additive scorer reads of a batch of encoded posts.
+
+    values (B, T, d_ctx) are the vectors the context averages: the encoder
     states (loc), or each state with the global final state appended (hyb).
+    keys (B, T, d_a) are values @ U_a.T + b_a, the part of every score that
+    does not depend on the decoder state. mask (B, T) is 1 on real tokens.
+    A memory with B == 1 serves any number of decoder rows by broadcasting.
     """
+
+    values: np.ndarray
+    keys: np.ndarray
+    mask: np.ndarray
+
+
+def attention_memory(params: ModelParams, enc_out: EncodedPost) -> AttentionMemory | None:
+    """Build the attention memory of encoded posts once, for every decoder
+    step over them. Returns None under the glo scheme, which has no attention.
+    """
+    if params.attn is None:
+        return None
+    values = enc_out.states
     if params.scheme == "hyb":
-        b, t_max, _ = enc_out.states.shape
-        g = np.broadcast_to(enc_out.global_final[:, None, :], (b, t_max, enc_out.global_final.shape[1]))
-        return np.concatenate([enc_out.states, g], axis=2)
-    return enc_out.states
+        g = enc_out.global_final
+        values = np.concatenate(
+            [values, np.broadcast_to(g[:, None, :], values.shape[:2] + g.shape[1:])], axis=2)
+    keys = values @ params.attn.U_a.T
+    keys += params.attn.b_a
+    return AttentionMemory(values=values, keys=keys, mask=enc_out.mask)
+
+
+def _score_tanh(params: ModelParams, memory: AttentionMemory, s_prev: np.ndarray):
+    """tanh(W_a s + U_a h_j + b_a) for every decoder row and position, (B, T, d_a)."""
+    return tanh((s_prev @ params.attn.W_a.T)[:, None, :] + memory.keys)
 
 
 def attention_weights(params: ModelParams, enc_out: EncodedPost,
-                      s_prev: np.ndarray) -> np.ndarray:
-    """Normalized alignment weights (B, T); padded positions get exactly 0."""
+                      s_prev: np.ndarray, memory: AttentionMemory | None = None) -> np.ndarray:
+    """Normalized alignment weights (B, T); padded positions get exactly 0.
+
+    memory is attention_memory(params, enc_out), built here when not given;
+    callers that step the decoder build it once. It may hold one post,
+    broadcast over every row of s_prev.
+    """
     if params.attn is None:
         raise ValueError(f"scheme {params.scheme!r} has no attention")
-    a = params.attn
-    hstates = _attention_states(params, enc_out)
-    pre = (s_prev @ a.W_a.T)[:, None, :] + hstates @ a.U_a.T + a.b_a
-    # (B, T, d_a) -> (B, T)
-    scores = tanh(pre) @ a.v_a
-    scores = np.where(enc_out.mask > 0.0, scores, -np.inf)
+    if memory is None:
+        memory = attention_memory(params, enc_out)
+    scores = _score_tanh(params, memory, s_prev) @ params.attn.v_a
+    scores = np.where(memory.mask > 0.0, scores, -np.inf)
     return softmax_stable(scores, axis=1)
 
 
-def context_vector(params: ModelParams, enc_out: EncodedPost, s_prev: np.ndarray):
-    """Context for one decoder step. Returns (c, alpha); alpha is None for glo."""
+def context_vector(params: ModelParams, enc_out: EncodedPost, s_prev: np.ndarray,
+                   memory: AttentionMemory | None = None):
+    """Context for one decoder step. Returns (c, alpha); alpha is None for glo.
+
+    c has one row per row of s_prev; enc_out and memory (see
+    attention_weights) may hold one post broadcast over all of them.
+    """
     if params.scheme == "glo":
-        return enc_out.final, None
-    alpha = attention_weights(params, enc_out, s_prev)
-    hstates = _attention_states(params, enc_out)
-    c = np.einsum("bt,btd->bd", alpha, hstates)
+        final = enc_out.final
+        return np.broadcast_to(final, (len(s_prev), final.shape[1])), None
+    if memory is None:
+        memory = attention_memory(params, enc_out)
+    alpha = attention_weights(params, enc_out, s_prev, memory)
+    # (B, 1, T) @ (B or 1, T, d_ctx): c_b = sum_j alpha_bj h_j
+    c = (alpha[:, None, :] @ memory.values)[:, 0, :]
     return c, alpha
 
 
@@ -347,25 +386,30 @@ def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
     return tanh(_init_context(params, enc_out) @ params.W_0.T)
 
 
-def _decoder_step_full(params: ModelParams, enc_out: EncodedPost,
-                       s_prev: np.ndarray, y_prev: np.ndarray):
-    """One decoder step with every intermediate kept for backprop.
+def _decoder_step(params: ModelParams, enc_out: EncodedPost,
+                  memory: AttentionMemory | None, s_prev: np.ndarray, y_prev,
+                  keep: bool = False):
+    """One decoder step. Returns (s_t, log_probs, alpha, cache).
 
-    Returns (s_t, log_probs, alpha, cache).
+    enc_out and memory may hold one post broadcast over every row of s_prev.
+    With keep, cache holds every intermediate the backward pass reads;
+    otherwise it is None and the step makes nothing beyond its outputs.
     """
     y_prev = np.asarray(y_prev, dtype=np.int64)
     y_emb = params.E_y[y_prev]
-    c, alpha = context_vector(params, enc_out, s_prev)
+    c, alpha = context_vector(params, enc_out, s_prev, memory)
     u = np.concatenate([y_emb, c @ params.L.T], axis=1)
     s_t, z, r, hbar = _gru_step_full(params.dec, u, s_prev)
     rout = tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
-    logits = rout @ params.W_o.T + params.b_o
+    logits = rout @ params.W_o.T
+    logits += params.b_o
     logp = log_softmax(logits, axis=1)
-    cache = {
-        "y_prev": y_prev, "y_emb": y_emb, "c": c, "alpha": alpha, "u": u,
-        "s_prev": s_prev, "z": z, "r": r, "hbar": hbar, "s_t": s_t,
-        "rout": rout, "probs": np.exp(logp),
-    }
+    cache = None
+    if keep:
+        cache = {
+            "y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
+            "z": z, "r": r, "hbar": hbar, "s_t": s_t, "rout": rout,
+        }
     return s_t, logp, alpha, cache
 
 
@@ -375,8 +419,10 @@ def decoder_step(params: ModelParams, enc_out: EncodedPost,
 
     probs is the full next-token distribution (B, v_resp); alpha is the
     attention weights used for this step, or None under the glo scheme.
+    The attention memory is built from enc_out on every call; enc_out may
+    hold one post broadcast over every row of s_prev.
     """
-    s_t, logp, alpha, _ = _decoder_step_full(params, enc_out, s_prev, y_prev)
+    s_t, logp, alpha, _ = _decoder_step(params, enc_out, None, s_prev, y_prev)
     return s_t, np.exp(logp), alpha
 
 
@@ -392,12 +438,13 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     if not resp_ids:
         raise ValueError("cannot score an empty response")
     enc_out = encode_post(params, post_ids)
+    memory = attention_memory(params, enc_out)
     s = decoder_init(params, enc_out)
     targets = resp_ids + [EOS_ID]
     y_prev = np.array([BOS_ID])
     total = 0.0
     for y_t in targets:
-        s, logp, _, _ = _decoder_step_full(params, enc_out, s, y_prev)
+        s, logp, _, _ = _decoder_step(params, enc_out, memory, s, y_prev)
         total += float(logp[0, y_t])
         y_prev = np.array([y_t])
     return total
@@ -466,7 +513,8 @@ def load_checkpoint(path) -> ModelParams:
 
     Malformed input raises CheckpointFormatError naming the byte offset of
     the problem. The whole file must be consumed; trailing bytes are an
-    error. Tensors stored at 4-byte precision come back as float64.
+    error, and so is a NaN or infinite value in any tensor. Tensors stored
+    at 4-byte precision come back as float64.
     """
     with open(path, "rb") as fh:
         rd = _Reader(fh.read(), path)
@@ -508,8 +556,14 @@ def load_checkpoint(path) -> ModelParams:
         ndim = rd.u8(f"ndim of {name}")
         shape = tuple(rd.u32(f"dim {i} of {name}") for i in range(ndim))
         n_items = int(np.prod(shape)) if shape else 1
+        payload_off = rd.off
         payload = rd.take(n_items * precision, f"payload of {name}")
         arr = np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(shape)
+        if not np.isfinite(arr).all():
+            first = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} holds a non-finite value at offset "
+                f"{payload_off + first * precision} (payload at offset {payload_off})")
         tensors[name] = arr
     if rd.off != len(rd.data):
         raise CheckpointFormatError(

@@ -1,8 +1,8 @@
-"""Dense float-matrix helpers: products, stable reductions, seeded randomness.
+"""Dense float-matrix helpers: stable activations and reductions, seeded
+randomness.
 
-Everything operates on plain numpy arrays (row-major; float64 by default,
-float32 supported for faster training). All functions are pure. ``Rng`` is
-the only stateful object here and it mutates nothing but itself.
+Everything operates on plain float64 numpy arrays. All functions are pure.
+``Rng`` is the only stateful object here and it mutates nothing but itself.
 """
 
 from __future__ import annotations
@@ -12,23 +12,15 @@ import math
 import numpy as np
 
 __all__ = [
-    "ShapeError",
     "Rng",
-    "matmul",
     "sigmoid",
     "tanh",
     "softmax_stable",
     "log_softmax",
-    "log_sum_exp",
-    "uniform_init",
     "clip_global_norm",
 ]
 
 _U64 = (1 << 64) - 1
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
 
 
 class Rng:
@@ -85,17 +77,6 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two 2-d matrices with explicit shape checking."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
     """Elementwise logistic function, overflow-safe via the tanh identity."""
     x = np.asarray(x)
@@ -126,30 +107,9 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.size == 0:
         raise ValueError("log_softmax of an empty vector")
-    m = np.max(z, axis=axis, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def log_sum_exp(v, axis: int = -1):
-    """log(sum(exp(v))) factored through the max, stable for large magnitudes."""
-    z = np.asarray(v, dtype=float)
-    if z.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    m = np.max(z, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True))
-    return out if out.ndim else float(out)
-
-
-def uniform_init(rng: Rng, rows: int, cols: int, lo: float = -0.1, hi: float = 0.1,
-                 dtype=np.float64) -> np.ndarray:
-    """rows x cols matrix of i.i.d. uniform draws in [lo, hi), row-major order."""
-    if not lo < hi:
-        raise ValueError(f"uniform_init needs lo < hi, got lo={lo} hi={hi}")
-    span = hi - lo
-    scale = 2.0**-53
-    data = [lo + span * ((rng.next_u64() >> 11) * scale) for _ in range(rows * cols)]
-    return np.array(data, dtype=dtype).reshape(rows, cols)
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted -= np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    return shifted
 
 
 def clip_global_norm(grads, max_norm: float):

@@ -20,9 +20,11 @@ from .model import (
     Dims,
     EncodedPost,
     ModelParams,
-    _decoder_step_full,
+    _decoder_step,
     _init_context,
     _run_encoder,
+    _score_tanh,
+    attention_memory,
     decoder_init,
     init_params,
 )
@@ -54,7 +56,9 @@ def _forward(params: ModelParams, batch, keep: bool):
     """Shared forward pass. Returns (loss, token_count, aux).
 
     aux carries every intermediate the backward pass needs; it is None when
-    keep is False so evaluation costs no extra memory.
+    keep is False, and the decoder steps then keep no cache, so evaluation
+    costs no extra memory. Both ways the loss is computed by the same
+    operations, so it is bit-identical.
     """
     enc_states, enc_final, enc_caches = _run_encoder(
         params.enc, params.E_x, batch.post_ids, batch.post_mask, keep)
@@ -65,22 +69,25 @@ def _forward(params: ModelParams, batch, keep: bool):
     enc_out = EncodedPost(states=enc_states, mask=batch.post_mask,
                           lengths=batch.post_lengths, final=enc_final,
                           global_final=global_final)
-    c0 = _init_context(params, enc_out)
+    memory = attention_memory(params, enc_out)
     s0 = decoder_init(params, enc_out)
 
     b, t_resp = batch.resp_ids.shape
+    steps = t_resp - 1
     rows = np.arange(b)
     s = s0
     loss_sum = 0.0
-    dec_caches = [] if keep else None
-    for t in range(t_resp - 1):
-        s, logp, _, cache = _decoder_step_full(params, enc_out, s, batch.resp_ids[:, t])
+    dec_caches = []
+    # every step's next-token distribution, which backward turns into dlogits in place
+    probs = np.empty((steps, b, params.dims.v_resp)) if keep else None
+    for t in range(steps):
+        s, logp, _, cache = _decoder_step(params, enc_out, memory, s,
+                                          batch.resp_ids[:, t], keep)
         target = batch.resp_ids[:, t + 1]
         m = batch.resp_mask[:, t + 1]
         loss_sum -= float((m * logp[rows, target]).sum())
         if keep:
-            cache["target"] = target
-            cache["mask"] = m
+            np.exp(logp, out=probs[t])
             dec_caches.append(cache)
 
     token_count = float(batch.resp_mask[:, 1:].sum())
@@ -90,8 +97,9 @@ def _forward(params: ModelParams, batch, keep: bool):
     if not keep:
         return loss, token_count, None
     aux = {
-        "enc_out": enc_out, "enc_caches": enc_caches, "encg_caches": encg_caches,
-        "c0": c0, "s0": s0, "dec_caches": dec_caches,
+        "enc_out": enc_out, "memory": memory, "enc_caches": enc_caches,
+        "encg_caches": encg_caches, "c0": _init_context(params, enc_out), "s0": s0,
+        "dec_caches": dec_caches, "probs": probs,
     }
     return loss, token_count, aux
 
@@ -132,37 +140,48 @@ def _gru_backward(grads, prefix, cell, x, h_prev, z, r, hbar, dh):
     return dx, dh_prev
 
 
-def _attention_backward(grads, params, hstates, hs_ua, alpha, s_prev, dc,
-                        dstates, dglobal_final):
+def _attention_backward(grads, params, memory, alpha, s_prev, dc, dvalues, dkeys):
     """Backprop one step of the additive scorer and the weighted sum.
 
-    Padded positions carry alpha == 0 exactly, so every term below vanishes
-    there without explicit masking. Returns the gradient w.r.t. s_prev.
+    The gradients w.r.t. the memory's values and keys are accumulated into
+    dvalues and dkeys (both (B, T, .)); the memory's own backward maps them
+    to U_a, b_a and the encoder states once per batch. Padded positions
+    carry alpha == 0 exactly, so every term below vanishes there without
+    explicit masking. Returns the gradient w.r.t. s_prev.
     """
     a = params.attn
-    ta = np.tanh((s_prev @ a.W_a.T)[:, None, :] + hs_ua + a.b_a)
+    ta = _score_tanh(params, memory, s_prev)
+    d_a = ta.shape[2]
 
     # c = sum_j alpha_j h_j
-    dalpha = np.einsum("bd,btd->bt", dc, hstates)
-    dhs = alpha[:, :, None] * dc[:, None, :]
+    dalpha = (memory.values @ dc[:, :, None])[:, :, 0]
+    dvalues += alpha[:, :, None] * dc[:, None, :]
 
     # softmax jacobian, then the scorer
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    grads["attn.v_a"] += np.einsum("bt,bta->a", de, ta)
+    grads["attn.v_a"] += de.reshape(-1) @ ta.reshape(-1, d_a)
     dpre = (de[:, :, None] * a.v_a) * (1.0 - ta * ta)
+    dkeys += dpre
     dproj = dpre.sum(axis=1)
     grads["attn.W_a"] += dproj.T @ s_prev
-    grads["attn.U_a"] += np.einsum("bta,btd->ad", dpre, hstates)
-    grads["attn.b_a"] += dpre.sum(axis=(0, 1))
-    dhs += np.einsum("bta,ad->btd", dpre, a.U_a)
+    return dproj @ a.W_a
 
+
+def _memory_backward(grads, params, memory, dvalues, dkeys, dstates, dglobal_final):
+    """Backprop keys = values @ U_a.T + b_a and the hyb concatenation into
+    values, given the gradients every decoder step added up."""
+    a = params.attn
+    d_ctx = dvalues.shape[2]
+    dk = dkeys.reshape(-1, dkeys.shape[2])
+    grads["attn.U_a"] += dk.T @ memory.values.reshape(-1, d_ctx)
+    grads["attn.b_a"] += dk.sum(axis=0)
+    dvalues += (dk @ a.U_a).reshape(dvalues.shape)
     d_h = params.dims.d_h
     if params.scheme == "hyb":
-        dstates += dhs[:, :, :d_h]
-        dglobal_final += dhs[:, :, d_h:].sum(axis=1)
+        dstates += dvalues[:, :, :d_h]
+        dglobal_final += dvalues[:, :, d_h:].sum(axis=1)
     else:
-        dstates += dhs
-    return dproj @ a.W_a
+        dstates += dvalues
 
 
 def _encoder_backward(grads, prefix, cell, ids, mask, caches, dstates, dfinal):
@@ -182,65 +201,80 @@ def backward(params: ModelParams, batch):
 
     Gradient keys match ModelParams.named_tensors(). The loss here is
     bit-identical to batch_loss on the same inputs.
+
+    The readout and output layer feed nothing back into the recurrence, so
+    their gradients, and the gradients they pass to s_t, y_emb and c, come
+    from one product each over all steps at once, before the reverse loop
+    through the decoder GRU and the attention. The attention memory is built
+    once per batch, and its keys and values are backpropagated once, from
+    the sums of every step's gradients.
     """
     loss, token_count, aux = _forward(params, batch, keep=True)
     tensors = params.named_tensors()
     grads = {name: np.zeros_like(arr) for name, arr in tensors.items()}
 
     enc_out = aux["enc_out"]
+    memory = aux["memory"]
+    caches = aux["dec_caches"]
     d_h = params.dims.d_h
     d_emb = params.dims.d_emb
     b = batch.post_ids.shape[0]
-    rows = np.arange(b)
+    steps = len(caches)
     lam = 1.0 / token_count
 
-    hstates = hs_ua = None
-    if params.attn is not None:
-        if params.scheme == "hyb":
-            t_max = enc_out.states.shape[1]
-            g = np.broadcast_to(enc_out.global_final[:, None, :], (b, t_max, d_h))
-            hstates = np.concatenate([enc_out.states, g], axis=2)
-        else:
-            hstates = enc_out.states
-        hs_ua = hstates @ params.attn.U_a.T
+    def stacked(key):
+        """One cached tensor over all steps, as (steps * B, width) rows."""
+        return np.stack([cache[key] for cache in caches]).reshape(steps * b, -1)
+
+    rout, s_t, y_emb, c = (stacked(k) for k in ("rout", "s_t", "y_emb", "c"))
+
+    # softmax cross-entropy: dlogits = lam * mask * (probs - onehot(target))
+    dlogits = aux["probs"]
+    targets = batch.resp_ids[:, 1:].T
+    dlogits[np.arange(steps)[:, None], np.arange(b), targets] -= 1.0
+    dlogits *= (lam * batch.resp_mask[:, 1:].T)[:, :, None]
+    dlogits = dlogits.reshape(steps * b, -1)
+
+    grads["W_o"] += dlogits.T @ rout
+    grads["b_o"] += dlogits.sum(axis=0)
+    da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
+    grads["W_s"] += da.T @ s_t
+    grads["W_y"] += da.T @ y_emb
+    grads["W_c"] += da.T @ c
+    grads["b_r"] += da.sum(axis=0)
+    ds_out = (da @ params.W_s).reshape(steps, b, d_h)
+    dy_emb = (da @ params.W_y).reshape(steps, b, d_emb)
+    dc_out = (da @ params.W_c).reshape(steps, b, -1)
+    dlc = np.empty((steps, b, params.dims.d_L))
 
     dstates = np.zeros_like(enc_out.states)
     dfinal = np.zeros((b, d_h))
     dglobal_final = np.zeros((b, d_h)) if params.scheme == "hyb" else None
+    if memory is not None:
+        dvalues = np.zeros_like(memory.values)
+        dkeys = np.zeros_like(memory.keys)
 
     ds_carry = np.zeros((b, d_h))
-    for cache in reversed(aux["dec_caches"]):
-        dlogits = cache["probs"].copy()
-        dlogits[rows, cache["target"]] -= 1.0
-        dlogits *= (lam * cache["mask"])[:, None]
-
-        grads["W_o"] += dlogits.T @ cache["rout"]
-        grads["b_o"] += dlogits.sum(axis=0)
-        da = (dlogits @ params.W_o) * (1.0 - cache["rout"] ** 2)
-        grads["W_s"] += da.T @ cache["s_t"]
-        grads["W_y"] += da.T @ cache["y_emb"]
-        grads["W_c"] += da.T @ cache["c"]
-        grads["b_r"] += da.sum(axis=0)
-        dy_emb = da @ params.W_y
-        dc = da @ params.W_c
-        ds = ds_carry + da @ params.W_s
-
+    for t in reversed(range(steps)):
+        cache = caches[t]
         du, ds_prev = _gru_backward(grads, "dec", params.dec, cache["u"],
                                     cache["s_prev"], cache["z"], cache["r"],
-                                    cache["hbar"], ds)
-        dy_emb += du[:, :d_emb]
-        dlc = du[:, d_emb:]
-        grads["L"] += dlc.T @ cache["c"]
-        dc += dlc @ params.L
+                                    cache["hbar"], ds_carry + ds_out[t])
+        dy_emb[t] += du[:, :d_emb]
+        dlc[t] = du[:, d_emb:]
+        dc = dc_out[t] + dlc[t] @ params.L
 
-        if params.scheme == "glo":
+        if memory is None:
             dfinal += dc
         else:
-            ds_prev += _attention_backward(grads, params, hstates, hs_ua,
-                                           cache["alpha"], cache["s_prev"],
-                                           dc, dstates, dglobal_final)
-        np.add.at(grads["E_y"], cache["y_prev"], dy_emb)
+            ds_prev += _attention_backward(grads, params, memory, cache["alpha"],
+                                           cache["s_prev"], dc, dvalues, dkeys)
         ds_carry = ds_prev
+    grads["L"] += dlc.reshape(steps * b, -1).T @ c
+    np.add.at(grads["E_y"], batch.resp_ids[:, :-1].T.reshape(-1),
+              dy_emb.reshape(steps * b, d_emb))
+    if memory is not None:
+        _memory_backward(grads, params, memory, dvalues, dkeys, dstates, dglobal_final)
 
     # start state s_0 = tanh(W_0 c_init)
     da0 = ds_carry * (1.0 - aux["s0"] ** 2)

@@ -156,6 +156,24 @@ def test_perplexity_command(workdir, capsys):
     assert float(rows["perplexity"][0][0]) > 1.0
 
 
+def test_perplexity_rejects_vocab_checkpoint_mismatch(workdir, capsys):
+    ckpt, args, _ = train_tiny(workdir, capsys)
+    # vocabularies built on the raw corpus are bigger than the training ones
+    for side in ("post", "response"):
+        rc, _, err = run(capsys, "build-vocab", "--pairs", str(workdir / "raw.tsv"),
+                         "--side", side, "--out", str(workdir / f"big-{side}.vocab"),
+                         "--quiet")
+        assert rc == 0, err
+    rc, out, err = run(capsys, "perplexity", "--checkpoint", str(ckpt),
+                       "--pairs", str(workdir / "raw.tsv"),
+                       "--post-vocab", str(workdir / "big-post.vocab"),
+                       "--resp-vocab", str(workdir / "big-response.vocab"), "--quiet")
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: vocabulary sizes")
+
+
 def test_inspect_checkpoint(workdir, capsys):
     ckpt, _, _ = train_tiny(workdir, capsys, scheme="hyb")
     rc, out, err = run(capsys, "inspect-checkpoint", "--checkpoint", str(ckpt),

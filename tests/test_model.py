@@ -9,6 +9,8 @@ from replygen.model import (
     CheckpointFormatError,
     EncodedPost,
     ModelParams,
+    _decoder_step,
+    attention_memory,
     attention_weights,
     context_vector,
     decoder_init,
@@ -268,6 +270,33 @@ def test_single_token_post_reduces_to_global_context():
             c, np.concatenate([out.final, out.global_final], axis=1))
 
 
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_broadcast_memory_matches_copied_rows(scheme, make_params):
+    """One post's encoding and memory serve n decoder rows by broadcasting,
+    as the decoders use them, with the results of an n-row copy."""
+    params = make_params(scheme, seed=8, low=-0.5, high=0.5)
+    rng = Rng(32)
+    one = encode_post(params, [4, 9, 6, 11, 5])
+    memory = attention_memory(params, one)
+    n = 5
+    copied = EncodedPost(
+        states=np.repeat(one.states, n, axis=0), mask=np.repeat(one.mask, n, axis=0),
+        lengths=np.repeat(one.lengths, n), final=np.repeat(one.final, n, axis=0),
+        global_final=None if one.global_final is None
+        else np.repeat(one.global_final, n, axis=0))
+    s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(n)])
+    y = np.array([4 + rng.randrange(8) for _ in range(n)])
+    s_b, logp_b, alpha_b, _ = _decoder_step(params, one, memory, s, y)
+    s_c, logp_c, alpha_c, _ = _decoder_step(params, copied, None, s, y)
+    np.testing.assert_allclose(s_b, s_c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logp_b, logp_c, rtol=0, atol=1e-12)
+    if scheme == "glo":
+        assert memory is None and alpha_b is None and alpha_c is None
+    else:
+        assert memory.keys.shape[0] == 1 and alpha_b.shape == (n, 5)
+        np.testing.assert_allclose(alpha_b, alpha_c, rtol=0, atol=1e-12)
+
+
 # --- decoder -------------------------------------------------------------
 
 
@@ -397,3 +426,18 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path, make_params):
 def test_checkpoint_rejects_bad_precision(tmp_path, make_params):
     with pytest.raises(ValueError):
         save_checkpoint(make_params("glo"), tmp_path / "x.nrm", precision=2)
+
+
+@pytest.mark.parametrize("value, precision", [(np.nan, 8), (-np.inf, 4)])
+def test_checkpoint_rejects_non_finite_tensor(value, precision, tmp_path, make_params):
+    params = make_params("loc", seed=24)
+    params.W_s[1, 2] = value
+    path = tmp_path / "model.nrm"
+    save_checkpoint(params, path, precision=precision)
+    data = path.read_bytes()
+    offset = data.find(np.array([value], dtype=f"<f{precision}").tobytes())
+    payload = offset - (1 * TINY.d_h + 2) * precision
+    with pytest.raises(CheckpointFormatError,
+                       match=f"'W_s' holds a non-finite value at offset {offset} "
+                             rf"\(payload at offset {payload}\)"):
+        load_checkpoint(path)

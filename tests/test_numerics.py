@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 
 from replygen.numerics import (
     Rng,
-    ShapeError,
     clip_global_norm,
     log_softmax,
-    log_sum_exp,
-    matmul,
     sigmoid,
     softmax_stable,
     tanh,
-    uniform_init,
 )
 
 
@@ -155,42 +151,7 @@ def test_log_softmax_consistent_with_softmax():
                                softmax_stable(z, axis=1), rtol=1e-14)
 
 
-def test_log_sum_exp_against_direct():
-    v = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_allclose(log_sum_exp(v), math.log(np.exp(v).sum()), rtol=1e-14)
-
-
-def test_log_sum_exp_large_values():
-    assert abs(log_sum_exp(np.array([1000.0, 1000.0])) - (1000.0 + math.log(2))) < 1e-9
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_matches_operator():
-    a = np.arange(6.0).reshape(2, 3)
-    b = np.arange(12.0).reshape(3, 4)
-    np.testing.assert_array_equal(matmul(a, b), a @ b)
-
-
-# --- init and clipping ---------------------------------------------------
-
-
-def test_uniform_init_shape_range_determinism():
-    a = uniform_init(Rng(4), 5, 7, -0.3, 0.3)
-    b = uniform_init(Rng(4), 5, 7, -0.3, 0.3)
-    assert a.shape == (5, 7) and a.dtype == np.float64
-    assert (a >= -0.3).all() and (a < 0.3).all()
-    np.testing.assert_array_equal(a, b)
-
-
-def test_uniform_init_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        uniform_init(Rng(0), 2, 2, 0.5, 0.5)
+# --- clipping ---------------------------------------------------
 
 
 def test_clip_noop_below_threshold():

@@ -63,10 +63,13 @@ def test_batch_loss_ignores_padded_steps(make_params, small_batch):
 
 
 def test_backward_reports_same_loss(make_params, small_batch):
-    params = make_params("hyb", seed=5)
-    loss_f, _ = batch_loss(params, small_batch)
-    loss_b, _ = backward(params, small_batch)
-    assert loss_f == loss_b
+    """The cached forward of backward and the cache-free one of batch_loss
+    give the same loss bitwise, for every scheme."""
+    for scheme in ("glo", "loc", "hyb"):
+        params = make_params(scheme, seed=5)
+        loss_f, _ = batch_loss(params, small_batch)
+        loss_b, _ = backward(params, small_batch)
+        assert loss_f == loss_b, scheme
 
 
 def test_backward_grad_keys_match_tensors(make_params, small_batch):
