@@ -174,6 +174,15 @@ def _check_vocab_sizes(params, post_vocab, resp_vocab):
             f"checkpoint ({params.dims.v_post}, {params.dims.v_resp})")
 
 
+def _usable_pairs(pairs, command):
+    """Pairs with a nonempty post and response; logs how many were dropped."""
+    usable = [p for p in pairs if p.post and p.response]
+    if len(usable) != len(pairs):
+        logger.info("%s: dropped %d pair(s) with an empty post or response",
+                    command, len(pairs) - len(usable))
+    return usable
+
+
 def _cmd_train(args, cfg):
     from .corpus import load_pairs
     from .model import Dims, load_checkpoint, save_checkpoint
@@ -215,10 +224,7 @@ def _cmd_train(args, cfg):
     seed = _get(args, cfg, "seed", 0, int)
 
     vocabs = _load_vocabs(args, cfg)
-    pairs = load_pairs(pairs_path)
-    usable = [p for p in pairs if p.post]
-    if len(usable) != len(pairs):
-        logger.info("train: dropped %d pair(s) with empty posts", len(pairs) - len(usable))
+    usable = _usable_pairs(load_pairs(pairs_path), "train")
     if not usable:
         raise CliError("no usable training pairs")
 
@@ -328,7 +334,7 @@ def _cmd_perplexity(args, cfg):
     vocabs = _load_vocabs(args, cfg)
     params = load_checkpoint(ckpt_path)
     _check_vocab_sizes(params, *vocabs)
-    pairs = [p for p in load_pairs(pairs_path) if p.post]
+    pairs = _usable_pairs(load_pairs(pairs_path), "perplexity")
     if not pairs:
         raise CliError("no usable pairs to evaluate")
     nll, ppl = corpus_perplexity(params, pairs, vocabs, batch_size, max_len)

@@ -148,8 +148,9 @@ class Batch:
 def load_pairs(path) -> list[PostResponsePair]:
     """Read a TSV pair file; one pair per nonblank line, file order kept.
 
-    Blank lines are skipped and their count logged. A line without a TAB or
-    with an empty side is an error naming the line number.
+    Blank lines are skipped and their count logged. A line without a TAB is
+    an error naming the line number. A side with no tokens loads as an empty
+    list; the train and perplexity commands drop such pairs.
     """
     pairs = []
     blank = 0

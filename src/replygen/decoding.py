@@ -20,13 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (
-    ModelParams,
-    _decoder_step,
-    attention_memory,
-    decoder_init,
-    encode_post,
-)
+from .model import ModelParams, _decoder_step, _start_state, context_memory, encode_post
 
 __all__ = ["greedy_decode", "beam_search", "multi_response", "exhaustive_oracle"]
 
@@ -47,15 +41,14 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len == 0:
         return [], 0.0
-    enc_out = encode_post(params, post_ids)
-    memory = attention_memory(params, enc_out)
-    s = decoder_init(params, enc_out)
+    memory = context_memory(params, encode_post(params, post_ids))
+    s = _start_state(params, memory)
     y_prev = np.array([BOS_ID])
     banned = _banned_ids(suppress_unk)
     tokens: list[int] = []
     score = 0.0
     for pos in range(1, max_len + 1):
-        s, logp, _, _ = _decoder_step(params, enc_out, memory, s, y_prev)
+        s, logp, _ = _decoder_step(params, memory, s, y_prev)
         row = logp[0]
         row[banned] = -np.inf
         if pos == 1:
@@ -67,7 +60,7 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
         tokens.append(tok)
         y_prev = np.array([tok])
     # length cap reached: close with the end marker so the score re-checks
-    _, logp, _, _ = _decoder_step(params, enc_out, memory, s, y_prev)
+    _, logp, _ = _decoder_step(params, memory, s, y_prev)
     return tokens, score + float(logp[0, EOS_ID])
 
 
@@ -86,23 +79,21 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len == 0:
         return [([], 0.0)]
-    # one post's encoding and memory, broadcast over the live hypotheses
-    enc_out = encode_post(params, post_ids)
-    memory = attention_memory(params, enc_out)
+    # one post's memory, broadcast over the live hypotheses
+    memory = context_memory(params, encode_post(params, post_ids))
     v_resp = params.dims.v_resp
     banned = _banned_ids(suppress_unk)
 
     # live hypotheses, kept in parallel lists/arrays
     live_tokens: list[tuple] = [()]
     live_scores = np.zeros(1)
-    live_states = decoder_init(params, enc_out)
+    live_states = _start_state(params, memory)
     live_prev = np.array([BOS_ID])
     finished: list[tuple] = []  # (score, tokens)
 
     # position max_len + 1 exists only to close still-live hypotheses
     for pos in range(1, max_len + 2):
-        states_new, logp, _, _ = _decoder_step(params, enc_out, memory,
-                                               live_states, live_prev)
+        states_new, logp, _ = _decoder_step(params, memory, live_states, live_prev)
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -173,14 +164,13 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
         raise ValueError(
             f"enumeration space {v_resp}^{max_len} exceeds the "
             f"{_ENUMERATION_GUARD} guard")
-    enc_out = encode_post(params, post_ids)
-    memory = attention_memory(params, enc_out)
+    memory = context_memory(params, encode_post(params, post_ids))
     alphabet = [i for i in range(v_resp) if i not in _banned_ids(suppress_unk)
                 and i != EOS_ID]
     best: list = [None]
 
     def walk(state, y_prev, tokens, score):
-        _state_new, logp, _, _ = _decoder_step(params, enc_out, memory, state, y_prev)
+        _state_new, logp, _ = _decoder_step(params, memory, state, y_prev)
         row = logp[0]
         if tokens:
             closed = (score + float(row[EOS_ID]), tokens)
@@ -191,6 +181,6 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
                 walk(_state_new, np.array([tok]), tokens + (tok,),
                      score + float(row[tok]))
 
-    walk(decoder_init(params, enc_out), np.array([BOS_ID]), (), 0.0)
+    walk(_start_state(params, memory), np.array([BOS_ID]), (), 0.0)
     score, tokens = best[0]
     return list(tokens), score

@@ -4,7 +4,9 @@ The encoder reads the post left to right; the decoder emits the response one
 token at a time, conditioned on a context vector. Scheme "glo" uses the final
 encoder state as a fixed context, "loc" attends over the per-token encoder
 states, and "hyb" attends over per-token states each concatenated with the
-final state of a second, separately parameterized encoder.
+final state of a second, separately parameterized encoder. The schemes
+differ only in the ContextMemory that context_memory builds from the
+encoder output; every decoder step reads its context from that memory.
 
 Conventions used throughout: weight matrices are (d_out, d_in) and applied to
 row-stacked activations as ``x @ W.T``; states are (batch, d_h); everything is
@@ -28,12 +30,12 @@ __all__ = [
     "AttentionParams",
     "ModelParams",
     "EncodedPost",
-    "AttentionMemory",
+    "ContextMemory",
     "init_params",
     "gru_step",
     "encode",
     "encode_post",
-    "attention_memory",
+    "context_memory",
     "attention_weights",
     "context_vector",
     "decoder_init",
@@ -136,7 +138,7 @@ class ModelParams:
 
     @property
     def d_ctx(self) -> int:
-        return 2 * self.dims.d_h if self.scheme == "hyb" else self.dims.d_h
+        return _context_width(self.scheme, self.dims)
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """All tensors in a fixed order; names are stable across save/load."""
@@ -171,8 +173,13 @@ class EncodedPost:
     global_final: np.ndarray | None = None
 
 
+def _context_width(scheme: str, dims: Dims) -> int:
+    """Width of the context vector: hyb appends the second encoder's state."""
+    return 2 * dims.d_h if scheme == "hyb" else dims.d_h
+
+
 def _expected_shapes(scheme: str, dims: Dims) -> dict[str, tuple]:
-    d_ctx = 2 * dims.d_h if scheme == "hyb" else dims.d_h
+    d_ctx = _context_width(scheme, dims)
     shapes: dict[str, tuple] = {
         "E_x": (dims.v_post, dims.d_emb),
         "E_y": (dims.v_resp, dims.d_emb),
@@ -253,31 +260,30 @@ def _gru_step_full(cell, x, h_prev):
     return h, z, r, hbar
 
 
-def _run_encoder(cell, E_x, ids, mask, keep_cache=False):
+def _run_encoder(cell, E_x, ids, mask):
     """Masked left-to-right pass. Padded steps carry the previous state
     forward unchanged, so `final` is the state at each row's true length.
 
-    With keep_cache, also returns per-step (x, h_prev, z, r, hbar) tuples
-    for backprop.
+    Also returns the per-step (x, h_prev, z, r, hbar) tuples that backprop
+    reads; the pass computes them all anyway.
     """
     b, t_max = ids.shape
     d_h = cell.U_z.shape[0]
     h = np.zeros((b, d_h))
     states = np.zeros((b, t_max, d_h))
-    caches = [] if keep_cache else None
+    caches = []
     for t in range(t_max):
         x = E_x[ids[:, t]]
         h_hat, z, r, hbar = _gru_step_full(cell, x, h)
-        if keep_cache:
-            caches.append((x, h, z, r, hbar))
+        caches.append((x, h, z, r, hbar))
         m = mask[:, t][:, None]
         states[:, t, :] = m * h_hat
         h = m * h_hat + (1.0 - m) * h
     return states, h, caches
 
 
-def encode(params: ModelParams, post_ids: np.ndarray, post_mask: np.ndarray) -> EncodedPost:
-    """Run the encoder(s) over a padded batch of posts."""
+def _encode(params: ModelParams, post_ids, post_mask):
+    """As encode, but returns (enc_out, (enc caches, enc_g caches or None))."""
     post_ids = np.asarray(post_ids, dtype=np.int64)
     post_mask = np.asarray(post_mask, dtype=np.float64)
     if post_ids.ndim != 2 or post_mask.shape != post_ids.shape:
@@ -287,12 +293,18 @@ def encode(params: ModelParams, post_ids: np.ndarray, post_mask: np.ndarray) -> 
     lengths = post_mask.sum(axis=1).astype(np.int64)
     if (lengths < 1).any():
         raise ValueError("every post in a batch must have at least one token")
-    states, final, _ = _run_encoder(params.enc, params.E_x, post_ids, post_mask)
-    global_final = None
+    states, final, caches = _run_encoder(params.enc, params.E_x, post_ids, post_mask)
+    global_final, g_caches = None, None
     if params.scheme == "hyb":
-        _, global_final, _ = _run_encoder(params.enc_g, params.E_x, post_ids, post_mask)
-    return EncodedPost(states=states, mask=post_mask, lengths=lengths,
-                       final=final, global_final=global_final)
+        _, global_final, g_caches = _run_encoder(params.enc_g, params.E_x, post_ids, post_mask)
+    enc_out = EncodedPost(states=states, mask=post_mask, lengths=lengths,
+                          final=final, global_final=global_final)
+    return enc_out, (caches, g_caches)
+
+
+def encode(params: ModelParams, post_ids: np.ndarray, post_mask: np.ndarray) -> EncodedPost:
+    """Run the encoder(s) over a padded batch of posts."""
+    return _encode(params, post_ids, post_mask)[0]
 
 
 def encode_post(params: ModelParams, post_ids) -> EncodedPost:
@@ -304,113 +316,110 @@ def encode_post(params: ModelParams, post_ids) -> EncodedPost:
 
 
 @dataclass
-class AttentionMemory:
-    """What the additive scorer reads of a batch of encoded posts.
+class ContextMemory:
+    """What the decoder reads of a batch of encoded posts, for every scheme.
 
-    values (B, T, d_ctx) are the vectors the context averages: the encoder
-    states (loc), or each state with the global final state appended (hyb).
-    keys (B, T, d_a) are values @ U_a.T + b_a, the part of every score that
-    does not depend on the decoder state. mask (B, T) is 1 on real tokens.
-    A memory with B == 1 serves any number of decoder rows by broadcasting.
+    init (B, d_ctx) is the final encoder state, with the second encoder's
+    final state appended under hyb: W_0's input, and glo's context at every
+    step. Under loc and hyb, values (B, T, d_ctx) are the vectors the
+    context averages (the encoder states, each with the second encoder's
+    final state appended under hyb); keys (B, T, d_a) are values @ U_a.T +
+    b_a, the part of every score that does not depend on the decoder state;
+    mask (B, T) is 1 on real tokens. Under glo those three are None. A
+    memory with B == 1 serves any number of decoder rows by broadcasting.
     """
 
-    values: np.ndarray
-    keys: np.ndarray
-    mask: np.ndarray
+    init: np.ndarray
+    values: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    mask: np.ndarray | None = None
 
 
-def attention_memory(params: ModelParams, enc_out: EncodedPost) -> AttentionMemory | None:
-    """Build the attention memory of encoded posts once, for every decoder
-    step over them. Returns None under the glo scheme, which has no attention.
-    """
-    if params.attn is None:
-        return None
-    values = enc_out.states
+def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
+    """Build the context memory of encoded posts once, for every decoder
+    step over them."""
+    init, values = enc_out.final, enc_out.states
     if params.scheme == "hyb":
         g = enc_out.global_final
+        init = np.concatenate([init, g], axis=1)
         values = np.concatenate(
             [values, np.broadcast_to(g[:, None, :], values.shape[:2] + g.shape[1:])], axis=2)
+    if params.attn is None:
+        return ContextMemory(init)
     keys = values @ params.attn.U_a.T
     keys += params.attn.b_a
-    return AttentionMemory(values=values, keys=keys, mask=enc_out.mask)
+    return ContextMemory(init, values, keys, enc_out.mask)
 
 
-def _score_tanh(params: ModelParams, memory: AttentionMemory, s_prev: np.ndarray):
+def _score_tanh(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
     """tanh(W_a s + U_a h_j + b_a) for every decoder row and position, (B, T, d_a)."""
     return tanh((s_prev @ params.attn.W_a.T)[:, None, :] + memory.keys)
 
 
-def attention_weights(params: ModelParams, enc_out: EncodedPost,
-                      s_prev: np.ndarray, memory: AttentionMemory | None = None) -> np.ndarray:
-    """Normalized alignment weights (B, T); padded positions get exactly 0.
-
-    memory is attention_memory(params, enc_out), built here when not given;
-    callers that step the decoder build it once. It may hold one post,
-    broadcast over every row of s_prev.
-    """
-    if params.attn is None:
-        raise ValueError(f"scheme {params.scheme!r} has no attention")
-    if memory is None:
-        memory = attention_memory(params, enc_out)
+def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
+    """Context for each row of s_prev. Returns (c, alpha); alpha is None for glo."""
+    if memory.keys is None:
+        return np.broadcast_to(memory.init, (len(s_prev), memory.init.shape[1])), None
     scores = _score_tanh(params, memory, s_prev) @ params.attn.v_a
     scores = np.where(memory.mask > 0.0, scores, -np.inf)
-    return softmax_stable(scores, axis=1)
-
-
-def context_vector(params: ModelParams, enc_out: EncodedPost, s_prev: np.ndarray,
-                   memory: AttentionMemory | None = None):
-    """Context for one decoder step. Returns (c, alpha); alpha is None for glo.
-
-    c has one row per row of s_prev; enc_out and memory (see
-    attention_weights) may hold one post broadcast over all of them.
-    """
-    if params.scheme == "glo":
-        final = enc_out.final
-        return np.broadcast_to(final, (len(s_prev), final.shape[1])), None
-    if memory is None:
-        memory = attention_memory(params, enc_out)
-    alpha = attention_weights(params, enc_out, s_prev, memory)
+    alpha = softmax_stable(scores, axis=1)
     # (B, 1, T) @ (B or 1, T, d_ctx): c_b = sum_j alpha_bj h_j
     c = (alpha[:, None, :] @ memory.values)[:, 0, :]
     return c, alpha
 
 
-def _init_context(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
-    if params.scheme == "hyb":
-        return np.concatenate([enc_out.final, enc_out.global_final], axis=1)
-    return enc_out.final
+def attention_weights(params: ModelParams, enc_out: EncodedPost,
+                      s_prev: np.ndarray) -> np.ndarray:
+    """Normalized alignment weights (B, T); padded positions get exactly 0.
+
+    The context memory is built from enc_out on every call; enc_out may hold
+    one post broadcast over every row of s_prev.
+    """
+    if params.attn is None:
+        raise ValueError(f"scheme {params.scheme!r} has no attention")
+    return _context(params, context_memory(params, enc_out), s_prev)[1]
+
+
+def context_vector(params: ModelParams, enc_out: EncodedPost, s_prev: np.ndarray):
+    """Context for one decoder step. Returns (c, alpha); alpha is None for glo.
+
+    c has one row per row of s_prev. The context memory is built from
+    enc_out on every call; enc_out may hold one post broadcast over all rows.
+    """
+    return _context(params, context_memory(params, enc_out), s_prev)
+
+
+def _start_state(params: ModelParams, memory: ContextMemory) -> np.ndarray:
+    return tanh(memory.init @ params.W_0.T)
 
 
 def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
-    """Start state s_0 = tanh(W_0 c) from the initial context."""
-    return tanh(_init_context(params, enc_out) @ params.W_0.T)
+    """Start state s_0 = tanh(W_0 c_0). c_0 is the final encoder state, with
+    the second encoder's final state appended under hyb."""
+    return _start_state(params, context_memory(params, enc_out))
 
 
-def _decoder_step(params: ModelParams, enc_out: EncodedPost,
-                  memory: AttentionMemory | None, s_prev: np.ndarray, y_prev,
-                  keep: bool = False):
-    """One decoder step. Returns (s_t, log_probs, alpha, cache).
+def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
+    """One decoder step. Returns (s_t, log_probs, cache).
 
-    enc_out and memory may hold one post broadcast over every row of s_prev.
-    With keep, cache holds every intermediate the backward pass reads;
-    otherwise it is None and the step makes nothing beyond its outputs.
+    memory may hold one post broadcast over every row of s_prev. cache holds
+    the step's intermediates, which the backward pass reads; the step
+    computes all of them anyway.
     """
     y_prev = np.asarray(y_prev, dtype=np.int64)
     y_emb = params.E_y[y_prev]
-    c, alpha = context_vector(params, enc_out, s_prev, memory)
+    c, alpha = _context(params, memory, s_prev)
     u = np.concatenate([y_emb, c @ params.L.T], axis=1)
     s_t, z, r, hbar = _gru_step_full(params.dec, u, s_prev)
     rout = tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
     logits = rout @ params.W_o.T
     logits += params.b_o
     logp = log_softmax(logits, axis=1)
-    cache = None
-    if keep:
-        cache = {
-            "y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
-            "z": z, "r": r, "hbar": hbar, "s_t": s_t, "rout": rout,
-        }
-    return s_t, logp, alpha, cache
+    cache = {
+        "y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
+        "z": z, "r": r, "hbar": hbar, "s_t": s_t, "rout": rout,
+    }
+    return s_t, logp, cache
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,
@@ -419,11 +428,11 @@ def decoder_step(params: ModelParams, enc_out: EncodedPost,
 
     probs is the full next-token distribution (B, v_resp); alpha is the
     attention weights used for this step, or None under the glo scheme.
-    The attention memory is built from enc_out on every call; enc_out may
+    The context memory is built from enc_out on every call; enc_out may
     hold one post broadcast over every row of s_prev.
     """
-    s_t, logp, alpha, _ = _decoder_step(params, enc_out, None, s_prev, y_prev)
-    return s_t, np.exp(logp), alpha
+    s_t, logp, cache = _decoder_step(params, context_memory(params, enc_out), s_prev, y_prev)
+    return s_t, np.exp(logp), cache["alpha"]
 
 
 def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
@@ -437,14 +446,13 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     resp_ids = list(resp_ids)
     if not resp_ids:
         raise ValueError("cannot score an empty response")
-    enc_out = encode_post(params, post_ids)
-    memory = attention_memory(params, enc_out)
-    s = decoder_init(params, enc_out)
+    memory = context_memory(params, encode_post(params, post_ids))
+    s = _start_state(params, memory)
     targets = resp_ids + [EOS_ID]
     y_prev = np.array([BOS_ID])
     total = 0.0
     for y_t in targets:
-        s, logp, _, _ = _decoder_step(params, enc_out, memory, s, y_prev)
+        s, logp, _ = _decoder_step(params, memory, s, y_prev)
         total += float(logp[0, y_t])
         y_prev = np.array([y_t])
     return total

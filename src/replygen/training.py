@@ -1,7 +1,8 @@
 """Maximum-likelihood training with hand-derived gradients.
 
 The loss is the mean negative log-likelihood per framed response token
-(content tokens plus the closing end marker). Backpropagation through the
+(content tokens plus the closing end marker); every post and every response
+in a batch must have at least one token. Backpropagation through the
 decoder, the attention, and the masked encoder recurrences is written out
 explicitly; there is no autodiff anywhere. `grad_check` compares every
 analytic gradient against central finite differences and is the standing
@@ -17,15 +18,14 @@ import numpy as np
 
 from .corpus import make_batches
 from .model import (
+    ContextMemory,
     Dims,
-    EncodedPost,
     ModelParams,
     _decoder_step,
-    _init_context,
-    _run_encoder,
+    _encode,
     _score_tanh,
-    attention_memory,
-    decoder_init,
+    _start_state,
+    context_memory,
     init_params,
 )
 from .numerics import Rng, clip_global_norm
@@ -55,22 +55,17 @@ class TrainConfig:
 def _forward(params: ModelParams, batch, keep: bool):
     """Shared forward pass. Returns (loss, token_count, aux).
 
-    aux carries every intermediate the backward pass needs; it is None when
-    keep is False, and the decoder steps then keep no cache, so evaluation
-    costs no extra memory. Both ways the loss is computed by the same
-    operations, so it is bit-identical.
+    aux carries the intermediates the backward pass needs. Only with keep
+    does it hold every decoder step's cache and next-token distribution;
+    without, each step's cache is dropped as the loop moves on, so
+    evaluation costs no extra memory. Both ways the loss is computed by the
+    same operations, so it is bit-identical.
     """
-    enc_states, enc_final, enc_caches = _run_encoder(
-        params.enc, params.E_x, batch.post_ids, batch.post_mask, keep)
-    global_final, encg_caches = None, None
-    if params.scheme == "hyb":
-        _, global_final, encg_caches = _run_encoder(
-            params.enc_g, params.E_x, batch.post_ids, batch.post_mask, keep)
-    enc_out = EncodedPost(states=enc_states, mask=batch.post_mask,
-                          lengths=batch.post_lengths, final=enc_final,
-                          global_final=global_final)
-    memory = attention_memory(params, enc_out)
-    s0 = decoder_init(params, enc_out)
+    enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
+    if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
+        raise ValueError("every response in a batch must have at least one token")
+    memory = context_memory(params, enc_out)
+    s0 = _start_state(params, memory)
 
     b, t_resp = batch.resp_ids.shape
     steps = t_resp - 1
@@ -81,8 +76,7 @@ def _forward(params: ModelParams, batch, keep: bool):
     # every step's next-token distribution, which backward turns into dlogits in place
     probs = np.empty((steps, b, params.dims.v_resp)) if keep else None
     for t in range(steps):
-        s, logp, _, cache = _decoder_step(params, enc_out, memory, s,
-                                          batch.resp_ids[:, t], keep)
+        s, logp, cache = _decoder_step(params, memory, s, batch.resp_ids[:, t])
         target = batch.resp_ids[:, t + 1]
         m = batch.resp_mask[:, t + 1]
         loss_sum -= float((m * logp[rows, target]).sum())
@@ -91,17 +85,9 @@ def _forward(params: ModelParams, batch, keep: bool):
             dec_caches.append(cache)
 
     token_count = float(batch.resp_mask[:, 1:].sum())
-    if token_count == 0.0:
-        raise ValueError("batch has no response tokens to score")
-    loss = loss_sum / token_count
-    if not keep:
-        return loss, token_count, None
-    aux = {
-        "enc_out": enc_out, "memory": memory, "enc_caches": enc_caches,
-        "encg_caches": encg_caches, "c0": _init_context(params, enc_out), "s0": s0,
-        "dec_caches": dec_caches, "probs": probs,
-    }
-    return loss, token_count, aux
+    aux = {"memory": memory, "enc_caches": enc_caches, "s0": s0,
+           "dec_caches": dec_caches, "probs": probs}
+    return loss_sum / token_count, token_count, aux
 
 
 def batch_loss(params: ModelParams, batch):
@@ -140,52 +126,59 @@ def _gru_backward(grads, prefix, cell, x, h_prev, z, r, hbar, dh):
     return dx, dh_prev
 
 
-def _attention_backward(grads, params, memory, alpha, s_prev, dc, dvalues, dkeys):
+def _attention_backward(grads, params, memory, dmemory, cache, dc):
     """Backprop one step of the additive scorer and the weighted sum.
 
     The gradients w.r.t. the memory's values and keys are accumulated into
-    dvalues and dkeys (both (B, T, .)); the memory's own backward maps them
-    to U_a, b_a and the encoder states once per batch. Padded positions
-    carry alpha == 0 exactly, so every term below vanishes there without
-    explicit masking. Returns the gradient w.r.t. s_prev.
+    dmemory; _memory_backward maps them to U_a, b_a and the encoder states
+    once per batch. Padded positions carry alpha == 0 exactly, so every term
+    below vanishes there without explicit masking. Returns the gradient
+    w.r.t. s_prev.
     """
     a = params.attn
+    alpha, s_prev = cache["alpha"], cache["s_prev"]
     ta = _score_tanh(params, memory, s_prev)
     d_a = ta.shape[2]
 
     # c = sum_j alpha_j h_j
     dalpha = (memory.values @ dc[:, :, None])[:, :, 0]
-    dvalues += alpha[:, :, None] * dc[:, None, :]
+    dmemory.values += alpha[:, :, None] * dc[:, None, :]
 
     # softmax jacobian, then the scorer
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     grads["attn.v_a"] += de.reshape(-1) @ ta.reshape(-1, d_a)
     dpre = (de[:, :, None] * a.v_a) * (1.0 - ta * ta)
-    dkeys += dpre
+    dmemory.keys += dpre
     dproj = dpre.sum(axis=1)
     grads["attn.W_a"] += dproj.T @ s_prev
     return dproj @ a.W_a
 
 
-def _memory_backward(grads, params, memory, dvalues, dkeys, dstates, dglobal_final):
-    """Backprop keys = values @ U_a.T + b_a and the hyb concatenation into
-    values, given the gradients every decoder step added up."""
-    a = params.attn
-    d_ctx = dvalues.shape[2]
-    dk = dkeys.reshape(-1, dkeys.shape[2])
-    grads["attn.U_a"] += dk.T @ memory.values.reshape(-1, d_ctx)
-    grads["attn.b_a"] += dk.sum(axis=0)
-    dvalues += (dk @ a.U_a).reshape(dvalues.shape)
+def _memory_backward(grads, params, memory, dmemory):
+    """Adjoint of context_memory, given the gradient w.r.t. each of its
+    fields. Accumulates the U_a and b_a gradients and returns the gradients
+    (dstates, dfinal, dglobal_final) w.r.t. the encoder states, the final
+    state and the second encoder's final state. dstates is None under glo,
+    which reads no state but the final one; dglobal_final is (B, 0) unless
+    the scheme is hyb."""
     d_h = params.dims.d_h
-    if params.scheme == "hyb":
-        dstates += dvalues[:, :, :d_h]
-        dglobal_final += dvalues[:, :, d_h:].sum(axis=1)
-    else:
-        dstates += dvalues
+    dinit = dmemory.init
+    if memory.keys is None:
+        return None, dinit, dinit[:, d_h:]
+    dvalues = dmemory.values
+    dk = dmemory.keys.reshape(-1, dmemory.keys.shape[2])
+    grads["attn.U_a"] += dk.T @ memory.values.reshape(-1, dvalues.shape[2])
+    grads["attn.b_a"] += dk.sum(axis=0)
+    dvalues += (dk @ params.attn.U_a).reshape(dvalues.shape)
+    return (dvalues[:, :, :d_h], dinit[:, :d_h],
+            dinit[:, d_h:] + dvalues[:, :, d_h:].sum(axis=1))
 
 
 def _encoder_backward(grads, prefix, cell, ids, mask, caches, dstates, dfinal):
-    """Backprop a masked recurrence. Padded steps pass the carry through."""
+    """Backprop a masked recurrence. Padded steps pass the carry through.
+    dstates is None when no gradient reaches the per-step states."""
+    if dstates is None:
+        dstates = np.zeros(ids.shape + dfinal.shape[1:])
     dcarry = dfinal.copy()
     for t in reversed(range(ids.shape[1])):
         x, h_prev, z, r, hbar = caches[t]
@@ -205,15 +198,15 @@ def backward(params: ModelParams, batch):
     The readout and output layer feed nothing back into the recurrence, so
     their gradients, and the gradients they pass to s_t, y_emb and c, come
     from one product each over all steps at once, before the reverse loop
-    through the decoder GRU and the attention. The attention memory is built
-    once per batch, and its keys and values are backpropagated once, from
-    the sums of every step's gradients.
+    through the decoder GRU and the attention. The context memory is built
+    once per batch; the loop and the start state add their gradients into a
+    memory of the same shapes, which _memory_backward, its adjoint, maps
+    back to the encoders once.
     """
     loss, token_count, aux = _forward(params, batch, keep=True)
     tensors = params.named_tensors()
     grads = {name: np.zeros_like(arr) for name, arr in tensors.items()}
 
-    enc_out = aux["enc_out"]
     memory = aux["memory"]
     caches = aux["dec_caches"]
     d_h = params.dims.d_h
@@ -247,12 +240,10 @@ def backward(params: ModelParams, batch):
     dc_out = (da @ params.W_c).reshape(steps, b, -1)
     dlc = np.empty((steps, b, params.dims.d_L))
 
-    dstates = np.zeros_like(enc_out.states)
-    dfinal = np.zeros((b, d_h))
-    dglobal_final = np.zeros((b, d_h)) if params.scheme == "hyb" else None
-    if memory is not None:
-        dvalues = np.zeros_like(memory.values)
-        dkeys = np.zeros_like(memory.keys)
+    dmemory = ContextMemory(np.zeros_like(memory.init))
+    if memory.keys is not None:
+        dmemory.values = np.zeros_like(memory.values)
+        dmemory.keys = np.zeros_like(memory.keys)
 
     ds_carry = np.zeros((b, d_h))
     for t in reversed(range(steps)):
@@ -263,35 +254,27 @@ def backward(params: ModelParams, batch):
         dy_emb[t] += du[:, :d_emb]
         dlc[t] = du[:, d_emb:]
         dc = dc_out[t] + dlc[t] @ params.L
-
-        if memory is None:
-            dfinal += dc
+        if memory.keys is None:
+            dmemory.init += dc
         else:
-            ds_prev += _attention_backward(grads, params, memory, cache["alpha"],
-                                           cache["s_prev"], dc, dvalues, dkeys)
+            ds_prev += _attention_backward(grads, params, memory, dmemory, cache, dc)
         ds_carry = ds_prev
     grads["L"] += dlc.reshape(steps * b, -1).T @ c
     np.add.at(grads["E_y"], batch.resp_ids[:, :-1].T.reshape(-1),
               dy_emb.reshape(steps * b, d_emb))
-    if memory is not None:
-        _memory_backward(grads, params, memory, dvalues, dkeys, dstates, dglobal_final)
 
-    # start state s_0 = tanh(W_0 c_init)
+    # start state s_0 = tanh(W_0 c_0)
     da0 = ds_carry * (1.0 - aux["s0"] ** 2)
-    grads["W_0"] += da0.T @ aux["c0"]
-    dc0 = da0 @ params.W_0
-    if params.scheme == "hyb":
-        dfinal += dc0[:, :d_h]
-        dglobal_final += dc0[:, d_h:]
-    else:
-        dfinal += dc0
+    grads["W_0"] += da0.T @ memory.init
+    dmemory.init += da0 @ params.W_0
 
+    dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
+    enc_caches, encg_caches = aux["enc_caches"]
     _encoder_backward(grads, "enc", params.enc, batch.post_ids, batch.post_mask,
-                      aux["enc_caches"], dstates, dfinal)
+                      enc_caches, dstates, dfinal)
     if params.scheme == "hyb":
         _encoder_backward(grads, "enc_g", params.enc_g, batch.post_ids,
-                          batch.post_mask, aux["encg_caches"],
-                          np.zeros_like(dstates), dglobal_final)
+                          batch.post_mask, encg_caches, None, dglobal_final)
     return loss, grads
 
 

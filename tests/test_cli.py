@@ -1,5 +1,6 @@
 """End-to-end subcommand tests driving replygen.cli.main in-process."""
 
+import logging
 import os
 
 import pytest
@@ -154,6 +155,35 @@ def test_perplexity_command(workdir, capsys):
     assert rc == 0, err
     rows = table(out)
     assert float(rows["perplexity"][0][0]) > 1.0
+
+
+def test_empty_response_pairs_are_dropped(workdir, capsys, caplog):
+    """A `post<TAB>` line loads with an empty response; train and perplexity
+    drop it, so it changes neither the checkpoint nor the score."""
+    ckpt, args, _ = train_tiny(workdir, capsys, extra=("--deterministic",))
+    lines = (workdir / "clean.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    padded = workdir / "with-empty.tsv"
+    padded.write_text("".join(lines[:2] + ["what is for lunch\t\n"] + lines[2:]),
+                      encoding="utf-8")
+    padded_args = ["--pairs", str(padded)] + args[2:]
+    other = workdir / "with-empty.ckpt"
+    with caplog.at_level(logging.INFO):
+        rc, _, err = run(capsys, "train", *padded_args, "--scheme", "glo",
+                         "--out", str(other), "--d-h", "8", "--d-emb", "6",
+                         "--d-a", "8", "--d-l", "6", "--d-r", "8",
+                         "--epochs", "3", "--lr", "0.5", "--batch-size", "4",
+                         "--seed", "0", "--deterministic")
+    assert rc == 0, err
+    assert "train: dropped 1 pair(s) with an empty post or response" in caplog.text
+    assert other.read_bytes() == ckpt.read_bytes()
+
+    outputs = []
+    for pair_args in (args, padded_args):
+        rc, out, err = run(capsys, "perplexity", "--checkpoint", str(ckpt),
+                           *pair_args, "--deterministic", "--quiet")
+        assert rc == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_perplexity_rejects_vocab_checkpoint_mismatch(workdir, capsys):

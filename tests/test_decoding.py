@@ -128,12 +128,18 @@ def test_beam_deterministic(toy_model):
     assert a == b
 
 
-def test_beam_saturating_width_matches_oracle(toy_model):
-    params, vocabs, pairs = toy_model
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_beam_saturating_width_matches_oracle(scheme, toy_model, make_params):
+    if scheme == "loc":
+        params, vocabs, pairs = toy_model
+        posts = [[vocabs[0].id_for(t) for t in p.post] for p in pairs[:4]]
+    else:
+        params = make_params(scheme, seed=14, low=-0.5, high=0.5)
+        rng = Rng(44)
+        posts = [random_post(rng) for _ in range(4)]
     v = params.dims.v_resp
     saturate = sum((v - 3) ** k for k in range(1, 4))  # every content sequence
-    for p in pairs[:4]:
-        post = [vocabs[0].id_for(t) for t in p.post]
+    for post in posts:
         o_tokens, o_score = exhaustive_oracle(params, post, max_len=3)
         b_tokens, b_score = beam_search(params, post, beam_size=saturate,
                                         max_len=3)[0]

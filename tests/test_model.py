@@ -10,8 +10,8 @@ from replygen.model import (
     EncodedPost,
     ModelParams,
     _decoder_step,
-    attention_memory,
     attention_weights,
+    context_memory,
     context_vector,
     decoder_init,
     decoder_step,
@@ -277,7 +277,7 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
     params = make_params(scheme, seed=8, low=-0.5, high=0.5)
     rng = Rng(32)
     one = encode_post(params, [4, 9, 6, 11, 5])
-    memory = attention_memory(params, one)
+    memory = context_memory(params, one)
     n = 5
     copied = EncodedPost(
         states=np.repeat(one.states, n, axis=0), mask=np.repeat(one.mask, n, axis=0),
@@ -286,12 +286,14 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
         else np.repeat(one.global_final, n, axis=0))
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(n)])
     y = np.array([4 + rng.randrange(8) for _ in range(n)])
-    s_b, logp_b, alpha_b, _ = _decoder_step(params, one, memory, s, y)
-    s_c, logp_c, alpha_c, _ = _decoder_step(params, copied, None, s, y)
+    s_b, logp_b, cache_b = _decoder_step(params, memory, s, y)
+    s_c, logp_c, cache_c = _decoder_step(params, context_memory(params, copied), s, y)
+    alpha_b, alpha_c = cache_b["alpha"], cache_c["alpha"]
     np.testing.assert_allclose(s_b, s_c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(logp_b, logp_c, rtol=0, atol=1e-12)
+    assert memory.init.shape == (1, params.d_ctx)
     if scheme == "glo":
-        assert memory is None and alpha_b is None and alpha_c is None
+        assert memory.keys is None and alpha_b is None and alpha_c is None
     else:
         assert memory.keys.shape[0] == 1 and alpha_b.shape == (n, 5)
         np.testing.assert_allclose(alpha_b, alpha_c, rtol=0, atol=1e-12)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replygen import Dims, Rng
 from replygen.corpus import BOS_ID, EOS_ID, build_vocab, _pack
@@ -19,25 +21,32 @@ from replygen.training import (
     train,
 )
 
-from conftest import TINY, toy_corpus
+from conftest import FIRST_CONTENT, TINY, toy_corpus
 
 
 # --- loss ----------------------------------------------------------------
 
 
-def test_batch_loss_matches_per_row_scoring(make_params, small_batch):
-    """The padded batched loss must equal the mean of unpadded row scores."""
+_content_ids = st.integers(FIRST_CONTENT, TINY.v_post - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(_content_ids, min_size=1, max_size=6),
+                          st.lists(_content_ids, min_size=1, max_size=5)),
+                min_size=1, max_size=6))
+@example([([4, 5, 6, 7], [5, 6, 7]), ([8, 9, 10], [8, 9]), ([11, 4], [10])])  # small_batch
+def test_batch_loss_matches_per_row_scoring(rows):
+    """The padded batched loss must equal the mean of unpadded row scores,
+    on random ragged batches."""
+    batch = _pack([post for post, _ in rows],
+                  [[BOS_ID] + resp + [EOS_ID] for _, resp in rows])
     for scheme in ("glo", "loc", "hyb"):
-        params = make_params(scheme, seed=3)
-        loss, n_tokens = batch_loss(params, small_batch)
+        params = init_params(scheme, TINY, Rng(3))
+        loss, n_tokens = batch_loss(params, batch)
 
         total = 0.0
         count = 0
-        for i in range(len(small_batch)):
-            np_post = int(small_batch.post_lengths[i])
-            np_resp = int(small_batch.resp_lengths[i])
-            post = list(small_batch.post_ids[i, :np_post])
-            resp = list(small_batch.resp_ids[i, 1:np_resp - 1])  # strip the frame
+        for post, resp in rows:
             total += sequence_log_likelihood(params, post, resp)
             count += len(resp) + 1  # content plus the end marker
         assert n_tokens == count
@@ -60,6 +69,16 @@ def test_batch_loss_ignores_padded_steps(make_params, small_batch):
     loss2, n2 = batch_loss(params, widened)
     assert n == n2
     assert loss == loss2
+
+
+def test_batch_loss_rejects_empty_response(make_params):
+    """A row framed as `<s> </s>` has no response token to score, as the
+    decoders never emit it and sequence_log_likelihood refuses it."""
+    batch = _pack([[4, 5], [6]], [[BOS_ID, 7, EOS_ID], [BOS_ID, EOS_ID]])
+    params = make_params("loc")
+    for fn in (batch_loss, backward):
+        with pytest.raises(ValueError, match="at least one token"):
+            fn(params, batch)
 
 
 def test_backward_reports_same_loss(make_params, small_batch):
