@@ -230,19 +230,74 @@ def _params_from_tensors(scheme: str, dims: Dims, t: dict[str, np.ndarray]) -> M
     )
 
 
+_GOLDEN = 0x9E3779B97F4A7C15   # splitmix64's counter increment
+_INIT_CHUNK = 1 << 14          # entries filled per pass, bounding every temporary
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on a uint64 array (modulo 2**64)."""
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
+
+
+def _fnv1a64(text: str) -> int:
+    """64-bit FNV-1a hash of the utf-8 bytes of text."""
+    h = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+def _fill_uniform(out: np.ndarray, base: np.uint64, low: float, high: float) -> None:
+    """Write entry i of out (row-major) as low + (high - low) * u_i, where u_i
+    is the top 53 bits of mix64(base + (i + 1) * 0x9E3779B97F4A7C15) over 2**53."""
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _INIT_CHUNK):
+        stop = min(start + _INIT_CHUNK, flat.size)
+        z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += base
+        _mix64(z)
+        z >>= 11
+        u = flat[start:stop]
+        np.multiply(z, 2.0**-53, out=u)
+        u *= high - low
+        u += low
+
+
 def init_params(scheme: str, dims: Dims, rng: Rng,
                 low: float = -0.1, high: float = 0.1) -> ModelParams:
     """Fresh parameters, every entry uniform in [low, high).
 
-    Tensors are filled in named_tensors order so a given seed always yields
-    the same model.
+    Takes exactly one draw from rng, key = rng.next_u64(), and fills every
+    tensor from a counter-based splitmix64 stream (Steele et al. 2014,
+    "Fast splittable PRNGs"; Salmon et al. 2011, "Parallel random numbers:
+    as easy as 1, 2, 3"). All arithmetic is modulo 2**64, with
+
+        mix64(z): z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+                  z = (z ^ z >> 27) * 0x94D049BB133111EB
+                  return z ^ z >> 31
+
+    A tensor's base word is mix64(key ^ fnv1a64(name)), with fnv1a64 the
+    64-bit FNV-1a hash of the utf-8 name (e.g. "enc.U_z"). Its row-major
+    entry i draws x = mix64(base + (i + 1) * 0x9E3779B97F4A7C15) and takes
+    low + (high - low) * u with u = (x >> 11) * 2**-53, the top 53 bits, as
+    Rng.next_float does. A tensor's values thus depend only on the key, its
+    name and its size: tensors of the same name and shape are equal across
+    the three schemes.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    key = rng.next_u64()
     tensors = {}
     for name, shape in _expected_shapes(scheme, dims).items():
-        flat = np.array([rng.uniform(low, high) for _ in range(int(np.prod(shape)))])
-        tensors[name] = flat.reshape(shape)
+        base = _mix64(np.array([key ^ _fnv1a64(name)], dtype=np.uint64))[0]
+        tensors[name] = np.empty(shape)
+        _fill_uniform(tensors[name], base, low, high)
     return _params_from_tensors(scheme, dims, tensors)
 
 
@@ -414,7 +469,7 @@ def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray
     rout = tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
     logits = rout @ params.W_o.T
     logits += params.b_o
-    logp = log_softmax(logits, axis=1)
+    logp = log_softmax(logits, axis=1, out=logits)
     cache = {
         "y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
         "z": z, "r": r, "hbar": hbar, "s_t": s_t, "rout": rout,
@@ -469,12 +524,14 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
 
 
 class _Reader:
+    """Reads through a memoryview, so take() returns views, not copies."""
+
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.off = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.data):
             raise CheckpointFormatError(
                 f"{self.path}: truncated at offset {self.off}: "
@@ -527,7 +584,7 @@ def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as fh:
         rd = _Reader(fh.read(), path)
 
-    magic = rd.take(4, "magic")
+    magic = bytes(rd.take(4, "magic"))
     if magic != _MAGIC:
         raise CheckpointFormatError(
             f"{path}: bad magic {magic!r} at offset 0, expected {_MAGIC!r}")
@@ -557,7 +614,7 @@ def load_checkpoint(path) -> ModelParams:
     for _ in range(count):
         name_off = rd.off
         name_len = rd.u16("tensor name length")
-        name = rd.take(name_len, "tensor name").decode("utf-8", errors="replace")
+        name = bytes(rd.take(name_len, "tensor name")).decode("utf-8", errors="replace")
         if name in tensors:
             raise CheckpointFormatError(
                 f"{path}: duplicate tensor {name!r} at offset {name_off}")
@@ -566,7 +623,7 @@ def load_checkpoint(path) -> ModelParams:
         n_items = int(np.prod(shape)) if shape else 1
         payload_off = rd.off
         payload = rd.take(n_items * precision, f"payload of {name}")
-        arr = np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(shape)
+        arr = np.frombuffer(payload, dtype=dtype).reshape(shape).astype(np.float64)
         if not np.isfinite(arr).all():
             first = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise CheckpointFormatError(

@@ -102,12 +102,16 @@ def softmax_stable(logits, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_softmax(logits, axis: int = -1) -> np.ndarray:
-    """log(softmax(logits)) without forming the exponentials' ratio."""
+def log_softmax(logits, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """log(softmax(logits)) without forming the exponentials' ratio.
+
+    The result goes into out when it is given (logits itself is fine, for a
+    float64 array) and is returned.
+    """
     z = np.asarray(logits, dtype=float)
     if z.size == 0:
         raise ValueError("log_softmax of an empty vector")
-    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted = np.subtract(z, np.max(z, axis=axis, keepdims=True), out=out)
     shifted -= np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
     return shifted
 

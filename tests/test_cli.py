@@ -345,6 +345,14 @@ def test_grad_check_command_passes(capsys):
     assert lines[-1].split("\t")[1] == "worst"
 
 
+def test_grad_check_command_passes_on_small_gradients(capsys):
+    """At these dims some correct gradient entries are near 1e-8, where the
+    central difference's roundoff alone exceeds the tolerance."""
+    rc, out, err = run(capsys, "grad-check", "--scheme", "glo", "--d-h", "16", "--d-a", "16",
+                       "--d-r", "16", "--vocab-size", "40", "--batch", "4", "--quiet")
+    assert rc == 0, out + err
+
+
 def test_grad_check_command_fails_at_impossible_tolerance(capsys):
     rc, out, _ = run(capsys, "grad-check", "--scheme", "glo",
                      "--tol", "1e-15", "--quiet")

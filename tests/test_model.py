@@ -66,6 +66,51 @@ def test_init_params_deterministic_and_in_range():
         assert (arr >= -0.2).all() and (arr < 0.2).all()
 
 
+def test_init_params_documented_stream():
+    """E_x and W_o must match a literal transcription of the init_params
+    docstring, entry by entry, also past the first fill chunk of a
+    16800-entry W_o."""
+    def mix64(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def fnv1a64(text):
+        h = 0xCBF29CE484222325
+        for byte in text.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) % 2**64
+        return h
+
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=12, v_resp=2100)
+    key = Rng(21).next_u64()
+    t = init_params("glo", dims, Rng(21), low=-0.3, high=0.5).named_tensors()
+    for name in ("E_x", "W_o"):
+        base = mix64(key ^ fnv1a64(name))
+        expected = []
+        for i in range(t[name].size):
+            x = mix64((base + (i + 1) * 0x9E3779B97F4A7C15) % 2**64)
+            expected.append(-0.3 + (0.5 - -0.3) * ((x >> 11) * 2.0**-53))
+        assert t[name].reshape(-1).tolist() == expected
+
+
+def test_init_params_same_name_same_values_across_schemes():
+    t = {s: init_params(s, TINY, Rng(4)).named_tensors() for s in ("glo", "loc", "hyb")}
+    compared = set()
+    for a, b in (("glo", "loc"), ("glo", "hyb"), ("loc", "hyb")):
+        for name in set(t[a]) & set(t[b]):
+            if t[a][name].shape == t[b][name].shape:
+                np.testing.assert_array_equal(t[a][name], t[b][name])
+                compared.add(name)
+    assert {"E_x", "E_y", "enc.U_z", "dec.W_h", "L", "attn.W_a", "W_o"} <= compared
+
+
+def test_init_params_takes_exactly_one_draw():
+    rng, ref = Rng(8), Rng(8)
+    init_params("hyb", TINY, rng)
+    ref.next_u64()
+    assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+
+
 def test_init_params_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         init_params("att", TINY, Rng(0))
@@ -395,6 +440,15 @@ def test_checkpoint_float32_storage(tmp_path, make_params):
         got = loaded.named_tensors()[name]
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, arr.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("precision", [4, 8])
+def test_checkpoint_tensors_own_writable_float64(precision, tmp_path, make_params):
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("hyb", seed=25), path, precision=precision)
+    for name, arr in load_checkpoint(path).named_tensors().items():
+        assert arr.dtype == np.float64, name
+        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata, name
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path, make_params):

@@ -151,6 +151,14 @@ def test_log_softmax_consistent_with_softmax():
                                softmax_stable(z, axis=1), rtol=1e-14)
 
 
+def test_log_softmax_out_in_place():
+    z = np.random.default_rng(0).standard_normal((7, 50)) * 30.0
+    expected = log_softmax(z, axis=1)
+    got = log_softmax(z, axis=1, out=z)
+    assert got is z
+    assert got.tobytes() == expected.tobytes()
+
+
 # --- clipping ---------------------------------------------------
 
 

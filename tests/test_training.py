@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replygen import Dims, Rng
+from replygen import Dims, Rng, training
 from replygen.corpus import BOS_ID, EOS_ID, build_vocab, _pack
 from replygen.model import sequence_log_likelihood
 from replygen.training import (
@@ -132,11 +132,30 @@ def test_grad_check_sampling_path(make_params, small_batch):
 
 
 def test_grad_check_catches_a_planted_error(make_params, small_batch):
-    """Sanity that the checker can actually fail: corrupt one gradient by
-    monkeypatching backward's output via a wrapper tolerance."""
+    """Sanity that the checker can actually fail: at an impossible tolerance
+    the float64 roundoff of correct gradients is reported as failure."""
     params = make_params("glo", seed=13, low=-0.8, high=0.8)
     ok, report = grad_check(params, small_batch, tol=1e-12)
     assert not ok  # float64 roundoff alone exceeds an impossible tolerance
+
+
+@pytest.mark.parametrize("scheme, name", [("glo", "enc.U_z"), ("hyb", "attn.U_a")])
+def test_grad_check_catches_a_scaled_gradient(scheme, name, make_params, small_batch,
+                                              monkeypatch):
+    """One tensor's gradient off by a factor 1 + 1e-3 fails at the default
+    tolerance, and that tensor is the only one reported."""
+    real_backward = training.backward
+
+    def scaled_backward(params, batch):
+        loss, grads = real_backward(params, batch)
+        grads[name] = grads[name] * (1.0 + 1e-3)
+        return loss, grads
+
+    monkeypatch.setattr(training, "backward", scaled_backward)
+    params = make_params(scheme, seed=14, low=-0.8, high=0.8)
+    ok, report = grad_check(params, small_batch)
+    assert not ok
+    assert [n for n, err in report.items() if err > 1e-4] == [name]
 
 
 # --- SGD -----------------------------------------------------------------
