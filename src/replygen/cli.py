@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -214,10 +215,11 @@ def _cmd_train(args, cfg):
         clip_norm=_get(args, cfg, "clip-norm", 1.0, float),
         max_response_len=_get(args, cfg, "max-response-len", 30, int, minimum=1),
     )
-    if config.lr < 0:
-        raise CliError(f"lr must be >= 0, got {config.lr}")
-    if config.clip_norm is not None and config.clip_norm <= 0:
-        raise CliError(f"clip-norm must be > 0, got {config.clip_norm}")
+    if not (math.isfinite(config.lr) and config.lr >= 0):
+        raise CliError(f"lr must be a finite number >= 0, got {config.lr}")
+    if config.clip_norm is not None and not (math.isfinite(config.clip_norm)
+                                             and config.clip_norm > 0):
+        raise CliError(f"clip-norm must be a finite number > 0, got {config.clip_norm}")
     precision = _get(args, cfg, "precision", 8, int, choices=None)
     if precision not in (4, 8):
         raise CliError(f"precision must be 4 or 8, got {precision}")
@@ -277,11 +279,14 @@ def _read_posts(args, cfg):
         return [tokens], False
     _require_file(posts_file, "posts-file")
     posts = []
-    with open(posts_file, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                posts.append(tokens)
+    try:
+        with open(posts_file, encoding="utf-8") as fh:
+            for line in fh:
+                tokens = line.split()
+                if tokens:
+                    posts.append(tokens)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{posts_file}: not valid UTF-8 ({exc})") from exc
     if not posts:
         raise CliError(f"no posts found in {posts_file}")
     return posts, True
@@ -330,7 +335,7 @@ def _cmd_perplexity(args, cfg):
     ckpt_path = _require_file(_get(args, cfg, "checkpoint"), "checkpoint")
     pairs_path = _require_file(_get(args, cfg, "pairs"), "pairs")
     batch_size = _get(args, cfg, "batch-size", 32, int, minimum=1)
-    max_len = _get(args, cfg, "max-response-len", None, int)
+    max_len = _get(args, cfg, "max-response-len", None, int, minimum=1)
     vocabs = _load_vocabs(args, cfg)
     params = load_checkpoint(ckpt_path)
     _check_vocab_sizes(params, *vocabs)

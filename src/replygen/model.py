@@ -15,6 +15,8 @@ float64 in memory.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -454,27 +456,49 @@ def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
     return _start_state(params, context_memory(params, enc_out))
 
 
-def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
-    """One decoder step. Returns (s_t, log_probs, cache).
+_SOFTMAX_ROWS = 32   # rows per block of _output_layer's bias and log-softmax
+
+
+def _recurrence(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
+    """The recurrent half of a decoder step: the context, then the decoder
+    GRU. Returns (s_t, cache).
 
     memory may hold one post broadcast over every row of s_prev. cache holds
-    the step's intermediates, which the backward pass reads; the step
-    computes all of them anyway.
+    the step's intermediates (y_emb and c, which the output layer reads, and
+    what the backward pass reads); the step computes all of them anyway.
     """
     y_prev = np.asarray(y_prev, dtype=np.int64)
     y_emb = params.E_y[y_prev]
     c, alpha = _context(params, memory, s_prev)
     u = np.concatenate([y_emb, c @ params.L.T], axis=1)
     s_t, z, r, hbar = _gru_step_full(params.dec, u, s_prev)
+    cache = {"y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
+             "z": z, "r": r, "hbar": hbar}
+    return s_t, cache
+
+
+def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray):
+    """Readout and output softmax for rows of (s_t, y_emb, c); returns
+    (rout, log_probs). Each row depends only on its own inputs, so teacher
+    forcing can run every step of a batch through one call.
+
+    The bias and the log-softmax run on blocks of rows in place, so their
+    temporaries stay a block's size however many rows the call has.
+    """
     rout = tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
     logits = rout @ params.W_o.T
-    logits += params.b_o
-    logp = log_softmax(logits, axis=1, out=logits)
-    cache = {
-        "y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
-        "z": z, "r": r, "hbar": hbar, "s_t": s_t, "rout": rout,
-    }
-    return s_t, logp, cache
+    for start in range(0, len(logits), _SOFTMAX_ROWS):
+        block = logits[start:start + _SOFTMAX_ROWS]
+        block += params.b_o
+        log_softmax(block, axis=1, out=block)
+    return rout, logits
+
+
+def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
+    """One decoder step, _recurrence then _output_layer. Returns
+    (s_t, log_probs, cache), cache as _recurrence's."""
+    s_t, cache = _recurrence(params, memory, s_prev, y_prev)
+    return s_t, _output_layer(params, s_t, cache["y_emb"], cache["c"])[1], cache
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,
@@ -524,21 +548,35 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
 
 
 class _Reader:
-    """Reads through a memoryview, so take() returns views, not copies."""
+    """Reads a checkpoint file front to back. The size comes from fstat, so a
+    short file is reported before anything is read past its end."""
 
-    def __init__(self, data: bytes, path):
-        self.data = memoryview(data)
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.off + n > len(self.data):
+    def require(self, n: int, what: str) -> None:
+        """Raise CheckpointFormatError unless n more bytes remain."""
+        if self.off + n > self.size:
             raise CheckpointFormatError(
                 f"{self.path}: truncated at offset {self.off}: "
-                f"needed {n} bytes for {what}, had {len(self.data) - self.off}")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
+                f"needed {n} bytes for {what}, had {self.size - self.off}")
+
+    def read_into(self, buf: memoryview, what: str) -> None:
+        """Fill buf with the next len(buf) bytes."""
+        self.require(len(buf), what)
+        got = self.fh.readinto(buf)
+        if got != len(buf):
+            raise CheckpointFormatError(
+                f"{self.path}: file shrank while being read, at offset {self.off + got}")
+        self.off += got
+
+    def take(self, n: int, what: str) -> bytes:
+        buf = bytearray(n)
+        self.read_into(memoryview(buf), what)
+        return bytes(buf)
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
@@ -579,12 +617,17 @@ def load_checkpoint(path) -> ModelParams:
     Malformed input raises CheckpointFormatError naming the byte offset of
     the problem. The whole file must be consumed; trailing bytes are an
     error, and so is a NaN or infinite value in any tensor. Tensors stored
-    at 4-byte precision come back as float64.
+    at 4-byte precision come back as float64. Each payload is read straight
+    into its array (through a float32 staging array at 4-byte precision), so
+    loading holds little more than the model itself.
     """
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read(), path)
+        return _read_checkpoint(_Reader(fh, path))
 
-    magic = bytes(rd.take(4, "magic"))
+
+def _read_checkpoint(rd: _Reader) -> ModelParams:
+    path = rd.path
+    magic = rd.take(4, "magic")
     if magic != _MAGIC:
         raise CheckpointFormatError(
             f"{path}: bad magic {magic!r} at offset 0, expected {_MAGIC!r}")
@@ -614,25 +657,27 @@ def load_checkpoint(path) -> ModelParams:
     for _ in range(count):
         name_off = rd.off
         name_len = rd.u16("tensor name length")
-        name = bytes(rd.take(name_len, "tensor name")).decode("utf-8", errors="replace")
+        name = rd.take(name_len, "tensor name").decode("utf-8", errors="replace")
         if name in tensors:
             raise CheckpointFormatError(
                 f"{path}: duplicate tensor {name!r} at offset {name_off}")
         ndim = rd.u8(f"ndim of {name}")
         shape = tuple(rd.u32(f"dim {i} of {name}") for i in range(ndim))
-        n_items = int(np.prod(shape)) if shape else 1
         payload_off = rd.off
-        payload = rd.take(n_items * precision, f"payload of {name}")
-        arr = np.frombuffer(payload, dtype=dtype).reshape(shape).astype(np.float64)
+        rd.require(math.prod(shape) * precision, f"payload of {name}")
+        arr = np.empty(shape, dtype=dtype)
+        rd.read_into(memoryview(arr.reshape(-1)).cast("B"), f"payload of {name}")
+        if arr.dtype != np.float64:
+            arr = arr.astype(np.float64)
         if not np.isfinite(arr).all():
             first = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise CheckpointFormatError(
                 f"{path}: tensor {name!r} holds a non-finite value at offset "
                 f"{payload_off + first * precision} (payload at offset {payload_off})")
         tensors[name] = arr
-    if rd.off != len(rd.data):
+    if rd.off != rd.size:
         raise CheckpointFormatError(
-            f"{path}: {len(rd.data) - rd.off} trailing byte(s) at offset {rd.off}")
+            f"{path}: {rd.size - rd.off} trailing byte(s) at offset {rd.off}")
 
     # d_r lives only in the tensor shapes
     if "W_s" not in tensors:

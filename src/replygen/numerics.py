@@ -122,8 +122,8 @@ def clip_global_norm(grads, max_norm: float):
     Returns (list of arrays, factor). When the norm is already within bounds
     the input arrays are returned untouched with factor 1.0.
     """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    if not (math.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     total_sq = 0.0
     for g in grads:
         total_sq += float(np.sum(np.square(g, dtype=np.float64)))

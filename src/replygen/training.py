@@ -21,8 +21,9 @@ from .model import (
     ContextMemory,
     Dims,
     ModelParams,
-    _decoder_step,
     _encode,
+    _output_layer,
+    _recurrence,
     _score_tanh,
     _start_state,
     context_memory,
@@ -55,11 +56,17 @@ class TrainConfig:
 def _forward(params: ModelParams, batch, keep: bool):
     """Shared forward pass. Returns (loss, token_count, aux).
 
-    aux carries the intermediates the backward pass needs. Only with keep
-    does it hold every decoder step's cache and next-token distribution;
-    without, each step's cache is dropped as the loop moves on, so
-    evaluation costs no extra memory. Both ways the loss is computed by the
-    same operations, so it is bit-identical.
+    Under teacher forcing the readout and the output softmax feed nothing
+    back into the recurrence: the loop runs only the context and the decoder
+    GRU, step by step, and the output layer then runs once over all
+    steps * B rows. aux carries the intermediates the backward pass needs:
+    the memory, the encoder caches, s_0 and the stacked (steps, B, width)
+    s_t, y_emb and c, the (steps * B, d_r) readout, and, only with keep,
+    every step's recurrence cache and the (steps, B, v_resp) next-token
+    distributions, computed in place in the log-probabilities' buffer.
+    Without keep, each step's cache is dropped as the loop moves on. Both
+    ways the loss is computed by the same operations, so it is
+    bit-identical.
     """
     enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
     if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
@@ -69,24 +76,33 @@ def _forward(params: ModelParams, batch, keep: bool):
 
     b, t_resp = batch.resp_ids.shape
     steps = t_resp - 1
-    rows = np.arange(b)
-    s = s0
-    loss_sum = 0.0
+    s_t = np.empty((steps, b, params.dims.d_h))
+    c = np.empty((steps, b, memory.init.shape[1]))
     dec_caches = []
-    # every step's next-token distribution, which backward turns into dlogits in place
-    probs = np.empty((steps, b, params.dims.v_resp)) if keep else None
+    s = s0
     for t in range(steps):
-        s, logp, cache = _decoder_step(params, memory, s, batch.resp_ids[:, t])
-        target = batch.resp_ids[:, t + 1]
-        m = batch.resp_mask[:, t + 1]
-        loss_sum -= float((m * logp[rows, target]).sum())
+        s, cache = _recurrence(params, memory, s, batch.resp_ids[:, t])
+        s_t[t] = s
+        c[t] = cache["c"]
         if keep:
-            np.exp(logp, out=probs[t])
             dec_caches.append(cache)
+    y_emb = params.E_y[batch.resp_ids[:, :-1].T]
+    rout, logp = _output_layer(params, s_t.reshape(steps * b, -1),
+                               y_emb.reshape(steps * b, -1), c.reshape(steps * b, -1))
+    logp = logp.reshape(steps, b, -1)
+
+    rows = np.arange(b)
+    loss_sum = 0.0
+    for t in range(steps):  # summed step by step, so the loss does not move
+        m = batch.resp_mask[:, t + 1]
+        loss_sum -= float((m * logp[t, rows, batch.resp_ids[:, t + 1]]).sum())
+    if keep:  # backward turns these distributions into dlogits in place
+        np.exp(logp, out=logp)
 
     token_count = float(batch.resp_mask[:, 1:].sum())
     aux = {"memory": memory, "enc_caches": enc_caches, "s0": s0,
-           "dec_caches": dec_caches, "probs": probs}
+           "dec_caches": dec_caches, "probs": logp if keep else None,
+           "rout": rout, "s_t": s_t, "y_emb": y_emb, "c": c}
     return loss_sum / token_count, token_count, aux
 
 
@@ -196,12 +212,13 @@ def backward(params: ModelParams, batch):
     bit-identical to batch_loss on the same inputs.
 
     The readout and output layer feed nothing back into the recurrence, so
-    their gradients, and the gradients they pass to s_t, y_emb and c, come
-    from one product each over all steps at once, before the reverse loop
-    through the decoder GRU and the attention. The context memory is built
-    once per batch; the loop and the start state add their gradients into a
-    memory of the same shapes, which _memory_backward, its adjoint, maps
-    back to the encoders once.
+    _forward runs them once over all steps, and their gradients, and the
+    gradients they pass to s_t, y_emb and c, come from one product each over
+    the stacked rows _forward hands over, before the reverse loop through
+    the decoder GRU and the attention. The context memory is built once per
+    batch; the loop and the start state add their gradients into a memory
+    of the same shapes, which _memory_backward, its adjoint, maps back to
+    the encoders once.
     """
     loss, token_count, aux = _forward(params, batch, keep=True)
     tensors = params.named_tensors()
@@ -214,12 +231,8 @@ def backward(params: ModelParams, batch):
     b = batch.post_ids.shape[0]
     steps = len(caches)
     lam = 1.0 / token_count
-
-    def stacked(key):
-        """One cached tensor over all steps, as (steps * B, width) rows."""
-        return np.stack([cache[key] for cache in caches]).reshape(steps * b, -1)
-
-    rout, s_t, y_emb, c = (stacked(k) for k in ("rout", "s_t", "y_emb", "c"))
+    rout = aux["rout"]
+    s_t, y_emb, c = (aux[k].reshape(steps * b, -1) for k in ("s_t", "y_emb", "c"))
 
     # softmax cross-entropy: dlogits = lam * mask * (probs - onehot(target))
     dlogits = aux["probs"]
@@ -331,8 +344,8 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4,
 def sgd_step(params: ModelParams, grads: dict, lr: float,
              clip_norm: float | None = None) -> float:
     """Plain SGD update in place; returns the global-norm scale applied."""
-    if lr < 0.0:
-        raise ValueError(f"learning rate must be nonnegative, got {lr}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
     tensors = params.named_tensors()
     names = list(tensors)
     glist = [grads[n] for n in names]

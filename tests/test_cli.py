@@ -157,6 +157,28 @@ def test_perplexity_command(workdir, capsys):
     assert float(rows["perplexity"][0][0]) > 1.0
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                         ("--clip-norm", "nan"), ("--clip-norm", "inf")])
+def test_train_rejects_non_finite_knobs(flag, value, workdir, capsys):
+    args = prep_corpus(workdir, capsys)
+    ckpt = workdir / "model.ckpt"
+    rc, out, err = run(capsys, "train", *args, "--scheme", "glo", "--out", str(ckpt),
+                       "--epochs", "1", flag, value, "--quiet")
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag[2:]} must be a finite number")
+    assert not ckpt.exists()
+
+
+def test_perplexity_rejects_max_response_len_below_one(workdir, capsys):
+    ckpt, args, _ = train_tiny(workdir, capsys)
+    for value in ("0", "-1"):
+        rc, out, err = run(capsys, "perplexity", "--checkpoint", str(ckpt), *args,
+                           "--max-response-len", value, "--quiet")
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: max-response-len must be >= 1, got {value}"]
+
+
 def test_empty_response_pairs_are_dropped(workdir, capsys, caplog):
     """A `post<TAB>` line loads with an empty response; train and perplexity
     drop it, so it changes neither the checkpoint nor the score."""
@@ -286,6 +308,18 @@ def test_multi_generate_distinct_first_words(workdir, capsys):
     assert rc == 0, err
     firsts = [line.split("\t")[2].split()[0] for line in out.strip().splitlines()]
     assert len(set(firsts)) == len(firsts)
+
+
+def test_generate_posts_file_not_utf8_names_the_file(workdir, capsys):
+    ckpt, args, _ = train_tiny(workdir, capsys)
+    posts = workdir / "posts.txt"
+    posts.write_bytes(b"how are you\nwhere \xff we meet\n")
+    for cmd in ("generate", "multi-generate"):
+        rc, out, err = run(capsys, cmd, "--checkpoint", str(ckpt), *args[2:],
+                           "--posts-file", str(posts), "--beam", "3", "--quiet")
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {posts}: not valid UTF-8 (")
 
 
 def test_generate_rejects_vocab_checkpoint_mismatch(workdir, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,6 +470,39 @@ def test_checkpoint_rejects_truncation(tmp_path, make_params):
         path.write_bytes(data[:cut])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+
+def test_checkpoint_truncation_names_offsets(tmp_path, make_params):
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    data = path.read_bytes()
+    n = TINY.v_resp * 8  # b_o is the last tensor
+    path.write_bytes(data[:-1])
+    with pytest.raises(CheckpointFormatError, match=rf"truncated at offset {len(data) - n}: "
+                       rf"needed {n} bytes for payload of b_o, had {n - 1}$"):
+        load_checkpoint(path)
+    # E_x's first dim sits at byte 44; a huge one is refused before any allocation
+    path.write_bytes(data[:44] + b"\xff\xff\xff\xff" + data[48:])
+    with pytest.raises(CheckpointFormatError,
+                       match=r"truncated at offset 52: needed \d+ bytes for payload of E_x"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_load_holds_little_more_than_the_model(tmp_path):
+    """Payloads are read straight into their arrays; reading the whole file
+    first would peak at about twice the parameters' bytes."""
+    dims = Dims(d_h=64, d_emb=32, d_a=64, d_L=32, d_r=64, v_post=3000, v_resp=3000)
+    params = init_params("hyb", dims, Rng(1))
+    path = tmp_path / "model.nrm"
+    save_checkpoint(params, path, precision=8)
+    nbytes = sum(arr.nbytes for arr in params.named_tensors().values())
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * nbytes
 
 
 def test_checkpoint_rejects_trailing_garbage(tmp_path, make_params):

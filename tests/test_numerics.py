@@ -180,3 +180,9 @@ def test_clip_rescales_to_max_norm():
 def test_clip_rejects_nonpositive_max_norm():
     with pytest.raises(ValueError):
         clip_global_norm([np.zeros(2)], 0.0)
+
+
+@pytest.mark.parametrize("max_norm", [math.nan, math.inf])
+def test_clip_rejects_non_finite_max_norm(max_norm):
+    with pytest.raises(ValueError, match="max_norm must be positive and finite"):
+        clip_global_norm([np.zeros(2)], max_norm)

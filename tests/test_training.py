@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from replygen import Dims, Rng, training
 from replygen.corpus import BOS_ID, EOS_ID, build_vocab, _pack
-from replygen.model import sequence_log_likelihood
+from replygen.model import (
+    _decoder_step,
+    _start_state,
+    context_memory,
+    encode,
+    sequence_log_likelihood,
+)
 from replygen.training import (
     TrainConfig,
     backward,
@@ -89,6 +95,23 @@ def test_backward_reports_same_loss(make_params, small_batch):
         loss_f, _ = batch_loss(params, small_batch)
         loss_b, _ = backward(params, small_batch)
         assert loss_f == loss_b, scheme
+
+
+def test_batch_loss_matches_stepwise_decoder(make_params, small_batch):
+    """The output layer, run once over every step of a batch, gives bitwise
+    the loss of stepping _decoder_step, for every scheme."""
+    b = small_batch
+    rows = np.arange(len(b))
+    for scheme in ("glo", "loc", "hyb"):
+        params = make_params(scheme, seed=6, low=-0.5, high=0.5)
+        memory = context_memory(params, encode(params, b.post_ids, b.post_mask))
+        s = _start_state(params, memory)
+        loss_sum = 0.0
+        for t in range(b.resp_ids.shape[1] - 1):
+            s, logp, _ = _decoder_step(params, memory, s, b.resp_ids[:, t])
+            loss_sum -= float((b.resp_mask[:, t + 1] * logp[rows, b.resp_ids[:, t + 1]]).sum())
+        loss, n_tok = batch_loss(params, b)
+        assert loss == loss_sum / n_tok, scheme
 
 
 def test_backward_grad_keys_match_tensors(make_params, small_batch):
@@ -185,6 +208,14 @@ def test_sgd_step_rejects_negative_lr(make_params, small_batch):
     _, grads = backward(params, small_batch)
     with pytest.raises(ValueError):
         sgd_step(params, grads, lr=-0.1)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_sgd_step_rejects_non_finite_lr(lr, make_params, small_batch):
+    params = make_params("glo")
+    _, grads = backward(params, small_batch)
+    with pytest.raises(ValueError, match="learning rate must be finite"):
+        sgd_step(params, grads, lr=lr)
 
 
 def test_sgd_step_clips_large_gradients(make_params, small_batch):
