@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import ModelParams, _decoder_step, _start_state, context_memory, encode_post
+from .model import (ModelParams, _decoder_step, _output_layer, _recurrence, _start_state,
+                    context_memory, encode_post)
 
 __all__ = ["greedy_decode", "beam_search", "multi_response", "exhaustive_oracle"]
 
@@ -64,6 +65,13 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     return tokens, score + float(logp[0, EOS_ID])
 
 
+def _kth_largest(a: np.ndarray, k: int) -> float:
+    """The k-th largest entry of a, or -inf when a has at most k entries."""
+    if a.size <= k:
+        return -np.inf
+    return np.partition(a, a.size - k)[a.size - k]
+
+
 def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
                 max_len: int = 30, suppress_unk: bool = False):
     """Left-to-right beam search, width `beam_size`, no length normalization.
@@ -72,6 +80,15 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
     keeps the top beam_size of {finished so far} + {extensions} by cumulative
     log-prob. Returns finished hypotheses as (token ids, log-prob), sorted by
     score descending (ties: lexicographically smaller ids first).
+
+    The top-k cut never partitions the whole (width x v_resp) score array.
+    The best live row alone holds beam_size extensions scoring at least its
+    own beam_size-th best score tau, so tau bounds the k-th best score from
+    below: one compare pass keeps the survivors >= tau (every finite score
+    when tau is -inf), and only they are partitioned for the exact k-th
+    score. The candidates, ties at the cut included, are the same as a
+    full partition would give. Every step's log-probabilities go into one
+    buffer, grown only when the live width does.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -83,6 +100,7 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
     memory = context_memory(params, encode_post(params, post_ids))
     v_resp = params.dims.v_resp
     banned = _banned_ids(suppress_unk)
+    buf = np.empty((0, v_resp))
 
     # live hypotheses, kept in parallel lists/arrays
     live_tokens: list[tuple] = [()]
@@ -93,7 +111,11 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
 
     # position max_len + 1 exists only to close still-live hypotheses
     for pos in range(1, max_len + 2):
-        states_new, logp, _ = _decoder_step(params, memory, live_states, live_prev)
+        states_new, cache = _recurrence(params, memory, live_states, live_prev)
+        if len(buf) < len(states_new):
+            buf = np.empty((len(states_new), v_resp))
+        logp = _output_layer(params, states_new, cache["y_emb"], cache["c"],
+                             out=buf[:len(states_new)])[1]
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -104,16 +126,15 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
 
         logp += live_scores[:, None]
         flat = logp.ravel()
-        if flat.size > beam_size:
-            kth = np.partition(flat, flat.size - beam_size)[flat.size - beam_size]
-        else:
-            kth = -np.inf
-        cand = np.flatnonzero((flat >= kth) & (flat > -np.inf))
+        tau = _kth_largest(logp[np.argmax(live_scores)], beam_size)
+        surv = np.flatnonzero(flat >= tau if tau > -np.inf else flat > -np.inf)
+        vals = flat[surv]
+        kth = _kth_largest(vals, beam_size)
+        cand = surv[(vals >= kth) & (vals > -np.inf)]
 
         pool = [(sc, tok, True, -1) for sc, tok in finished]
-        for i in cand:
-            parent, tok = divmod(int(i), v_resp)
-            sc = float(flat[i])
+        for i, sc in zip(cand.tolist(), flat[cand].tolist()):
+            parent, tok = divmod(i, v_resp)
             if tok == EOS_ID:
                 pool.append((sc, live_tokens[parent], True, -1))
             else:

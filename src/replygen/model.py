@@ -38,7 +38,6 @@ __all__ = [
     "encode",
     "encode_post",
     "context_memory",
-    "attention_weights",
     "context_vector",
     "decoder_init",
     "decoder_step",
@@ -425,18 +424,6 @@ def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
     return c, alpha
 
 
-def attention_weights(params: ModelParams, enc_out: EncodedPost,
-                      s_prev: np.ndarray) -> np.ndarray:
-    """Normalized alignment weights (B, T); padded positions get exactly 0.
-
-    The context memory is built from enc_out on every call; enc_out may hold
-    one post broadcast over every row of s_prev.
-    """
-    if params.attn is None:
-        raise ValueError(f"scheme {params.scheme!r} has no attention")
-    return _context(params, context_memory(params, enc_out), s_prev)[1]
-
-
 def context_vector(params: ModelParams, enc_out: EncodedPost, s_prev: np.ndarray):
     """Context for one decoder step. Returns (c, alpha); alpha is None for glo.
 
@@ -477,16 +464,19 @@ def _recurrence(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, 
     return s_t, cache
 
 
-def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray):
+def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray,
+                  out: np.ndarray | None = None):
     """Readout and output softmax for rows of (s_t, y_emb, c); returns
     (rout, log_probs). Each row depends only on its own inputs, so teacher
     forcing can run every step of a batch through one call.
 
-    The bias and the log-softmax run on blocks of rows in place, so their
-    temporaries stay a block's size however many rows the call has.
+    The log-probabilities go into out, a C-contiguous (rows, v_resp) array,
+    when it is given. The bias and the log-softmax run on blocks of rows in
+    place, so their temporaries stay a block's size however many rows the
+    call has.
     """
     rout = tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
-    logits = rout @ params.W_o.T
+    logits = np.matmul(rout, params.W_o.T, out=out)
     for start in range(0, len(logits), _SOFTMAX_ROWS):
         block = logits[start:start + _SOFTMAX_ROWS]
         block += params.b_o

@@ -304,8 +304,12 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4,
     difference's roundoff (about 1e-11 at eps 1e-5) alone can exceed tol;
     the wider step divides that roundoff by about 70 while its truncation
     error stays O(h**4). Returns (ok, report) where report maps tensor
-    names to their worst relative error.
+    names to their worst relative error. eps and tol must be finite and
+    positive.
     """
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {value}")
     _, grads = backward(params, batch)
     report: dict[str, float] = {}
     ok = True

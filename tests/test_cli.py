@@ -394,6 +394,16 @@ def test_grad_check_command_fails_at_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-0.5"), ("--eps", "nan"),
+                                         ("--eps", "inf"), ("--tol", "0"), ("--tol", "nan"),
+                                         ("--tol", "inf")])
+def test_grad_check_rejects_bad_eps_and_tol(flag, value, capsys):
+    rc, out, err = run(capsys, "grad-check", "--scheme", "glo", flag, value, "--quiet")
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag[2:]} must be a finite number")
+
+
 # --- config file and error handling ---------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from replygen.decoding import (
     greedy_decode,
     multi_response,
 )
-from replygen.model import sequence_log_likelihood
+from replygen.model import (
+    _decoder_step,
+    _start_state,
+    context_memory,
+    encode_post,
+    sequence_log_likelihood,
+)
 from replygen.training import TrainConfig, init_params, train
 
 from conftest import TINY, random_post, toy_corpus
@@ -166,6 +174,107 @@ def test_wider_beam_never_worse_on_pinned_cases(toy_model):
                 for w in (1, 3, 10, 40)]
         for narrow, wide in zip(best, best[1:]):
             assert wide >= narrow - 1e-12
+
+
+def full_partition_beam_search(params, post_ids, beam_size, max_len, suppress_unk, seen):
+    """Beam search that cuts the top beam_size by partitioning the whole
+    (width x v_resp) score array, with the same pool and tie-break as
+    beam_search. seen collects which selection cases the steps hit: "tie"
+    when the k-th score sits inside a tie group that the cut splits, and
+    "tau_finite" / "tau_inf" for the best live row's beam_size-th score."""
+    memory = context_memory(params, encode_post(params, post_ids))
+    v_resp = params.dims.v_resp
+    banned = [PAD_ID, BOS_ID, UNK_ID] if suppress_unk else [PAD_ID, BOS_ID]
+    live_tokens, live_scores = [()], np.zeros(1)
+    live_states, live_prev = _start_state(params, memory), np.array([BOS_ID])
+    finished = []
+    for pos in range(1, max_len + 2):
+        states_new, logp, _ = _decoder_step(params, memory, live_states, live_prev)
+        logp[:, banned] = -np.inf
+        if pos == 1:
+            logp[:, EOS_ID] = -np.inf
+        if pos == max_len + 1:
+            eos_col = logp[:, EOS_ID].copy()
+            logp[:] = -np.inf
+            logp[:, EOS_ID] = eos_col
+        logp += live_scores[:, None]
+        flat = logp.ravel()
+        if flat.size > beam_size:
+            kth = np.partition(flat, flat.size - beam_size)[flat.size - beam_size]
+        else:
+            kth = -np.inf
+        cand = np.flatnonzero((flat >= kth) & (flat > -np.inf))
+
+        best_row = np.sort(logp[np.argmax(live_scores)])[::-1]
+        finite = best_row.size >= beam_size and best_row[beam_size - 1] > -np.inf
+        seen.add("tau_finite" if finite else "tau_inf")
+        if kth > -np.inf and (flat > kth).sum() < beam_size < cand.size:
+            seen.add("tie")
+
+        pool = [(sc, tok, True, -1) for sc, tok in finished]
+        for i in cand:
+            parent, tok = divmod(int(i), v_resp)
+            sc = float(flat[i])
+            if tok == EOS_ID:
+                pool.append((sc, live_tokens[parent], True, -1))
+            else:
+                pool.append((sc, live_tokens[parent] + (tok,), False, parent))
+        pool.sort(key=lambda h: (-h[0], h[1]))
+        kept = pool[:beam_size]
+        finished = [(sc, tok) for sc, tok, done, _ in kept if done]
+        live = [h for h in kept if not h[2]]
+        if not live:
+            break
+        live_tokens = [h[1] for h in live]
+        live_scores = np.array([h[0] for h in live])
+        live_states = states_new[[h[3] for h in live]]
+        live_prev = np.array([h[1][-1] for h in live])
+    finished.sort(key=lambda h: (-h[0], h[1]))
+    return [(list(tokens), score) for score, tokens in finished]
+
+
+def test_beam_selection_matches_a_full_partition_exactly(make_params):
+    """The survivor-set cut keeps exactly the candidates a partition of the
+    whole score array keeps, ties at the k-th score included, so every
+    hypothesis and score is bit-identical."""
+    rng = Rng(45)
+    seen = set()
+    for seed in range(12):
+        scheme = ("glo", "loc", "hyb")[seed % 3]
+        params = make_params(scheme, seed=seed, low=-1.0, high=1.0)
+        if seed % 2:
+            # two more copies of word 5: equal log-probs in every row, so
+            # the cut can fall inside a tie group
+            for dup in (7, 9):
+                params.W_o[dup] = params.W_o[5]
+                params.b_o[dup] = params.b_o[5]
+        post = random_post(rng)
+        for beam in (1, 2, 3, 7, 15, 40):
+            for max_len in range(1, 6):
+                for suppress_unk in (False, True):
+                    got = beam_search(params, post, beam, max_len, suppress_unk)
+                    want = full_partition_beam_search(params, post, beam, max_len,
+                                                      suppress_unk, seen)
+                    assert got == want, (scheme, seed, beam, max_len, suppress_unk)
+    assert seen == {"tie", "tau_finite", "tau_inf"}
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_beam_search_peak_memory_is_one_score_buffer(scheme):
+    """A wide search holds one (beam x v_resp) buffer of scores, not a
+    second full-size copy for the top-k cut."""
+    dims = Dims(d_h=16, d_emb=8, d_a=16, d_L=8, d_r=16, v_post=40, v_resp=4000)
+    params = init_params(scheme, dims, Rng(11), low=-0.5, high=0.5)
+    post, beam = [4, 9, 17, 23], 200
+    beam_search(params, post, beam_size=beam, max_len=6)  # warm up lazy set-up
+    tracemalloc.start()
+    try:
+        hyps = beam_search(params, post, beam_size=beam, max_len=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hyps) == beam  # the search ran at full width
+    assert peak < 1.5 * beam * dims.v_resp * 8
 
 
 # --- multi-response -----------------------------------------------------------

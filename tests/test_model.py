@@ -11,7 +11,6 @@ from replygen.model import (
     EncodedPost,
     ModelParams,
     _decoder_step,
-    attention_weights,
     context_memory,
     context_vector,
     decoder_init,
@@ -262,7 +261,7 @@ def test_attention_matches_scalar_reference(make_params, small_batch):
     rng = Rng(20)
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)]
                   for _ in range(len(small_batch))])
-    alpha = attention_weights(params, enc_out, s)
+    _, alpha = context_vector(params, enc_out, s)
     for i in range(len(small_batch)):
         np.testing.assert_allclose(alpha[i], ref_attention(params, enc_out, s[i], i),
                                    rtol=1e-12, atol=1e-15)
@@ -273,17 +272,17 @@ def test_attention_simplex_and_masked_zeros(make_params, small_batch):
         params = make_params(scheme, seed=6)
         enc_out = encode(params, small_batch.post_ids, small_batch.post_mask)
         s = decoder_init(params, enc_out)
-        alpha = attention_weights(params, enc_out, s)
+        _, alpha = context_vector(params, enc_out, s)
         assert (alpha >= 0.0).all()
         np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
         assert (alpha[small_batch.post_mask == 0.0] == 0.0).all()
 
 
-def test_attention_refused_for_glo(make_params, small_batch):
+def test_attention_alpha_is_none_for_glo(make_params, small_batch):
     params = make_params("glo")
     enc_out = encode(params, small_batch.post_ids, small_batch.post_mask)
-    with pytest.raises(ValueError):
-        attention_weights(params, enc_out, decoder_init(params, enc_out))
+    _, alpha = context_vector(params, enc_out, decoder_init(params, enc_out))
+    assert alpha is None
 
 
 def test_single_token_post_reduces_to_global_context():

@@ -154,6 +154,14 @@ def test_grad_check_sampling_path(make_params, small_batch):
         grad_check(params, small_batch, max_entries=3)
 
 
+@pytest.mark.parametrize("knob", ["eps", "tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-5, math.nan, math.inf])
+def test_grad_check_rejects_bad_eps_and_tol(knob, value, make_params, small_batch):
+    params = make_params("glo", seed=11, low=-0.8, high=0.8)
+    with pytest.raises(ValueError, match=f"{knob} must be a finite number > 0"):
+        grad_check(params, small_batch, **{knob: value})
+
+
 def test_grad_check_catches_a_planted_error(make_params, small_batch):
     """Sanity that the checker can actually fail: at an impossible tolerance
     the float64 roundoff of correct gradients is reported as failure."""
