@@ -21,6 +21,7 @@ import argparse
 import logging
 import math
 import os
+import re
 import sys
 
 logger = logging.getLogger("replygen")
@@ -471,8 +472,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative number written with an
+    exponent, such as -1e-5, as a flag's value. argparse's own matcher knows
+    only -N and -N.N, so it reads -1e-5 as an unknown option and exits with
+    its usage text before the value check can report it. Subparsers inherit
+    the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key = value settings file")
     common.add_argument("--seed", type=int, help="random seed (default 0)")
     common.add_argument("--threads", type=int, help="numeric-library thread cap")
@@ -481,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", default=None,
                         help="suppress stderr logs")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="replygen",
         description="GRU encoder-decoder response generation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -443,7 +443,9 @@ def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
     return _start_state(params, context_memory(params, enc_out))
 
 
-_SOFTMAX_ROWS = 32   # rows per block of _output_layer's bias and log-softmax
+# Rows per block of _output_layer's bias and log-softmax. A block's exp
+# temporary is this many rows of v_resp, kept small beside the rows' buffer.
+_SOFTMAX_ROWS = 8
 
 
 def _recurrence(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):

@@ -58,15 +58,13 @@ def _forward(params: ModelParams, batch, keep: bool):
 
     Under teacher forcing the readout and the output softmax feed nothing
     back into the recurrence: the loop runs only the context and the decoder
-    GRU, step by step, and the output layer then runs once over all
-    steps * B rows. aux carries the intermediates the backward pass needs:
-    the memory, the encoder caches, s_0 and the stacked (steps, B, width)
-    s_t, y_emb and c, the (steps * B, d_r) readout, and, only with keep,
-    every step's recurrence cache and the (steps, B, v_resp) next-token
-    distributions, computed in place in the log-probabilities' buffer.
-    Without keep, each step's cache is dropped as the loop moves on. Both
-    ways the loss is computed by the same operations, so it is
-    bit-identical.
+    GRU, step by step, and _output_loss then runs the output layer once over
+    the real target rows of all steps. aux carries the intermediates the
+    backward pass needs: the memory, the encoder caches, s_0, the stacked
+    (steps, B, width) c, and, only with keep, every step's recurrence cache
+    and _output_loss's cache as "output". Without keep, each step's cache
+    is dropped as the loop moves on. Both ways the loss is computed by the
+    same operations, so it is bit-identical.
     """
     enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
     if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
@@ -87,23 +85,72 @@ def _forward(params: ModelParams, batch, keep: bool):
         if keep:
             dec_caches.append(cache)
     y_emb = params.E_y[batch.resp_ids[:, :-1].T]
-    rout, logp = _output_layer(params, s_t.reshape(steps * b, -1),
-                               y_emb.reshape(steps * b, -1), c.reshape(steps * b, -1))
-    logp = logp.reshape(steps, b, -1)
+    target_logp, output = _output_loss(params, batch, s_t, y_emb, c, keep)
 
-    rows = np.arange(b)
     loss_sum = 0.0
     for t in range(steps):  # summed step by step, so the loss does not move
-        m = batch.resp_mask[:, t + 1]
-        loss_sum -= float((m * logp[t, rows, batch.resp_ids[:, t + 1]]).sum())
-    if keep:  # backward turns these distributions into dlogits in place
-        np.exp(logp, out=logp)
+        loss_sum -= float((batch.resp_mask[:, t + 1] * target_logp[t]).sum())
 
     token_count = float(batch.resp_mask[:, 1:].sum())
     aux = {"memory": memory, "enc_caches": enc_caches, "s0": s0,
-           "dec_caches": dec_caches, "probs": logp if keep else None,
-           "rout": rout, "s_t": s_t, "y_emb": y_emb, "c": c}
+           "dec_caches": dec_caches, "output": output, "c": c}
     return loss_sum / token_count, token_count, aux
+
+
+def _output_loss(params: ModelParams, batch, s_t, y_emb, c, keep: bool):
+    """The teacher-forced output layer over the real target rows only.
+
+    s_t, y_emb and c are stacked (steps, B, width). The rows whose target is
+    padding are never formed: the real rows are gathered in step-major
+    order, run through _output_layer in one call, and their targets'
+    log-probabilities scattered into a (steps, B) array that is 0 at
+    padding. Returns (target_logp, cache). With keep, cache holds the real
+    rows' flat step-major indices "real", their targets, their gathered
+    (s_t, y_emb, c) "inputs", their readout "rout" and their (n_real,
+    v_resp) next-token distributions "probs", computed in place in the
+    log-probabilities' buffer; without keep it is None.
+    """
+    steps, b = s_t.shape[:2]
+    real = np.flatnonzero(batch.resp_mask[:, 1:].T.reshape(-1))
+    inputs = tuple(x.reshape(steps * b, -1)[real] for x in (s_t, y_emb, c))
+    rout, logp = _output_layer(params, *inputs)
+    targets = batch.resp_ids[:, 1:].T.reshape(-1)[real]
+    target_logp = np.zeros((steps, b))
+    target_logp.reshape(-1)[real] = logp[np.arange(len(real)), targets]
+    if not keep:
+        return target_logp, None
+    np.exp(logp, out=logp)  # _output_backward turns these into dlogits in place
+    return target_logp, {"real": real, "targets": targets, "inputs": inputs,
+                         "rout": rout, "probs": logp}
+
+
+def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
+    """Adjoint of _output_loss, given its cache and the loss weight lam of
+    every real target. Accumulates the W_o, b_o, W_s, W_y, W_c and b_r
+    gradients from one product each over the real rows, and returns the
+    gradients w.r.t. s_t, y_emb and c as (steps, B, width) arrays that are
+    exactly 0 at the padding rows.
+    """
+    real, rout = cache["real"], cache["rout"]
+    s_t, y_emb, c = cache["inputs"]
+    # softmax cross-entropy: dlogits = lam * (probs - onehot(target))
+    dlogits = cache["probs"]
+    dlogits[np.arange(len(real)), cache["targets"]] -= 1.0
+    dlogits *= lam
+
+    grads["W_o"] += dlogits.T @ rout
+    grads["b_o"] += dlogits.sum(axis=0)
+    da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
+    grads["W_s"] += da.T @ s_t
+    grads["W_y"] += da.T @ y_emb
+    grads["W_c"] += da.T @ c
+    grads["b_r"] += da.sum(axis=0)
+    douts = []
+    for w in (params.W_s, params.W_y, params.W_c):
+        d = np.zeros((steps, b, w.shape[1]))
+        d.reshape(steps * b, -1)[real] = da @ w
+        douts.append(d)
+    return douts
 
 
 def batch_loss(params: ModelParams, batch):
@@ -212,10 +259,12 @@ def backward(params: ModelParams, batch):
     bit-identical to batch_loss on the same inputs.
 
     The readout and output layer feed nothing back into the recurrence, so
-    _forward runs them once over all steps, and their gradients, and the
-    gradients they pass to s_t, y_emb and c, come from one product each over
-    the stacked rows _forward hands over, before the reverse loop through
-    the decoder GRU and the attention. The context memory is built once per
+    _forward runs them once over the real target rows of all steps, and
+    _output_backward forms their gradients, and the gradients they pass to
+    s_t, y_emb and c, from one product each over those rows, before the
+    reverse loop through the decoder GRU and the attention. Padding rows are
+    never formed; their gradients w.r.t. s_t, y_emb and c are exactly 0, as
+    their loss weight is. The context memory is built once per
     batch; the loop and the start state add their gradients into a memory
     of the same shapes, which _memory_backward, its adjoint, maps back to
     the encoders once.
@@ -230,27 +279,8 @@ def backward(params: ModelParams, batch):
     d_emb = params.dims.d_emb
     b = batch.post_ids.shape[0]
     steps = len(caches)
-    lam = 1.0 / token_count
-    rout = aux["rout"]
-    s_t, y_emb, c = (aux[k].reshape(steps * b, -1) for k in ("s_t", "y_emb", "c"))
-
-    # softmax cross-entropy: dlogits = lam * mask * (probs - onehot(target))
-    dlogits = aux["probs"]
-    targets = batch.resp_ids[:, 1:].T
-    dlogits[np.arange(steps)[:, None], np.arange(b), targets] -= 1.0
-    dlogits *= (lam * batch.resp_mask[:, 1:].T)[:, :, None]
-    dlogits = dlogits.reshape(steps * b, -1)
-
-    grads["W_o"] += dlogits.T @ rout
-    grads["b_o"] += dlogits.sum(axis=0)
-    da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
-    grads["W_s"] += da.T @ s_t
-    grads["W_y"] += da.T @ y_emb
-    grads["W_c"] += da.T @ c
-    grads["b_r"] += da.sum(axis=0)
-    ds_out = (da @ params.W_s).reshape(steps, b, d_h)
-    dy_emb = (da @ params.W_y).reshape(steps, b, d_emb)
-    dc_out = (da @ params.W_c).reshape(steps, b, -1)
+    ds_out, dy_emb, dc_out = _output_backward(grads, params, aux["output"],
+                                              1.0 / token_count, steps, b)
     dlc = np.empty((steps, b, params.dims.d_L))
 
     dmemory = ContextMemory(np.zeros_like(memory.init))
@@ -272,7 +302,7 @@ def backward(params: ModelParams, batch):
         else:
             ds_prev += _attention_backward(grads, params, memory, dmemory, cache, dc)
         ds_carry = ds_prev
-    grads["L"] += dlc.reshape(steps * b, -1).T @ c
+    grads["L"] += dlc.reshape(steps * b, -1).T @ aux["c"].reshape(steps * b, -1)
     np.add.at(grads["E_y"], batch.resp_ids[:, :-1].T.reshape(-1),
               dy_emb.reshape(steps * b, d_emb))
 

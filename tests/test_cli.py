@@ -404,6 +404,24 @@ def test_grad_check_rejects_bad_eps_and_tol(flag, value, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag[2:]} must be a finite number")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("grad-check", "--eps", "-1e-5"), ("grad-check", "--tol", "-1e-5"),
+    ("train", "--lr", "-1e-3"), ("train", "--clip-norm", "-1e-3")])
+def test_negative_exponent_values_reach_the_value_check(command, flag, value,
+                                                        workdir, capsys):
+    """argparse's own matcher takes -1e-5 for an option and exits 2 with its
+    usage text; the value must instead reach the command's range check."""
+    args = ["--scheme", "glo", "--quiet"]
+    if command == "train":
+        args += [*prep_corpus(workdir, capsys), "--out", str(workdir / "model.ckpt"),
+                 "--epochs", "1"]
+    rc, out, err = run(capsys, command, *args, flag, value)
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag[2:]} must be a finite number")
+    assert lines[0].endswith(f"got {float(value)}")
+
+
 # --- config file and error handling ---------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from replygen import Dims, Rng, training
 from replygen.corpus import BOS_ID, EOS_ID, build_vocab, _pack
 from replygen.model import (
     _decoder_step,
+    _output_layer,
     _start_state,
     context_memory,
     encode,
@@ -57,6 +60,85 @@ def test_batch_loss_matches_per_row_scoring(rows):
             count += len(resp) + 1  # content plus the end marker
         assert n_tokens == count
         assert abs(loss - (-total / count)) < 1e-12
+
+
+def _all_rows_output_loss(params, batch, s_t, y_emb, c, keep):
+    """Reference for training._output_loss: the output layer over all
+    steps * B rows, padding included, as it ran before the packing."""
+    steps, b = s_t.shape[:2]
+    rows = tuple(x.reshape(steps * b, -1) for x in (s_t, y_emb, c))
+    rout, logp = _output_layer(params, *rows)
+    logp = logp.reshape(steps, b, -1)
+    target_logp = logp[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T]
+    if not keep:
+        return target_logp, None
+    np.exp(logp, out=logp)
+    return target_logp, {"batch": batch, "rows": rows, "rout": rout, "probs": logp}
+
+
+def _all_rows_output_backward(grads, params, cache, lam, steps, b):
+    """Reference for training._output_backward over all steps * B rows:
+    dlogits weighted by lam times the target mask."""
+    batch, rout = cache["batch"], cache["rout"]
+    s_t, y_emb, c = cache["rows"]
+    dlogits = cache["probs"]
+    dlogits[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T] -= 1.0
+    dlogits *= (lam * batch.resp_mask[:, 1:].T)[:, :, None]
+    dlogits = dlogits.reshape(steps * b, -1)
+    grads["W_o"] += dlogits.T @ rout
+    grads["b_o"] += dlogits.sum(axis=0)
+    da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
+    grads["W_s"] += da.T @ s_t
+    grads["W_y"] += da.T @ y_emb
+    grads["W_c"] += da.T @ c
+    grads["b_r"] += da.sum(axis=0)
+    return [(da @ w).reshape(steps, b, -1) for w in (params.W_s, params.W_y, params.W_c)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.lists(_content_ids, min_size=1, max_size=6),
+                          st.lists(_content_ids, min_size=1, max_size=5)),
+                min_size=1, max_size=6),
+       st.integers(0, 2 ** 16))
+@example([([4, 5, 6, 7], [5, 6, 7]), ([8, 9, 10], [8, 9]), ([11, 4], [10])], 0)
+def test_real_row_output_layer_matches_all_rows(rows, seed):
+    """The output layer and its gradients over the real target rows only
+    give bitwise the loss and every gradient of the all-rows layer, on
+    random ragged batches."""
+    batch = _pack([post for post, _ in rows],
+                  [[BOS_ID] + resp + [EOS_ID] for _, resp in rows])
+    for scheme in ("glo", "loc", "hyb"):
+        params = init_params(scheme, TINY, Rng(seed), low=-0.5, high=0.5)
+        loss, _ = batch_loss(params, batch)
+        loss_b, grads = backward(params, batch)
+        with mock.patch.object(training, "_output_loss", _all_rows_output_loss), \
+                mock.patch.object(training, "_output_backward", _all_rows_output_backward):
+            ref_loss, _ = batch_loss(params, batch)
+            ref_loss_b, ref_grads = backward(params, batch)
+        assert loss == loss_b == ref_loss == ref_loss_b, scheme
+        for name, g in ref_grads.items():
+            np.testing.assert_array_equal(grads[name], g, err_msg=f"{scheme} {name}")
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_batch_loss_peak_memory_is_one_real_row_buffer(scheme):
+    """One 14-token response and fifteen 1-token ones: 45 real targets in
+    15 steps * 16 rows. The output layer forms the real rows' log-probability
+    buffer only, never the 240-row padded one."""
+    dims = Dims(d_h=16, d_emb=8, d_a=16, d_L=8, d_r=16, v_post=40, v_resp=4000)
+    params = init_params(scheme, dims, Rng(11), low=-0.5, high=0.5)
+    resps = [list(range(4, 18))] + [[5 + i] for i in range(15)]
+    batch = _pack([[4, 9, 17, 23]] * 16, [[BOS_ID] + r + [EOS_ID] for r in resps])
+    n_real = int(batch.resp_mask[:, 1:].sum())
+    assert n_real == 45 and batch.resp_ids.shape == (16, 16)
+    batch_loss(params, batch)  # warm up lazy set-up
+    tracemalloc.start()
+    try:
+        batch_loss(params, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n_real * dims.v_resp * 8
 
 
 def test_batch_loss_ignores_padded_steps(make_params, small_batch):
