@@ -1,14 +1,19 @@
 """Command-line entry point tying corpus tools, training, decoding, and
 evaluation statistics together.
 
-Usage: replygen [--config FILE] <subcommand> [flags]
+Usage: replygen <subcommand> [--config FILE] [flags]
 
 Common flags (valid on every subcommand): --config, --seed, --threads,
 --deterministic, --quiet. A config file is flat ``key = value`` text whose
-keys are the long flag names without the leading dashes; explicit flags
-override config values, which override built-in defaults. Results go to
-stdout, logs to stderr; every failure is a single ``error: ...`` line on
-stderr with a nonzero exit.
+keys are the long flag names without the leading dashes; a key that no
+subcommand declares is refused. Explicit flags override config values, which
+override built-in defaults.
+
+argparse only declares the flag names. Each setting is parsed and checked by
+one ``_get`` call in its handler, by the same rule whether its text came
+from a flag or from the config file. Results go to stdout, logs to stderr;
+every failure, a malformed flag included, is a single ``error: ...`` line on
+stderr with exit code 1.
 
 Heavy imports happen inside the subcommand handlers so that --threads and
 --deterministic can pin the numeric libraries' thread counts through the
@@ -37,7 +42,10 @@ class CliError(Exception):
 
 
 def _load_config(path):
-    """Parse a flat key = value config file ('#' starts a comment line)."""
+    """Parse a flat key = value config file ('#' starts a comment line).
+
+    A key must be a setting of some subcommand or a common flag, so that a
+    misspelled one is refused instead of silently ignored."""
     if not os.path.isfile(path):
         raise CliError(f"config file not found: {path}")
     cfg = {}
@@ -48,13 +56,15 @@ def _load_config(path):
                 continue
             if "=" not in text:
                 raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = text.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in text.split("=", 1))
+            if key not in _SETTINGS:
+                raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
+            cfg[key] = value
     return cfg
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
+def _parse_bool(raw) -> bool:
+    lowered = str(raw).lower()  # a store_true flag arrives as True
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -63,21 +73,23 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _get(args, cfg, key, default=None, cast=str, minimum=None, choices=None):
-    """Resolve one setting: explicit flag > config file > default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        raw = cfg.get(key)
-        if raw is None:
-            value = default
-        else:
-            try:
-                value = _parse_bool(raw) if cast is bool else cast(raw)
-            except ValueError:
-                raise CliError(f"config key {key!r}: cannot parse {raw!r}") from None
-    if value is not None and minimum is not None and value < minimum:
+    """Resolve one setting: explicit flag > config file > default.
+
+    Text from either source is cast the same way, then range- and
+    choice-checked; a parse failure names the source."""
+    raw, source = getattr(args, key.replace("-", "_"), None), f"--{key}"
+    if raw is None:
+        raw, source = cfg.get(key), f"config key {key!r}"
+    if raw is None:
+        return default
+    try:
+        value = _parse_bool(raw) if cast is bool else cast(raw)
+    except ValueError:
+        raise CliError(f"{source}: cannot parse {raw!r}") from None
+    if minimum is not None and value < minimum:
         raise CliError(f"{key} must be >= {minimum}, got {value}")
-    if value is not None and choices is not None and value not in choices:
-        raise CliError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise CliError(f"{key} must be one of {', '.join(map(str, choices))}, got {value!r}")
     return value
 
 
@@ -221,17 +233,14 @@ def _cmd_train(args, cfg):
     if config.clip_norm is not None and not (math.isfinite(config.clip_norm)
                                              and config.clip_norm > 0):
         raise CliError(f"clip-norm must be a finite number > 0, got {config.clip_norm}")
-    precision = _get(args, cfg, "precision", 8, int, choices=None)
-    if precision not in (4, 8):
-        raise CliError(f"precision must be 4 or 8, got {precision}")
-    seed = _get(args, cfg, "seed", 0, int)
+    precision = _get(args, cfg, "precision", 8, int, choices=(4, 8))
 
     vocabs = _load_vocabs(args, cfg)
     usable = _usable_pairs(load_pairs(pairs_path), "train")
     if not usable:
         raise CliError("no usable training pairs")
 
-    rng = Rng(seed)
+    rng = Rng(args.seed)
     if init_loc is not None:
         params, provenance = init_hybrid_from_pretrained(
             load_checkpoint(init_loc), load_checkpoint(init_glo), rng)
@@ -301,7 +310,7 @@ def _cmd_generate(args, cfg, multi=False):
     ckpt_path = _require_file(_get(args, cfg, "checkpoint"), "checkpoint")
     beam = _get(args, cfg, "beam", 500 if multi else 10, int, minimum=1)
     max_len = _get(args, cfg, "max-len", 30, int, minimum=1)
-    suppress_unk = bool(_get(args, cfg, "suppress-unk", False, bool))
+    suppress_unk = _get(args, cfg, "suppress-unk", False, bool)
     out_path = _get(args, cfg, "out")
     posts, headered = _read_posts(args, cfg)
     post_vocab, resp_vocab = _load_vocabs(args, cfg)
@@ -386,11 +395,10 @@ def _cmd_grad_check(args, cfg):
     batch = _get(args, cfg, "batch", 3, int, minimum=1)
     eps = _get(args, cfg, "eps", 1e-5, float)
     tol = _get(args, cfg, "tol", 1e-4, float)
-    seed = _get(args, cfg, "seed", 0, int)
 
     all_ok = True
     for name in schemes:
-        rng = Rng(seed)
+        rng = Rng(args.seed)
         # A wide init keeps every gradient entry well above the
         # finite-difference noise floor (~1e-11 with eps = 1e-5); near the
         # zero-weight linearization point the gate gradients shrink to the
@@ -458,133 +466,81 @@ def _cmd_inspect(args, cfg):
     return 0
 
 
+_GENERATE_FLAGS = "checkpoint post-vocab resp-vocab post posts-file beam max-len suppress-unk out"
+
+# Every subcommand: handler, help line and flag names. A flag's type, range,
+# choices and default live in its handler's _get call.
 _COMMANDS = {
-    "clean": _cmd_clean,
-    "build-vocab": _cmd_build_vocab,
-    "train": _cmd_train,
-    "generate": lambda a, c: _cmd_generate(a, c, multi=False),
-    "multi-generate": lambda a, c: _cmd_generate(a, c, multi=True),
-    "perplexity": _cmd_perplexity,
-    "grad-check": _cmd_grad_check,
-    "kappa": _cmd_kappa,
-    "friedman": _cmd_friedman,
-    "inspect-checkpoint": _cmd_inspect,
+    "clean": (_cmd_clean, "apply corpus cleaning rules to a pair file",
+              "pairs out stoplist min-response-tokens max-urls max-duplicate-fanout "
+              "per-post-cap"),
+    "build-vocab": (_cmd_build_vocab, "build a frequency-capped vocabulary for one side",
+                    "pairs side out cap"),
+    "train": (_cmd_train, "train a model",
+              "pairs post-vocab resp-vocab scheme out log epochs lr batch-size clip-norm "
+              "max-response-len precision d-h d-emb d-a d-l d-r init-from-loc init-from-glo"),
+    "generate": (lambda a, c: _cmd_generate(a, c, multi=False),
+                 "ranked beam-search responses", _GENERATE_FLAGS),
+    "multi-generate": (lambda a, c: _cmd_generate(a, c, multi=True),
+                       "best response per distinct first word", _GENERATE_FLAGS),
+    "perplexity": (_cmd_perplexity, "evaluate mean NLL / perplexity on a pair file",
+                   "checkpoint pairs post-vocab resp-vocab batch-size max-response-len"),
+    "grad-check": (_cmd_grad_check, "finite-difference check of the analytic gradients",
+                   "scheme vocab-size batch eps tol d-h d-emb d-a d-l d-r"),
+    "kappa": (_cmd_kappa, "Fleiss' kappa over an annotation CSV", "annotations"),
+    "friedman": (_cmd_friedman, "Friedman rank test over a score-matrix CSV", "scores"),
+    "inspect-checkpoint": (_cmd_inspect, "print checkpoint dims and tensor table",
+                           "checkpoint"),
 }
+
+# Flags valid on every subcommand; main resolves all but --config.
+_COMMON = {
+    "config": "flat key = value settings file",
+    "seed": "random seed (default 0)",
+    "threads": "numeric-library thread cap",
+    "deterministic": "verification mode: single-threaded numerics",
+    "quiet": "suppress stderr logs",
+}
+_SWITCHES = ("deterministic", "quiet", "suppress-unk")
+_SETTINGS = frozenset(_COMMON).union(*(flags.split() for _, _, flags in _COMMANDS.values()))
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes a negative number written with an
-    exponent, such as -1e-5, as a flag's value. argparse's own matcher knows
-    only -N and -N.N, so it reads -1e-5 as an unknown option and exits with
-    its usage text before the value check can report it. Subparsers inherit
-    the class."""
+    exponent, such as -1e-5, as a flag's value (argparse's own matcher knows
+    only -N and -N.N and reads -1e-5 as an unknown option), and reports its
+    own errors as one ``error: ...`` line with exit code 1 instead of its
+    usage text with exit code 2. Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
+    def error(self, message):
+        print(f"error: {' '.join(message.splitlines())}", file=sys.stderr)
+        raise SystemExit(1)
+
+    def add_flag(self, flag, help_line=None):
+        if flag in _SWITCHES:
+            self.add_argument(f"--{flag}", action="store_true", default=None,
+                              help=help_line)
+        else:
+            self.add_argument(f"--{flag}", help=help_line,
+                              metavar="CKPT" if flag.startswith("init-from-") else None)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key = value settings file")
-    common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--threads", type=int, help="numeric-library thread cap")
-    common.add_argument("--deterministic", action="store_true", default=None,
-                        help="verification mode: single-threaded numerics")
-    common.add_argument("--quiet", action="store_true", default=None,
-                        help="suppress stderr logs")
-
+    for flag, help_line in _COMMON.items():
+        common.add_flag(flag, help_line)
     parser = _Parser(
         prog="replygen",
         description="GRU encoder-decoder response generation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("clean", parents=[common],
-                       help="apply corpus cleaning rules to a pair file")
-    p.add_argument("--pairs")
-    p.add_argument("--out")
-    p.add_argument("--stoplist")
-    p.add_argument("--min-response-tokens", type=int)
-    p.add_argument("--max-urls", type=int)
-    p.add_argument("--max-duplicate-fanout", type=int)
-    p.add_argument("--per-post-cap", type=int)
-
-    p = sub.add_parser("build-vocab", parents=[common],
-                       help="build a frequency-capped vocabulary for one side")
-    p.add_argument("--pairs")
-    p.add_argument("--side", choices=("post", "response"))
-    p.add_argument("--out")
-    p.add_argument("--cap", type=int)
-
-    p = sub.add_parser("train", parents=[common], help="train a model")
-    p.add_argument("--pairs")
-    p.add_argument("--post-vocab")
-    p.add_argument("--resp-vocab")
-    p.add_argument("--scheme", choices=("glo", "loc", "hyb"))
-    p.add_argument("--out")
-    p.add_argument("--log")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--clip-norm", type=float)
-    p.add_argument("--max-response-len", type=int)
-    p.add_argument("--precision", type=int, choices=(4, 8))
-    p.add_argument("--d-h", type=int)
-    p.add_argument("--d-emb", type=int)
-    p.add_argument("--d-a", type=int)
-    p.add_argument("--d-l", type=int)
-    p.add_argument("--d-r", type=int)
-    p.add_argument("--init-from-loc", metavar="CKPT")
-    p.add_argument("--init-from-glo", metavar="CKPT")
-
-    for cmd, multi in (("generate", False), ("multi-generate", True)):
-        p = sub.add_parser(cmd, parents=[common],
-                           help=("best response per distinct first word" if multi
-                                 else "ranked beam-search responses"))
-        p.add_argument("--checkpoint")
-        p.add_argument("--post-vocab")
-        p.add_argument("--resp-vocab")
-        p.add_argument("--post")
-        p.add_argument("--posts-file")
-        p.add_argument("--beam", type=int)
-        p.add_argument("--max-len", type=int)
-        p.add_argument("--suppress-unk", action="store_true", default=None)
-        p.add_argument("--out")
-
-    p = sub.add_parser("perplexity", parents=[common],
-                       help="evaluate mean NLL / perplexity on a pair file")
-    p.add_argument("--checkpoint")
-    p.add_argument("--pairs")
-    p.add_argument("--post-vocab")
-    p.add_argument("--resp-vocab")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-response-len", type=int)
-
-    p = sub.add_parser("grad-check", parents=[common],
-                       help="finite-difference check of the analytic gradients")
-    p.add_argument("--scheme", choices=("glo", "loc", "hyb", "all"))
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--d-h", type=int)
-    p.add_argument("--d-emb", type=int)
-    p.add_argument("--d-a", type=int)
-    p.add_argument("--d-l", type=int)
-    p.add_argument("--d-r", type=int)
-
-    p = sub.add_parser("kappa", parents=[common],
-                       help="Fleiss' kappa over an annotation CSV")
-    p.add_argument("--annotations")
-
-    p = sub.add_parser("friedman", parents=[common],
-                       help="Friedman rank test over a score-matrix CSV")
-    p.add_argument("--scores")
-
-    p = sub.add_parser("inspect-checkpoint", parents=[common],
-                       help="print checkpoint dims and tensor table")
-    p.add_argument("--checkpoint")
-
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_line)
+        for flag in flags.split():
+            p.add_flag(flag)
     return parser
 
 
@@ -592,19 +548,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        deterministic = bool(_get(args, cfg, "deterministic", False, bool))
+        deterministic = _get(args, cfg, "deterministic", False, bool)
         threads = _get(args, cfg, "threads", None, int, minimum=1)
+        args.seed = _get(args, cfg, "seed", 0, int)
+        quiet = _get(args, cfg, "quiet", False, bool)
         if deterministic:
             threads = 1
         if threads is not None:
             _limit_threads(threads)
-        quiet = bool(_get(args, cfg, "quiet", False, bool))
         logging.basicConfig(stream=sys.stderr,
                             level=logging.WARNING if quiet else logging.INFO,
                             format="%(message)s")
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except (CliError, ValueError, OSError, RuntimeError) as exc:
-        message = str(exc).replace("\n", " ") or exc.__class__.__name__
+        message = " ".join(str(exc).splitlines()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)
         return 1
 

@@ -77,9 +77,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.index.get(token, UNK_ID)
 
-    def token_for(self, token_id: int) -> str:
-        return self.tokens[token_id]
-
     def decode(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID
-from .numerics import Rng, log_softmax, sigmoid, softmax_stable, tanh
+from .numerics import Rng, log_softmax, sigmoid, softmax_stable
 
 __all__ = [
     "CheckpointFormatError",
@@ -137,10 +137,6 @@ class ModelParams:
     W_o: np.ndarray
     b_o: np.ndarray
 
-    @property
-    def d_ctx(self) -> int:
-        return _context_width(self.scheme, self.dims)
-
     def named_tensors(self) -> dict[str, np.ndarray]:
         """All tensors in a fixed order; names are stable across save/load."""
         out: dict[str, np.ndarray] = {"E_x": self.E_x, "E_y": self.E_y}
@@ -174,13 +170,9 @@ class EncodedPost:
     global_final: np.ndarray | None = None
 
 
-def _context_width(scheme: str, dims: Dims) -> int:
-    """Width of the context vector: hyb appends the second encoder's state."""
-    return 2 * dims.d_h if scheme == "hyb" else dims.d_h
-
-
 def _expected_shapes(scheme: str, dims: Dims) -> dict[str, tuple]:
-    d_ctx = _context_width(scheme, dims)
+    # hyb appends the second encoder's state to the context vector
+    d_ctx = 2 * dims.d_h if scheme == "hyb" else dims.d_h
     shapes: dict[str, tuple] = {
         "E_x": (dims.v_post, dims.d_emb),
         "E_y": (dims.v_resp, dims.d_emb),
@@ -311,7 +303,7 @@ def _gru_step_full(cell, x, h_prev):
     """As gru_step, but also returns the gate activations for backprop."""
     z = sigmoid(x @ cell.W_z.T + h_prev @ cell.U_z.T + cell.b_z)
     r = sigmoid(x @ cell.W_r.T + h_prev @ cell.U_r.T + cell.b_r)
-    hbar = tanh(x @ cell.W_h.T + (r * h_prev) @ cell.U_h.T + cell.b_h)
+    hbar = np.tanh(x @ cell.W_h.T + (r * h_prev) @ cell.U_h.T + cell.b_h)
     h = (1.0 - z) * h_prev + z * hbar
     return h, z, r, hbar
 
@@ -409,7 +401,7 @@ def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
 
 def _score_tanh(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
     """tanh(W_a s + U_a h_j + b_a) for every decoder row and position, (B, T, d_a)."""
-    return tanh((s_prev @ params.attn.W_a.T)[:, None, :] + memory.keys)
+    return np.tanh((s_prev @ params.attn.W_a.T)[:, None, :] + memory.keys)
 
 
 def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
@@ -434,7 +426,7 @@ def context_vector(params: ModelParams, enc_out: EncodedPost, s_prev: np.ndarray
 
 
 def _start_state(params: ModelParams, memory: ContextMemory) -> np.ndarray:
-    return tanh(memory.init @ params.W_0.T)
+    return np.tanh(memory.init @ params.W_0.T)
 
 
 def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
@@ -477,7 +469,7 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
     place, so their temporaries stay a block's size however many rows the
     call has.
     """
-    rout = tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
+    rout = np.tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
     logits = np.matmul(rout, params.W_o.T, out=out)
     for start in range(0, len(logits), _SOFTMAX_ROWS):
         block = logits[start:start + _SOFTMAX_ROWS]

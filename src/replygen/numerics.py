@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Rng",
     "sigmoid",
-    "tanh",
     "softmax_stable",
     "log_softmax",
     "clip_global_norm",
@@ -81,11 +80,6 @@ def sigmoid(x):
     """Elementwise logistic function, overflow-safe via the tanh identity."""
     x = np.asarray(x)
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def tanh(x):
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(np.asarray(x))
 
 
 def softmax_stable(logits, axis: int = -1) -> np.ndarray:

@@ -490,3 +490,60 @@ def test_bad_config_value_rejected_before_output(workdir, capsys):
 def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [["frobnicate"], ["train", "--no-such-flag", "x"],
+                                  ["train", "--epochs"]])
+def test_argparse_errors_are_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--epochs", "abc", "error: --epochs: cannot parse 'abc'"),
+    ("train", "--precision", "5", "error: precision must be one of 4, 8, got 5"),
+    ("build-vocab", "--side", "foo",
+     "error: side must be one of post, response, got 'foo'"),
+    ("grad-check", "--batch", "x", "error: --batch: cannot parse 'x'")])
+def test_malformed_flag_value_is_one_line_error(command, flag, value, message,
+                                                workdir, capsys):
+    out_path = workdir / "out"
+    if command == "train":
+        required = [*prep_corpus(workdir, capsys), "--scheme", "glo", "--out", str(out_path)]
+    elif command == "build-vocab":
+        required = ["--pairs", str(workdir / "raw.tsv"), "--out", str(out_path)]
+    else:
+        required = ["--scheme", "glo"]
+    rc, out, err = run(capsys, command, *required, flag, value, "--quiet")
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [message]
+    assert not out_path.exists()
+
+
+def test_config_file_refuses_unknown_keys_only(workdir, capsys):
+    """A key of another subcommand (beam) is accepted, so one file can serve
+    several subcommands; a misspelled key (epoch) is refused before any
+    output is written."""
+    prep_corpus(workdir, capsys)
+    ckpt = workdir / "o.ckpt"
+    cfg = workdir / "run.cfg"
+    settings = (f"pairs = {workdir / 'clean.tsv'}\n"
+                f"post-vocab = {workdir / 'post.vocab'}\n"
+                f"resp-vocab = {workdir / 'response.vocab'}\n"
+                f"scheme = glo\nout = {ckpt}\n"
+                "d-h = 8\nd-emb = 6\nd-a = 8\nd-l = 6\nd-r = 8\n"
+                "lr = 0.5\nbatch-size = 4\nquiet = yes\nbeam = 5\n")
+    cfg.write_text(settings + "epoch = 3\n", encoding="utf-8")
+    rc, out, err = run(capsys, "train", "--config", str(cfg))
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [f"error: {cfg}:15: unknown setting 'epoch'"]
+    assert not ckpt.exists()
+
+    cfg.write_text(settings + "epochs = 3\n", encoding="utf-8")
+    rc, out, err = run(capsys, "train", "--config", str(cfg))
+    assert rc == 0, err
+    assert table(out)["epochs"][0][0] == "3"

@@ -1,0 +1,119 @@
+"""Hypothesis fuzzing of every subcommand's flags and config file.
+
+Each drawn invocation holds at least one value the subcommand must refuse,
+and no input file exists, so every run must end with exit code 1, nothing
+on stdout and exactly one ``error: ...`` line on stderr, never a traceback.
+No draw uses a valid --threads or --deterministic, which would export BLAS
+thread counts; os.environ is restored after every example all the same.
+"""
+
+import contextlib
+import io
+import os
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from replygen import cli
+from replygen.cli import main
+
+# No control characters, so a drawn config line stays one line. The line
+# separator U+2028 is drawn often: it must not split the error line.
+TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.just("\u2028"),
+               max_size=8)
+
+
+def unparseable(cast):
+    def fails(text):
+        try:
+            cast(text)
+        except ValueError:
+            return True
+        return False
+    return TEXT.filter(fails)
+
+
+# Every integer setting has a minimum of at least 0 (precision: 4 or 8).
+BAD_INT = unparseable(int) | st.integers(max_value=-1).map(str)
+BAD_FLOAT = unparseable(float) | st.sampled_from(["nan", "inf", "-inf", "-0.5", "-1e-3"])
+FLOATS = {"lr", "clip-norm", "eps", "tol"}
+CHOICES = {"scheme", "side"}
+INPUT_FILES = {"pairs", "stoplist", "post-vocab", "resp-vocab", "checkpoint", "init-from-loc",
+               "init-from-glo", "posts-file", "annotations", "scores"}
+# Settings whose value the subcommand may accept; each draw adds at least one
+# of the others, which it must refuse.
+FREE = {"out", "log", "post", "quiet", "suppress-unk"}
+SWITCHES = {"quiet", "suppress-unk"}
+
+
+def bad_value(flag, missing_dir):
+    if flag in FLOATS:
+        return BAD_FLOAT
+    if flag in CHOICES:
+        return TEXT.filter(lambda s: s.strip() not in ("glo", "loc", "hyb", "all",
+                                                       "post", "response"))
+    if flag in INPUT_FILES or flag in ("out", "log"):
+        return TEXT.map(lambda s: f"{missing_dir}/{s}")
+    if flag == "seed":
+        return unparseable(int)
+    if flag == "post":
+        return TEXT
+    return BAD_INT
+
+
+def config_lines(keys, missing_dir):
+    """Blank, comment, malformed and unknown-key lines, and known keys with
+    values the subcommand must refuse."""
+    known = st.sampled_from(keys).flatmap(
+        lambda key: bad_value(key, missing_dir).map(lambda value: f"{key} = {value}"))
+    return st.lists(st.one_of(
+        st.just(""),
+        TEXT.map(lambda s: "#" + s),
+        TEXT.filter(lambda s: "=" not in s),
+        TEXT.filter(lambda s: s.split("=")[0].strip() not in cli._SETTINGS).map(
+            lambda s: s + " = 1"),
+        known), max_size=4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_refused_invocations_are_one_error_line(command, fuzz_dir, data):
+    missing_dir = fuzz_dir / "absent"
+    flags = cli._COMMANDS[command][2].split() + ["seed", "threads", "quiet"]
+    refused = [f for f in flags if f not in FREE]
+    chosen = data.draw(st.lists(st.sampled_from(refused), min_size=1, unique=True))
+    chosen += data.draw(st.lists(st.sampled_from([f for f in flags if f in FREE]),
+                                 unique=True))
+    argv = [command]
+    for flag in data.draw(st.permutations(chosen)):
+        argv.append(f"--{flag}")
+        if flag not in SWITCHES:
+            argv.append(data.draw(bad_value(flag, missing_dir)))
+    config = data.draw(st.sampled_from(["none", "missing", "text"]))
+    if config == "missing":
+        argv += ["--config", str(missing_dir / "run.cfg")]
+    elif config == "text":
+        path = fuzz_dir / "run.cfg"
+        path.write_text("\n".join(data.draw(config_lines(refused, missing_dir))),
+                        encoding="utf-8")
+        argv += ["--config", str(path)]
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code == 1, (argv, err.getvalue())
+    assert out.getvalue() == ""
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -189,7 +189,6 @@ def test_vocabulary_lookup_and_unk():
     vocab = Vocabulary.from_tokens("post", ["hello", "world"])
     assert vocab.id_for("hello") == 4
     assert vocab.id_for("unseen") == UNK_ID
-    assert vocab.token_for(5) == "world"
     assert vocab.decode([4, 5]) == ["hello", "world"]
     assert len(vocab) == 6
 

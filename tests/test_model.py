@@ -55,7 +55,6 @@ def test_init_params_shapes_and_dtype():
     assert t["attn.U_a"].shape == (TINY.d_a, 2 * TINY.d_h)
     assert t["W_o"].shape == (TINY.v_resp, TINY.d_r)
     assert all(a.dtype == np.float64 for a in t.values())
-    assert p.d_ctx == 2 * TINY.d_h
 
 
 def test_init_params_deterministic_and_in_range():
@@ -336,7 +335,7 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
     alpha_b, alpha_c = cache_b["alpha"], cache_c["alpha"]
     np.testing.assert_allclose(s_b, s_c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(logp_b, logp_c, rtol=0, atol=1e-12)
-    assert memory.init.shape == (1, params.d_ctx)
+    assert memory.init.shape == (1, params.W_0.shape[1])
     if scheme == "glo":
         assert memory.keys is None and alpha_b is None and alpha_c is None
     else:

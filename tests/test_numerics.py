@@ -11,7 +11,6 @@ from replygen.numerics import (
     log_softmax,
     sigmoid,
     softmax_stable,
-    tanh,
 )
 
 
@@ -101,11 +100,6 @@ def test_sigmoid_matches_definition():
 def test_sigmoid_extreme_inputs_do_not_overflow():
     out = sigmoid(np.array([-1e4, 1e4]))
     assert out[0] == 0.0 and out[1] == 1.0
-
-
-def test_tanh_is_numpy_tanh():
-    x = np.array([-3.0, 0.0, 0.5])
-    np.testing.assert_array_equal(tanh(x), np.tanh(x))
 
 
 def test_softmax_rows_sum_to_one():
