@@ -19,7 +19,13 @@ from .corpus import (
     load_pairs,
     make_batches,
 )
-from .decoding import beam_search, exhaustive_oracle, greedy_decode, multi_response
+from .decoding import (
+    beam_search,
+    beam_search_posts,
+    exhaustive_oracle,
+    greedy_decode,
+    multi_response,
+)
 from .evalstats import (
     AnnotationTable,
     chi_square_sf,

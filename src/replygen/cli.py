@@ -6,8 +6,9 @@ Usage: replygen <subcommand> [--config FILE] [flags]
 Common flags (valid on every subcommand): --config, --seed, --threads,
 --deterministic, --quiet. A config file is flat ``key = value`` text whose
 keys are the long flag names without the leading dashes; a key that no
-subcommand declares is refused. Explicit flags override config values, which
-override built-in defaults.
+subcommand declares is refused. A flag, like a key, takes only its full
+name: argparse's prefix abbreviations are off. Explicit flags override
+config values, which override built-in defaults.
 
 argparse only declares the flag names. Each setting is parsed and checked by
 one ``_get`` call in its handler, by the same rule whether its text came
@@ -302,9 +303,15 @@ def _read_posts(args, cfg):
     return posts, True
 
 
+# Rows of one decoding chunk: a chunk of posts-file posts is searched
+# together, so its score buffer holds up to this many rows of v_resp (or one
+# post's beam, when that is wider).
+_CHUNK_ROWS = 512
+
+
 def _cmd_generate(args, cfg, multi=False):
     from .corpus import encode
-    from .decoding import beam_search, multi_response
+    from .decoding import beam_search_posts, first_token_best
     from .model import load_checkpoint
 
     ckpt_path = _require_file(_get(args, cfg, "checkpoint"), "checkpoint")
@@ -318,19 +325,21 @@ def _cmd_generate(args, cfg, multi=False):
     params = load_checkpoint(ckpt_path)
     _check_vocab_sizes(params, post_vocab, resp_vocab)
 
+    chunk = max(1, _CHUNK_ROWS // beam)
     stream, owned = _out_stream(out_path)
     try:
-        for tokens in posts:
-            ids = encode(tokens, post_vocab)
-            if multi:
-                hyps = multi_response(params, ids, beam, max_len, suppress_unk)
-            else:
-                hyps = beam_search(params, ids, beam, max_len, suppress_unk)
-            if headered:
-                stream.write("post\t" + " ".join(tokens) + "\n")
-            for rank, (resp_ids, log_prob) in enumerate(hyps, start=1):
-                words = " ".join(resp_vocab.decode(resp_ids))
-                stream.write(f"{rank}\t{_FMT % log_prob}\t{words}\n")
+        for start in range(0, len(posts), chunk):
+            batch = posts[start:start + chunk]
+            results = beam_search_posts(params, [encode(tokens, post_vocab) for tokens in batch],
+                                        beam, max_len, suppress_unk)
+            for tokens, hyps in zip(batch, results):
+                if multi:
+                    hyps = first_token_best(hyps)
+                if headered:
+                    stream.write("post\t" + " ".join(tokens) + "\n")
+                for rank, (resp_ids, log_prob) in enumerate(hyps, start=1):
+                    words = " ".join(resp_vocab.decode(resp_ids))
+                    stream.write(f"{rank}\t{_FMT % log_prob}\t{words}\n")
     finally:
         if owned:
             stream.close()
@@ -513,6 +522,7 @@ class _Parser(argparse.ArgumentParser):
     usage text with exit code 2. Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 

@@ -1,9 +1,9 @@
-"""Response decoding: greedy, beam search, per-first-word selection, and a
-brute-force enumeration oracle.
+"""Response decoding: greedy, beam search (one post, or several searched
+together), per-first-word selection, and a brute-force enumeration oracle.
 
-All four return content token ids (no begin/end markers) with a cumulative
-log-probability that always includes the closing end-marker term, so every
-returned hypothesis re-scores to the same value with
+All of them return content token ids (no begin/end markers) with a
+cumulative log-probability that always includes the closing end-marker term,
+so every returned hypothesis re-scores to the same value with
 model.sequence_log_likelihood (up to floating-point roundoff). Consequences
 of that convention: the empty response is never returned (the end marker is
 not allowed as the first emission), and a hypothesis cut off at max_len still
@@ -13,6 +13,15 @@ Scores carry no length normalization, and finished hypotheses compete with
 unfinished ones inside each top-k cut. Ties anywhere are broken toward the
 lexicographically smaller id sequence. The pad and begin markers are never
 emitted; suppress_unk additionally bans the unknown token.
+
+beam_search_posts runs the searches of several posts together, and
+beam_search is its one-post case. Each post gets the hypotheses of its solo
+search, in the same order. Its scores are bit-identical to the solo search's
+wherever every post keeps more live rows than the BLAS threshold: below a
+small row count, a row's product bits depend on how many rows share the
+product (numpy 2.4 with OpenBLAS on one thread: 1 row at 8000 columns, at
+most 4 at 256 or 768, at most 9 at 128). Below it, scores may differ in the
+last bits, and only a tie within that roundoff could reorder hypotheses.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (ModelParams, _decoder_step, _output_layer, _recurrence, _start_state,
-                    context_memory, encode_post)
+from .model import (ModelParams, _context, _decoder_gru, _decoder_step, _output_layer,
+                    _start_state, context_memory, encode_post)
 
-__all__ = ["greedy_decode", "beam_search", "multi_response", "exhaustive_oracle"]
+__all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response",
+           "first_token_best", "exhaustive_oracle"]
 
 _ENUMERATION_GUARD = 1_000_000
 
@@ -72,50 +82,119 @@ def _kth_largest(a: np.ndarray, k: int) -> float:
     return np.partition(a, a.size - k)[a.size - k]
 
 
-def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
-                max_len: int = 30, suppress_unk: bool = False):
-    """Left-to-right beam search, width `beam_size`, no length normalization.
+class _PostBeam:
+    """One post's hypotheses during a search: the live ones (token tuples and
+    cumulative log-probs, one decoder row each) and the finished ones."""
 
-    Each step extends every live hypothesis over the emittable vocabulary and
-    keeps the top beam_size of {finished so far} + {extensions} by cumulative
-    log-prob. Returns finished hypotheses as (token ids, log-prob), sorted by
-    score descending (ties: lexicographically smaller ids first).
+    def __init__(self):
+        self.tokens: list[tuple] = [()]
+        self.scores = np.zeros(1)
+        self.finished: list[tuple] = []  # (score, tokens)
 
-    The top-k cut never partitions the whole (width x v_resp) score array.
-    The best live row alone holds beam_size extensions scoring at least its
-    own beam_size-th best score tau, so tau bounds the k-th best score from
-    below: one compare pass keeps the survivors >= tau (every finite score
-    when tau is -inf), and only they are partitioned for the exact k-th
-    score. The candidates, ties at the cut included, are the same as a
-    full partition would give. Every step's log-probabilities go into one
-    buffer, grown only when the live width does.
+    def select(self, logp: np.ndarray, beam_size: int) -> list[int]:
+        """Keep the top beam_size of {finished so far} + {extensions} by
+        cumulative log-prob. logp holds the step's log-probabilities, one
+        C-contiguous row per live hypothesis; the live scores are added to it
+        in place. Returns the row of each kept live hypothesis's parent.
+
+        The top-k cut never partitions the whole (width x v_resp) score
+        array. The best live row alone holds beam_size extensions scoring at
+        least its own beam_size-th best score tau, so tau bounds the k-th
+        best score from below: one compare pass keeps the survivors >= tau
+        (every finite score when tau is -inf), and only they are partitioned
+        for the exact k-th score. The candidates, ties at the cut included,
+        are the same as a full partition would give.
+        """
+        v_resp = logp.shape[1]
+        logp += self.scores[:, None]
+        flat = logp.ravel()
+        tau = _kth_largest(logp[np.argmax(self.scores)], beam_size)
+        surv = np.flatnonzero(flat >= tau if tau > -np.inf else flat > -np.inf)
+        vals = flat[surv]
+        kth = _kth_largest(vals, beam_size)
+        cand = surv[(vals >= kth) & (vals > -np.inf)]
+
+        pool = [(sc, tok, True, -1) for sc, tok in self.finished]
+        for i, sc in zip(cand.tolist(), flat[cand].tolist()):
+            parent, tok = divmod(i, v_resp)
+            if tok == EOS_ID:
+                pool.append((sc, self.tokens[parent], True, -1))
+            else:
+                pool.append((sc, self.tokens[parent] + (tok,), False, parent))
+        pool.sort(key=lambda h: (-h[0], h[1]))
+        kept = pool[:beam_size]
+
+        self.finished = [(sc, tok) for sc, tok, done, _ in kept if done]
+        live = [h for h in kept if not h[2]]
+        self.tokens = [h[1] for h in live]
+        self.scores = np.array([h[0] for h in live])
+        return [h[3] for h in live]
+
+    def results(self) -> list:
+        self.finished.sort(key=lambda h: (-h[0], h[1]))
+        return [(list(tokens), score) for score, tokens in self.finished]
+
+
+def _joined_step(params: ModelParams, memories: list, widths: list, s_prev: np.ndarray,
+                 y_prev: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One decoder step over the stacked live rows of several posts, widths[i]
+    consecutive rows reading memories[i]. The log-probabilities go into out;
+    returns s_t.
+
+    Each post's context reads its own memory, unpadded: padding the memories
+    to a common length would change the products over positions. The
+    decoder GRU and the output layer then run once over every row.
+    """
+    slices = np.split(s_prev, np.cumsum(widths)[:-1])
+    c = np.concatenate([_context(params, m, s)[0] for m, s in zip(memories, slices)])
+    s_t, cache = _decoder_gru(params, c, s_prev, y_prev)
+    _output_layer(params, s_t, cache["y_emb"], c, out=out)
+    return s_t
+
+
+def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
+                      max_len: int = 30, suppress_unk: bool = False) -> list:
+    """beam_search for each of several posts (id sequences), run together.
+    Returns one hypothesis list per post, in input order.
+
+    Each post keeps its own hypotheses, top-k cut and finished pool; the
+    posts share only the products of a step. A post's encoder, start state
+    and first step (one row) run alone, as in a solo search. From the second
+    step on, the live rows of every unfinished post are stacked, and the
+    decoder GRU and output layer run once over them, into one (rows, v_resp)
+    buffer reused across steps and grown only when the row count does.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if max_len == 0:
-        return [([], 0.0)]
-    # one post's memory, broadcast over the live hypotheses
-    memory = context_memory(params, encode_post(params, post_ids))
+    if max_len == 0 or not posts:
+        return [[([], 0.0)] for _ in posts]
+    memories = [context_memory(params, encode_post(params, ids)) for ids in posts]
+    beams = [_PostBeam() for _ in posts]
     v_resp = params.dims.v_resp
     banned = _banned_ids(suppress_unk)
     buf = np.empty((0, v_resp))
 
-    # live hypotheses, kept in parallel lists/arrays
-    live_tokens: list[tuple] = [()]
-    live_scores = np.zeros(1)
-    live_states = _start_state(params, memory)
-    live_prev = np.array([BOS_ID])
-    finished: list[tuple] = []  # (score, tokens)
-
+    active = list(range(len(posts)))  # posts with live hypotheses, in input order
+    states = np.concatenate([_start_state(params, m) for m in memories])
+    prev = np.full(len(posts), BOS_ID)
     # position max_len + 1 exists only to close still-live hypotheses
     for pos in range(1, max_len + 2):
-        states_new, cache = _recurrence(params, memory, live_states, live_prev)
-        if len(buf) < len(states_new):
-            buf = np.empty((len(states_new), v_resp))
-        logp = _output_layer(params, states_new, cache["y_emb"], cache["c"],
-                             out=buf[:len(states_new)])[1]
+        widths = [len(beams[p].tokens) for p in active]
+        rows = sum(widths)
+        if len(buf) < rows:
+            buf = np.empty((rows, v_resp))
+        logp = buf[:rows]
+        if pos == 1:
+            # A one-row product takes other BLAS kernels than the same row
+            # among many, so each post's first step runs alone.
+            states_new = np.concatenate([
+                _joined_step(params, [memories[p]], [1], states[i:i + 1], prev[i:i + 1],
+                             logp[i:i + 1]) for i, p in enumerate(active)])
+        else:
+            states_new = _joined_step(params, [memories[p] for p in active], widths,
+                                      states, prev, logp)
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -124,35 +203,43 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
             logp[:] = -np.inf
             logp[:, EOS_ID] = eos_col
 
-        logp += live_scores[:, None]
-        flat = logp.ravel()
-        tau = _kth_largest(logp[np.argmax(live_scores)], beam_size)
-        surv = np.flatnonzero(flat >= tau if tau > -np.inf else flat > -np.inf)
-        vals = flat[surv]
-        kth = _kth_largest(vals, beam_size)
-        cand = surv[(vals >= kth) & (vals > -np.inf)]
-
-        pool = [(sc, tok, True, -1) for sc, tok in finished]
-        for i, sc in zip(cand.tolist(), flat[cand].tolist()):
-            parent, tok = divmod(i, v_resp)
-            if tok == EOS_ID:
-                pool.append((sc, live_tokens[parent], True, -1))
-            else:
-                pool.append((sc, live_tokens[parent] + (tok,), False, parent))
-        pool.sort(key=lambda h: (-h[0], h[1]))
-        kept = pool[:beam_size]
-
-        finished = [(sc, tok) for sc, tok, done, _ in kept if done]
-        live = [h for h in kept if not h[2]]
-        if not live:
+        parents, still, start = [], [], 0
+        for p, width in zip(active, widths):
+            kept = beams[p].select(logp[start:start + width], beam_size)
+            parents.extend(start + k for k in kept)
+            if kept:
+                still.append(p)
+            start += width
+        active = still
+        if not active:
             break
-        live_tokens = [h[1] for h in live]
-        live_scores = np.array([h[0] for h in live])
-        live_states = states_new[[h[3] for h in live]]
-        live_prev = np.array([h[1][-1] for h in live])
+        states = states_new[parents]
+        prev = np.array([tokens[-1] for p in active for tokens in beams[p].tokens])
 
-    finished.sort(key=lambda h: (-h[0], h[1]))
-    return [(list(tokens), score) for score, tokens in finished]
+    return [beam.results() for beam in beams]
+
+
+def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
+                max_len: int = 30, suppress_unk: bool = False):
+    """Left-to-right beam search, width `beam_size`, no length normalization.
+
+    Each step extends every live hypothesis over the emittable vocabulary and
+    keeps the top beam_size of {finished so far} + {extensions} by cumulative
+    log-prob. Returns finished hypotheses as (token ids, log-prob), sorted by
+    score descending (ties: lexicographically smaller ids first). This is the
+    one-post case of beam_search_posts.
+    """
+    return beam_search_posts(params, [post_ids], beam_size, max_len, suppress_unk)[0]
+
+
+def first_token_best(hyps) -> list:
+    """The best hypothesis per distinct first token of a ranked beam_search
+    result, in its order."""
+    best: dict[int, tuple] = {}
+    for tokens, score in hyps:  # already in final tie-broken order
+        if tokens[0] not in best:
+            best[tokens[0]] = (tokens, score)
+    return list(best.values())
 
 
 def multi_response(params: ModelParams, post_ids, beam_size: int = 500,
@@ -162,12 +249,7 @@ def multi_response(params: ModelParams, post_ids, beam_size: int = 500,
     Returns (token ids, log-prob) pairs sorted by score descending; within a
     first-token group, score ties go to the lexicographically smaller ids.
     """
-    hyps = beam_search(params, post_ids, beam_size, max_len, suppress_unk)
-    best: dict[int, tuple] = {}
-    for tokens, score in hyps:  # already in final tie-broken order
-        if tokens[0] not in best:
-            best[tokens[0]] = (tokens, score)
-    return list(best.values())
+    return first_token_best(beam_search(params, post_ids, beam_size, max_len, suppress_unk))
 
 
 def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,

@@ -448,13 +448,20 @@ def _recurrence(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, 
     the step's intermediates (y_emb and c, which the output layer reads, and
     what the backward pass reads); the step computes all of them anyway.
     """
+    c, alpha = _context(params, memory, s_prev)
+    s_t, cache = _decoder_gru(params, c, s_prev, y_prev)
+    cache["alpha"] = alpha
+    return s_t, cache
+
+
+def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, y_prev):
+    """The decoder GRU of a step, given each row's context c. Returns
+    (s_t, cache), cache as _recurrence's without alpha."""
     y_prev = np.asarray(y_prev, dtype=np.int64)
     y_emb = params.E_y[y_prev]
-    c, alpha = _context(params, memory, s_prev)
     u = np.concatenate([y_emb, c @ params.L.T], axis=1)
     s_t, z, r, hbar = _gru_step_full(params.dec, u, s_prev)
-    cache = {"y_emb": y_emb, "c": c, "alpha": alpha, "u": u, "s_prev": s_prev,
-             "z": z, "r": r, "hbar": hbar}
+    cache = {"y_emb": y_emb, "c": c, "u": u, "s_prev": s_prev, "z": z, "r": r, "hbar": hbar}
     return s_t, cache
 
 

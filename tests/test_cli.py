@@ -5,7 +5,12 @@ import os
 
 import pytest
 
+from replygen import Dims, Rng
 from replygen.cli import main
+from replygen.corpus import EOS_ID, Vocabulary, encode
+from replygen.decoding import beam_search, beam_search_posts
+from replygen.model import save_checkpoint
+from replygen.training import init_params
 
 
 def run(capsys, *argv):
@@ -300,6 +305,40 @@ def test_generate_posts_file_with_headers(workdir, capsys):
     assert "post\thow are you today\n" in content
 
 
+@pytest.mark.parametrize("scheme", ["glo", "hyb"])
+def test_generate_posts_file_equals_per_post_search_at_full_width(scheme, tmp_path, capsys):
+    """At d_h 256 and 8000 words, with the end marker out of every top-k cut
+    so that each post keeps its full beam, the joined search of `generate
+    --posts-file` prints the per-post beam_search lines byte for byte."""
+    dims = Dims(d_h=256, d_emb=128, d_a=256, d_L=128, d_r=256, v_post=8000, v_resp=8000)
+    params = init_params(scheme, dims, Rng(3))
+    params.b_o[EOS_ID] -= 50.0
+    words = [f"w{i}" for i in range(dims.v_resp - 4)]
+    vocab = Vocabulary.from_tokens("post", words)
+    vocab.save(tmp_path / "words.vocab")
+    save_checkpoint(params, tmp_path / "model.ckpt")
+    posts = [words[100 * n:101 * n] for n in (1, 5, 12)]
+    (tmp_path / "posts.txt").write_text("".join(" ".join(p) + "\n" for p in posts),
+                                        encoding="utf-8")
+    beam, max_len = 10, 5
+    rc, out, err = run(capsys, "generate", "--checkpoint", str(tmp_path / "model.ckpt"),
+                       "--post-vocab", str(tmp_path / "words.vocab"),
+                       "--resp-vocab", str(tmp_path / "words.vocab"),
+                       "--posts-file", str(tmp_path / "posts.txt"),
+                       "--beam", str(beam), "--max-len", str(max_len), "--quiet")
+    assert rc == 0, err
+    solo = [beam_search(params, encode(post, vocab), beam, max_len) for post in posts]
+    joined = beam_search_posts(params, [encode(post, vocab) for post in posts], beam, max_len)
+    assert joined == solo  # bit for bit, not only to the printed digits
+    expected = ""
+    for post, hyps in zip(posts, solo):
+        assert [len(tokens) for tokens, _ in hyps] == [max_len] * beam
+        expected += "post\t" + " ".join(post) + "\n"
+        for rank, (ids, log_prob) in enumerate(hyps, start=1):
+            expected += f"{rank}\t{log_prob:.10f}\t{' '.join(vocab.decode(ids))}\n"
+    assert out == expected
+
+
 def test_multi_generate_distinct_first_words(workdir, capsys):
     ckpt, args, _ = train_tiny(workdir, capsys)
     rc, out, err = run(capsys, "multi-generate", "--checkpoint", str(ckpt),
@@ -493,7 +532,9 @@ def test_unknown_subcommand_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [["frobnicate"], ["train", "--no-such-flag", "x"],
-                                  ["train", "--epochs"]])
+                                  ["train", "--epochs"],
+                                  # a flag takes only its full name, as a config key does
+                                  ["grad-check", "--sch", "glo"], ["train", "--epoch", "3"]])
 def test_argparse_errors_are_one_line(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)

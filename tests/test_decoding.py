@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replygen import Dims, Rng
 from replygen.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 from replygen.decoding import (
     beam_search,
+    beam_search_posts,
     exhaustive_oracle,
     greedy_decode,
     multi_response,
@@ -20,7 +23,7 @@ from replygen.model import (
 )
 from replygen.training import TrainConfig, init_params, train
 
-from conftest import TINY, random_post, toy_corpus
+from conftest import FIRST_CONTENT, TINY, random_post, toy_corpus
 
 
 @pytest.fixture(scope="module")
@@ -261,20 +264,59 @@ def test_beam_selection_matches_a_full_partition_exactly(make_params):
 
 @pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
 def test_beam_search_peak_memory_is_one_score_buffer(scheme):
-    """A wide search holds one (beam x v_resp) buffer of scores, not a
-    second full-size copy for the top-k cut."""
+    """A wide search holds one (rows x v_resp) buffer of scores, not a
+    second full-size copy for the top-k cut: one post at beam 200, and a
+    joined chunk of five posts at beam 40, 200 rows either way."""
     dims = Dims(d_h=16, d_emb=8, d_a=16, d_L=8, d_r=16, v_post=40, v_resp=4000)
     params = init_params(scheme, dims, Rng(11), low=-0.5, high=0.5)
-    post, beam = [4, 9, 17, 23], 200
-    beam_search(params, post, beam_size=beam, max_len=6)  # warm up lazy set-up
-    tracemalloc.start()
-    try:
-        hyps = beam_search(params, post, beam_size=beam, max_len=6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(hyps) == beam  # the search ran at full width
-    assert peak < 1.5 * beam * dims.v_resp * 8
+    chunk = [[4, 9, 17, 23], [5], [6, 7, 8, 9, 10, 11], [12, 13], [30, 31, 32]]
+    for posts, beam in (([chunk[0]], 200), (chunk, 40)):
+        beam_search_posts(params, posts, beam_size=beam, max_len=6)  # warm up lazy set-up
+        tracemalloc.start()
+        try:
+            results = beam_search_posts(params, posts, beam_size=beam, max_len=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(hyps) == beam for hyps in results)  # the search ran at full width
+        assert peak < 1.5 * len(posts) * beam * dims.v_resp * 8
+
+
+# --- the joined search over several posts -----------------------------------------
+
+POSTS = st.lists(st.lists(st.integers(FIRST_CONTENT, TINY.v_post - 1), min_size=1, max_size=8),
+                 min_size=1, max_size=6, unique_by=len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scheme=st.sampled_from(["glo", "loc", "hyb"]), seed=st.integers(0, 2 ** 16),
+       v_resp=st.integers(5, 9), posts=POSTS, beam=st.integers(1, 7),
+       max_len=st.integers(1, 5), suppress_unk=st.booleans())
+def test_joined_search_matches_solo_searches(scheme, seed, v_resp, posts, beam, max_len,
+                                             suppress_unk):
+    """Posts of different lengths searched together give each post the
+    hypotheses of its solo search, in the same order, with scores equal up
+    to the last bits (a row's product bits may depend on how many rows share
+    it) that re-score exactly; at saturating width the best is the global
+    optimum."""
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=TINY.v_post, v_resp=v_resp)
+    params = init_params(scheme, dims, Rng(seed), low=-1.0, high=1.0)
+    joined = beam_search_posts(params, posts, beam, max_len, suppress_unk)
+    assert len(joined) == len(posts)
+    for post, hyps in zip(posts, joined):
+        solo = beam_search(params, post, beam, max_len, suppress_unk)
+        assert [tokens for tokens, _ in hyps] == [tokens for tokens, _ in solo]
+        for (tokens, score), (_, solo_score) in zip(hyps, solo):
+            assert abs(score - solo_score) <= 1e-12
+            assert abs(score - rescore(params, post, tokens)) <= 1e-9
+
+    depth = min(max_len, 3)
+    emittable = v_resp - (4 if suppress_unk else 3)  # not pad, begin, end (or unk)
+    width = sum(emittable ** k for k in range(1, depth + 1))  # every content sequence
+    for post, hyps in zip(posts, beam_search_posts(params, posts, width, depth, suppress_unk)):
+        o_tokens, o_score = exhaustive_oracle(params, post, depth, suppress_unk)
+        assert hyps[0][0] == o_tokens
+        assert abs(hyps[0][1] - o_score) <= 1e-9
 
 
 # --- multi-response -----------------------------------------------------------
