@@ -469,7 +469,11 @@ def _cmd_inspect(args, cfg):
     total = 0
     for name, arr in params.named_tensors().items():
         shape = "x".join(str(s) for s in arr.shape)
-        print(f"tensor\t{name}\t{shape}\t{float(np.linalg.norm(arr)):.6e}")
+        # a sum of squares overflows past about 1e154: scale such tensors down
+        top = float(np.abs(arr).max(initial=0.0))
+        scale = top if top > 1e100 else 1.0
+        norm = scale * float(np.linalg.norm(arr / scale))
+        print(f"tensor\t{name}\t{shape}\t{norm:.6e}")
         total += arr.size
     print(f"parameters\t{total}")
     return 0

@@ -234,11 +234,11 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
 
 def first_token_best(hyps) -> list:
     """The best hypothesis per distinct first token of a ranked beam_search
-    result, in its order."""
-    best: dict[int, tuple] = {}
+    result, in its order. The empty response of the max_len 0 result is a
+    group of its own."""
+    best: dict[tuple, tuple] = {}
     for tokens, score in hyps:  # already in final tie-broken order
-        if tokens[0] not in best:
-            best[tokens[0]] = (tokens, score)
+        best.setdefault(tuple(tokens[:1]), (tokens, score))
     return list(best.values())
 
 

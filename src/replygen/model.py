@@ -15,10 +15,11 @@ float64 in memory.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,10 +115,12 @@ class AttentionParams:
 class ModelParams:
     """All trainable tensors for one scheme.
 
-    enc_g and attn are None when the scheme does not use them. ``L`` projects
-    the context vector into the decoder input; W_0 maps the initial context to
-    the decoder start state; W_s/W_y/W_c/b_r form the pre-softmax readout and
-    W_o/b_o the output layer.
+    _expected_shapes is the one declaration of the tensors: their names,
+    shapes, order and the schemes that have them. enc_g and attn are None
+    when the scheme does not use them. ``L`` projects the context vector into
+    the decoder input; W_0 maps the initial context to the decoder start
+    state; W_s/W_y/W_c/b_r form the pre-softmax readout and W_o/b_o the
+    output layer.
     """
 
     scheme: str
@@ -138,20 +141,10 @@ class ModelParams:
     b_o: np.ndarray
 
     def named_tensors(self) -> dict[str, np.ndarray]:
-        """All tensors in a fixed order; names are stable across save/load."""
-        out: dict[str, np.ndarray] = {"E_x": self.E_x, "E_y": self.E_y}
-        for prefix, cell in (("enc", self.enc), ("enc_g", self.enc_g), ("dec", self.dec)):
-            if cell is None:
-                continue
-            for gate in ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h"):
-                out[f"{prefix}.{gate}"] = getattr(cell, gate)
-        out["L"] = self.L
-        if self.attn is not None:
-            for name in ("W_a", "U_a", "v_a", "b_a"):
-                out[f"attn.{name}"] = getattr(self.attn, name)
-        for name in ("W_0", "W_s", "W_y", "W_c", "b_r", "W_o", "b_o"):
-            out[name] = getattr(self, name)
-        return out
+        """Every tensor, named and ordered as _expected_shapes lists them; a
+        dotted name is a field of a cell. The order is the checkpoint's."""
+        return {name: functools.reduce(getattr, name.split("."), self)
+                for name in _expected_shapes(self.scheme, self.dims)}
 
 
 @dataclass
@@ -171,6 +164,9 @@ class EncodedPost:
 
 
 def _expected_shapes(scheme: str, dims: Dims) -> dict[str, tuple]:
+    """Name -> shape of every tensor of the scheme, in checkpoint order: the
+    one table that names the tensors and ties them to schemes. A dotted name
+    "cell.field" lives in that ModelParams cell."""
     # hyb appends the second encoder's state to the context vector
     d_ctx = 2 * dims.d_h if scheme == "hyb" else dims.d_h
     shapes: dict[str, tuple] = {
@@ -204,23 +200,23 @@ def _expected_shapes(scheme: str, dims: Dims) -> dict[str, tuple]:
     return shapes
 
 
-def _params_from_tensors(scheme: str, dims: Dims, t: dict[str, np.ndarray]) -> ModelParams:
-    def gru(prefix: str) -> GruParams:
-        return GruParams(**{g: t[f"{prefix}.{g}"] for g in
-                            ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")})
+# The cell classes, by the annotation text of the ModelParams fields they fill
+_CELLS = {cls.__name__: cls for cls in (GruParams, AttentionParams)}
 
-    attn = None
-    if scheme in ("loc", "hyb"):
-        attn = AttentionParams(W_a=t["attn.W_a"], U_a=t["attn.U_a"],
-                               v_a=t["attn.v_a"], b_a=t["attn.b_a"])
-    return ModelParams(
-        scheme=scheme, dims=dims,
-        E_x=t["E_x"], E_y=t["E_y"],
-        enc=gru("enc"), enc_g=gru("enc_g") if scheme == "hyb" else None,
-        dec=gru("dec"), L=t["L"], attn=attn,
-        W_0=t["W_0"], W_s=t["W_s"], W_y=t["W_y"], W_c=t["W_c"],
-        b_r=t["b_r"], W_o=t["W_o"], b_o=t["b_o"],
-    )
+
+def _params_from_tensors(scheme: str, dims: Dims, t: dict[str, np.ndarray]) -> ModelParams:
+    """The ModelParams over tensors t, named as _expected_shapes names them.
+    A cell field "x" takes the tensors "x.<its field>", and is None when t
+    has none of them."""
+    kwargs = {}
+    for f in fields(ModelParams)[2:]:  # after scheme and dims
+        cell = _CELLS.get(f.type.split(" | ")[0])
+        if cell is None:
+            kwargs[f.name] = t[f.name]
+        else:
+            names = [f"{f.name}.{g.name}" for g in fields(cell)]
+            kwargs[f.name] = cell(*(t[n] for n in names)) if names[0] in t else None
+    return ModelParams(scheme, dims, **kwargs)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15   # splitmix64's counter increment
@@ -440,28 +436,15 @@ def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
 _SOFTMAX_ROWS = 8
 
 
-def _recurrence(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
-    """The recurrent half of a decoder step: the context, then the decoder
-    GRU. Returns (s_t, cache).
-
-    memory may hold one post broadcast over every row of s_prev. cache holds
-    the step's intermediates (y_emb and c, which the output layer reads, and
-    what the backward pass reads); the step computes all of them anyway.
-    """
-    c, alpha = _context(params, memory, s_prev)
-    s_t, cache = _decoder_gru(params, c, s_prev, y_prev)
-    cache["alpha"] = alpha
-    return s_t, cache
-
-
 def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, y_prev):
     """The decoder GRU of a step, given each row's context c. Returns
-    (s_t, cache), cache as _recurrence's without alpha."""
+    (s_t, cache); cache holds the step's intermediates that the output layer
+    (y_emb) and the backward pass (u, s_prev and the gates) read."""
     y_prev = np.asarray(y_prev, dtype=np.int64)
     y_emb = params.E_y[y_prev]
     u = np.concatenate([y_emb, c @ params.L.T], axis=1)
     s_t, z, r, hbar = _gru_step_full(params.dec, u, s_prev)
-    cache = {"y_emb": y_emb, "c": c, "u": u, "s_prev": s_prev, "z": z, "r": r, "hbar": hbar}
+    cache = {"y_emb": y_emb, "u": u, "s_prev": s_prev, "z": z, "r": r, "hbar": hbar}
     return s_t, cache
 
 
@@ -486,10 +469,14 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
 
 
 def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
-    """One decoder step, _recurrence then _output_layer. Returns
-    (s_t, log_probs, cache), cache as _recurrence's."""
-    s_t, cache = _recurrence(params, memory, s_prev, y_prev)
-    return s_t, _output_layer(params, s_t, cache["y_emb"], cache["c"])[1], cache
+    """One decoder step: the context, the decoder GRU, then the output
+    layer. memory may hold one post broadcast over every row of s_prev.
+    Returns (s_t, log_probs, cache), cache as _decoder_gru's plus the
+    step's attention weights "alpha" (None under glo)."""
+    c, alpha = _context(params, memory, s_prev)
+    s_t, cache = _decoder_gru(params, c, s_prev, y_prev)
+    cache["alpha"] = alpha
+    return s_t, _output_layer(params, s_t, cache["y_emb"], c)[1], cache
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,
@@ -658,14 +645,13 @@ def _read_checkpoint(rd: _Reader) -> ModelParams:
         rd.require(math.prod(shape) * precision, f"payload of {name}")
         arr = np.empty(shape, dtype=dtype)
         rd.read_into(memoryview(arr.reshape(-1)).cast("B"), f"payload of {name}")
-        if arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
+        # checked before the cast, which a signaling NaN would trip
         if not np.isfinite(arr).all():
             first = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise CheckpointFormatError(
                 f"{path}: tensor {name!r} holds a non-finite value at offset "
                 f"{payload_off + first * precision} (payload at offset {payload_off})")
-        tensors[name] = arr
+        tensors[name] = arr.astype(np.float64, copy=False)
     if rd.off != rd.size:
         raise CheckpointFormatError(
             f"{path}: {rd.size - rd.off} trailing byte(s) at offset {rd.off}")

@@ -21,9 +21,11 @@ from .model import (
     ContextMemory,
     Dims,
     ModelParams,
+    _context,
+    _decoder_gru,
     _encode,
     _output_layer,
-    _recurrence,
+    _params_from_tensors,
     _score_tanh,
     _start_state,
     context_memory,
@@ -61,10 +63,11 @@ def _forward(params: ModelParams, batch, keep: bool):
     GRU, step by step, and _output_loss then runs the output layer once over
     the real target rows of all steps. aux carries the intermediates the
     backward pass needs: the memory, the encoder caches, s_0, the stacked
-    (steps, B, width) c, and, only with keep, every step's recurrence cache
-    and _output_loss's cache as "output". Without keep, each step's cache
-    is dropped as the loop moves on. Both ways the loss is computed by the
-    same operations, so it is bit-identical.
+    (steps, B, width) c, and, only with keep, every step's _decoder_gru
+    cache with its attention weights "alpha" and _output_loss's cache as
+    "output". Without keep, each step's cache is dropped as the loop moves
+    on. Both ways the loss is computed by the same operations, so it is
+    bit-identical.
     """
     enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
     if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
@@ -79,10 +82,12 @@ def _forward(params: ModelParams, batch, keep: bool):
     dec_caches = []
     s = s0
     for t in range(steps):
-        s, cache = _recurrence(params, memory, s, batch.resp_ids[:, t])
+        c_t, alpha = _context(params, memory, s)
+        s, cache = _decoder_gru(params, c_t, s, batch.resp_ids[:, t])
         s_t[t] = s
-        c[t] = cache["c"]
+        c[t] = c_t
         if keep:
+            cache["alpha"] = alpha
             dec_caches.append(cache)
     y_emb = params.E_y[batch.resp_ids[:, :-1].T]
     target_logp, output = _output_loss(params, batch, s_t, y_emb, c, keep)
@@ -127,9 +132,9 @@ def _output_loss(params: ModelParams, batch, s_t, y_emb, c, keep: bool):
 def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
     """Adjoint of _output_loss, given its cache and the loss weight lam of
     every real target. Accumulates the W_o, b_o, W_s, W_y, W_c and b_r
-    gradients from one product each over the real rows, and returns the
-    gradients w.r.t. s_t, y_emb and c as (steps, B, width) arrays that are
-    exactly 0 at the padding rows.
+    gradients into the gradient ModelParams grads, from one product each
+    over the real rows, and returns the gradients w.r.t. s_t, y_emb and c
+    as (steps, B, width) arrays that are exactly 0 at the padding rows.
     """
     real, rout = cache["real"], cache["rout"]
     s_t, y_emb, c = cache["inputs"]
@@ -138,13 +143,13 @@ def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
     dlogits[np.arange(len(real)), cache["targets"]] -= 1.0
     dlogits *= lam
 
-    grads["W_o"] += dlogits.T @ rout
-    grads["b_o"] += dlogits.sum(axis=0)
+    grads.W_o += dlogits.T @ rout
+    grads.b_o += dlogits.sum(axis=0)
     da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
-    grads["W_s"] += da.T @ s_t
-    grads["W_y"] += da.T @ y_emb
-    grads["W_c"] += da.T @ c
-    grads["b_r"] += da.sum(axis=0)
+    grads.W_s += da.T @ s_t
+    grads.W_y += da.T @ y_emb
+    grads.W_c += da.T @ c
+    grads.b_r += da.sum(axis=0)
     douts = []
     for w in (params.W_s, params.W_y, params.W_c):
         d = np.zeros((steps, b, w.shape[1]))
@@ -159,30 +164,30 @@ def batch_loss(params: ModelParams, batch):
     return loss, token_count
 
 
-def _gru_backward(grads, prefix, cell, x, h_prev, z, r, hbar, dh):
-    """Backprop one cell step. Accumulates into grads; returns (dx, dh_prev)."""
+def _gru_backward(dcell, cell, x, h_prev, z, r, hbar, dh):
+    """Backprop one cell step. Accumulates into dcell; returns (dx, dh_prev)."""
     dz = dh * (hbar - h_prev)
     dhbar = dh * z
     dh_prev = dh * (1.0 - z)
 
     dpre_h = dhbar * (1.0 - hbar * hbar)
-    grads[prefix + ".W_h"] += dpre_h.T @ x
-    grads[prefix + ".U_h"] += dpre_h.T @ (r * h_prev)
-    grads[prefix + ".b_h"] += dpre_h.sum(axis=0)
+    dcell.W_h += dpre_h.T @ x
+    dcell.U_h += dpre_h.T @ (r * h_prev)
+    dcell.b_h += dpre_h.sum(axis=0)
     drh = dpre_h @ cell.U_h
     dr = drh * h_prev
     dh_prev += drh * r
 
     dpre_z = dz * z * (1.0 - z)
-    grads[prefix + ".W_z"] += dpre_z.T @ x
-    grads[prefix + ".U_z"] += dpre_z.T @ h_prev
-    grads[prefix + ".b_z"] += dpre_z.sum(axis=0)
+    dcell.W_z += dpre_z.T @ x
+    dcell.U_z += dpre_z.T @ h_prev
+    dcell.b_z += dpre_z.sum(axis=0)
     dh_prev += dpre_z @ cell.U_z
 
     dpre_r = dr * r * (1.0 - r)
-    grads[prefix + ".W_r"] += dpre_r.T @ x
-    grads[prefix + ".U_r"] += dpre_r.T @ h_prev
-    grads[prefix + ".b_r"] += dpre_r.sum(axis=0)
+    dcell.W_r += dpre_r.T @ x
+    dcell.U_r += dpre_r.T @ h_prev
+    dcell.b_r += dpre_r.sum(axis=0)
     dh_prev += dpre_r @ cell.U_r
 
     dx = dpre_z @ cell.W_z + dpre_r @ cell.W_r + dpre_h @ cell.W_h
@@ -209,11 +214,11 @@ def _attention_backward(grads, params, memory, dmemory, cache, dc):
 
     # softmax jacobian, then the scorer
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    grads["attn.v_a"] += de.reshape(-1) @ ta.reshape(-1, d_a)
+    grads.attn.v_a += de.reshape(-1) @ ta.reshape(-1, d_a)
     dpre = (de[:, :, None] * a.v_a) * (1.0 - ta * ta)
     dmemory.keys += dpre
     dproj = dpre.sum(axis=1)
-    grads["attn.W_a"] += dproj.T @ s_prev
+    grads.attn.W_a += dproj.T @ s_prev
     return dproj @ a.W_a
 
 
@@ -230,16 +235,16 @@ def _memory_backward(grads, params, memory, dmemory):
         return None, dinit, dinit[:, d_h:]
     dvalues = dmemory.values
     dk = dmemory.keys.reshape(-1, dmemory.keys.shape[2])
-    grads["attn.U_a"] += dk.T @ memory.values.reshape(-1, dvalues.shape[2])
-    grads["attn.b_a"] += dk.sum(axis=0)
+    grads.attn.U_a += dk.T @ memory.values.reshape(-1, dvalues.shape[2])
+    grads.attn.b_a += dk.sum(axis=0)
     dvalues += (dk @ params.attn.U_a).reshape(dvalues.shape)
     return (dvalues[:, :, :d_h], dinit[:, :d_h],
             dinit[:, d_h:] + dvalues[:, :, d_h:].sum(axis=1))
 
 
-def _encoder_backward(grads, prefix, cell, ids, mask, caches, dstates, dfinal):
-    """Backprop a masked recurrence. Padded steps pass the carry through.
-    dstates is None when no gradient reaches the per-step states."""
+def _encoder_backward(dcell, dE_x, cell, ids, mask, caches, dstates, dfinal):
+    """Backprop a masked recurrence into dcell and dE_x. Padded steps pass
+    the carry through. dstates is None when no gradient reaches the states."""
     if dstates is None:
         dstates = np.zeros(ids.shape + dfinal.shape[1:])
     dcarry = dfinal.copy()
@@ -247,9 +252,9 @@ def _encoder_backward(grads, prefix, cell, ids, mask, caches, dstates, dfinal):
         x, h_prev, z, r, hbar = caches[t]
         m = mask[:, t][:, None]
         dh_hat = (dcarry + dstates[:, t, :]) * m
-        dx, dh_prev = _gru_backward(grads, prefix, cell, x, h_prev, z, r, hbar, dh_hat)
+        dx, dh_prev = _gru_backward(dcell, cell, x, h_prev, z, r, hbar, dh_hat)
         dcarry = dcarry * (1.0 - m) + dh_prev
-        np.add.at(grads["E_x"], ids[:, t], dx)
+        np.add.at(dE_x, ids[:, t], dx)
 
 
 def backward(params: ModelParams, batch):
@@ -270,8 +275,8 @@ def backward(params: ModelParams, batch):
     the encoders once.
     """
     loss, token_count, aux = _forward(params, batch, keep=True)
-    tensors = params.named_tensors()
-    grads = {name: np.zeros_like(arr) for name, arr in tensors.items()}
+    grads = _params_from_tensors(params.scheme, params.dims, {
+        name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
 
     memory = aux["memory"]
     caches = aux["dec_caches"]
@@ -291,7 +296,7 @@ def backward(params: ModelParams, batch):
     ds_carry = np.zeros((b, d_h))
     for t in reversed(range(steps)):
         cache = caches[t]
-        du, ds_prev = _gru_backward(grads, "dec", params.dec, cache["u"],
+        du, ds_prev = _gru_backward(grads.dec, params.dec, cache["u"],
                                     cache["s_prev"], cache["z"], cache["r"],
                                     cache["hbar"], ds_carry + ds_out[t])
         dy_emb[t] += du[:, :d_emb]
@@ -302,23 +307,23 @@ def backward(params: ModelParams, batch):
         else:
             ds_prev += _attention_backward(grads, params, memory, dmemory, cache, dc)
         ds_carry = ds_prev
-    grads["L"] += dlc.reshape(steps * b, -1).T @ aux["c"].reshape(steps * b, -1)
-    np.add.at(grads["E_y"], batch.resp_ids[:, :-1].T.reshape(-1),
+    grads.L += dlc.reshape(steps * b, -1).T @ aux["c"].reshape(steps * b, -1)
+    np.add.at(grads.E_y, batch.resp_ids[:, :-1].T.reshape(-1),
               dy_emb.reshape(steps * b, d_emb))
 
     # start state s_0 = tanh(W_0 c_0)
     da0 = ds_carry * (1.0 - aux["s0"] ** 2)
-    grads["W_0"] += da0.T @ memory.init
+    grads.W_0 += da0.T @ memory.init
     dmemory.init += da0 @ params.W_0
 
     dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
     enc_caches, encg_caches = aux["enc_caches"]
-    _encoder_backward(grads, "enc", params.enc, batch.post_ids, batch.post_mask,
+    _encoder_backward(grads.enc, grads.E_x, params.enc, batch.post_ids, batch.post_mask,
                       enc_caches, dstates, dfinal)
     if params.scheme == "hyb":
-        _encoder_backward(grads, "enc_g", params.enc_g, batch.post_ids,
+        _encoder_backward(grads.enc_g, grads.E_x, params.enc_g, batch.post_ids,
                           batch.post_mask, encg_caches, None, dglobal_final)
-    return loss, grads
+    return loss, grads.named_tensors()
 
 
 def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4,
@@ -398,9 +403,9 @@ def init_hybrid_from_pretrained(loc_params: ModelParams, glo_params: ModelParams
     The attention model contributes the input/output embeddings, the local
     encoder, the decoder, the readout, and the attention scorer's W_a, v_a,
     b_a; the glo model contributes its encoder as the second (global-summary)
-    encoder, which from then on reads the attention model's embeddings. The
-    four tensors whose width doubles with the concatenated context (L, W_0,
-    W_c, attn.U_a) are freshly initialized.
+    encoder, which from then on reads the attention model's embeddings. A
+    tensor whose shape differs from its source's is freshly initialized:
+    L, W_0, W_c and attn.U_a, whose width doubles with the context.
 
     Returns (params, provenance) where provenance maps each tensor name to
     "loc", "glo", or "fresh".
@@ -419,22 +424,26 @@ def init_hybrid_from_pretrained(loc_params: ModelParams, glo_params: ModelParams
     dims = Dims(d_h=ld.d_h, d_emb=ld.d_emb, d_a=ld.d_a, d_L=ld.d_L,
                 d_r=ld.d_r, v_post=ld.v_post, v_resp=ld.v_resp)
     params = init_params("hyb", dims, rng, low, high)
-    tensors = params.named_tensors()
-    loc_t = loc_params.named_tensors()
-    glo_t = glo_params.named_tensors()
-
-    fresh = {"L", "W_0", "W_c", "attn.U_a"}
+    sources = {"loc": loc_params.named_tensors(), "glo": glo_params.named_tensors()}
     provenance: dict[str, str] = {}
-    for name in tensors:
-        if name in fresh:
-            provenance[name] = "fresh"
-        elif name.startswith("enc_g."):
-            np.copyto(tensors[name], glo_t["enc." + name[len("enc_g."):]])
-            provenance[name] = "glo"
+    for name, arr in params.named_tensors().items():
+        cell, _, field = name.rpartition(".")
+        src, src_name = ("glo", f"enc.{field}") if cell == "enc_g" else ("loc", name)
+        source = sources[src][src_name]
+        if source.shape == arr.shape:
+            np.copyto(arr, source)
         else:
-            np.copyto(tensors[name], loc_t[name])
-            provenance[name] = "loc"
+            src = "fresh"
+        provenance[name] = src
     return params, provenance
+
+
+def _perplexity(mean_nll: float) -> float:
+    """exp(mean_nll), or inf where that overflows a float."""
+    try:
+        return math.exp(mean_nll)
+    except OverflowError:
+        return float("inf")
 
 
 def train(params: ModelParams, pairs, vocabs, config: TrainConfig, rng: Rng,
@@ -467,10 +476,7 @@ def train(params: ModelParams, pairs, vocabs, config: TrainConfig, rng: Rng,
             total_nll += loss * n_tok
             total_tokens += n_tok
         mean_nll = total_nll / total_tokens
-        try:
-            ppl = math.exp(mean_nll)
-        except OverflowError:
-            ppl = float("inf")
+        ppl = _perplexity(mean_nll)
         history.append((epoch, mean_nll, ppl))
         if log_stream is not None:
             log_stream.write(f"{epoch}\t{mean_nll:.6f}\t{ppl:.6f}\n")
@@ -491,8 +497,4 @@ def corpus_perplexity(params: ModelParams, pairs, vocabs, batch_size: int = 32,
         total_nll += loss * n_tok
         total_tokens += n_tok
     mean_nll = total_nll / total_tokens
-    try:
-        ppl = math.exp(mean_nll)
-    except OverflowError:
-        ppl = float("inf")
-    return mean_nll, ppl
+    return mean_nll, _perplexity(mean_nll)

@@ -12,6 +12,28 @@ TINY = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=12, v_resp=12)
 # content ids live in 4..11 for the tiny 12-token vocabularies
 FIRST_CONTENT = 4
 
+# Every hyb tensor, in named_tensors and checkpoint order. glo and loc have
+# this list without the tensors of the cells they lack: enc_g under both,
+# attn under glo.
+HYB_TENSOR_NAMES = [
+    "E_x", "E_y",
+    "enc.W_z", "enc.U_z", "enc.b_z", "enc.W_r", "enc.U_r", "enc.b_r",
+    "enc.W_h", "enc.U_h", "enc.b_h",
+    "enc_g.W_z", "enc_g.U_z", "enc_g.b_z", "enc_g.W_r", "enc_g.U_r", "enc_g.b_r",
+    "enc_g.W_h", "enc_g.U_h", "enc_g.b_h",
+    "dec.W_z", "dec.U_z", "dec.b_z", "dec.W_r", "dec.U_r", "dec.b_r",
+    "dec.W_h", "dec.U_h", "dec.b_h",
+    "L",
+    "attn.W_a", "attn.U_a", "attn.v_a", "attn.b_a",
+    "W_0", "W_s", "W_y", "W_c", "b_r", "W_o", "b_o",
+]
+
+
+def tensor_names(scheme):
+    """The pinned tensor names of a scheme, in order."""
+    absent = {"glo": ("enc_g.", "attn."), "loc": ("enc_g.",), "hyb": ()}[scheme]
+    return [n for n in HYB_TENSOR_NAMES if not n.startswith(absent)]
+
 
 @pytest.fixture
 def tiny_dims():

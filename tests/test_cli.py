@@ -2,6 +2,7 @@
 
 import logging
 import os
+import warnings
 
 import pytest
 
@@ -242,6 +243,21 @@ def test_inspect_checkpoint(workdir, capsys):
     names = {r[0] for r in rows["tensor"]}
     assert {"E_x", "enc.W_z", "enc_g.W_z", "attn.W_a", "W_o"} <= names
     assert int(rows["parameters"][0][0]) > 0
+
+
+def test_inspect_checkpoint_norm_past_the_square_overflow(tmp_path, capsys):
+    """A finite tensor whose sum of squares overflows still gets its norm,
+    and no warning reaches stderr."""
+    params = init_params("glo", Dims(d_h=4, d_emb=3, d_a=0, d_L=3, d_r=4, v_post=8,
+                                     v_resp=8), Rng(0))
+    params.W_o[0, 0] = 1e200
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(params, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "inspect-checkpoint", "--checkpoint", str(path), "--quiet")
+    assert rc == 0 and err == ""
+    assert ["W_o", "8x4", "1.000000e+200"] in table(out)["tensor"]
 
 
 def test_warm_start_training(workdir, capsys):

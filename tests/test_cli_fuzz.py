@@ -1,23 +1,31 @@
-"""Hypothesis fuzzing of every subcommand's flags and config file.
+"""Hypothesis fuzzing of every subcommand's flags and config file, and of
+checkpoint bytes.
 
 Each drawn invocation holds at least one value the subcommand must refuse,
 and no input file exists, so every run must end with exit code 1, nothing
 on stdout and exactly one ``error: ...`` line on stderr, never a traceback.
 No draw uses a valid --threads or --deterministic, which would export BLAS
 thread counts; os.environ is restored after every example all the same.
+
+A checkpoint with flipped, cut or appended bytes must either still load
+(exit 0, nothing on stderr) or be refused with that one error line.
 """
 
 import contextlib
 import io
 import os
+import warnings
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replygen import cli
+from replygen import Rng, cli
 from replygen.cli import main
+from replygen.model import init_params, save_checkpoint
+
+from conftest import TINY
 
 # No control characters, so a drawn config line stays one line. The line
 # separator U+2028 is drawn often: it must not split the error line.
@@ -117,3 +125,47 @@ def test_refused_invocations_are_one_error_line(command, fuzz_dir, data):
     assert code == 1, (argv, err.getvalue())
     assert out.getvalue() == ""
     assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+
+
+def _run(argv):
+    """main(argv) in process; returns (exit code, stdout, stderr). Each
+    warning counts as a stderr line, as it prints there outside pytest."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+@pytest.mark.parametrize("precision", [4, 8])
+@pytest.mark.parametrize("scheme", ["glo", "hyb"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoints_load_or_are_one_error_line(scheme, precision, fuzz_dir, data):
+    path = fuzz_dir / f"{scheme}-{precision}.ckpt"
+    if not path.exists():
+        save_checkpoint(init_params(scheme, TINY, Rng(7)), path, precision=precision)
+    good = path.read_bytes()
+    mutated = bytearray(good)
+    kind = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "flip":
+        # the header and the first tensor's record often, any byte sometimes
+        where = st.integers(0, 80) | st.integers(0, len(good) - 1)
+        for pos in data.draw(st.lists(where, min_size=1, max_size=4)):
+            mutated[pos] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del mutated[data.draw(st.integers(0, len(good) - 1)):]
+    else:
+        mutated += data.draw(st.binary(min_size=1, max_size=16))
+    target = fuzz_dir / "mutated.ckpt"
+    target.write_bytes(mutated)
+
+    code, out, err = _run(["inspect-checkpoint", "--checkpoint", str(target), "--quiet"])
+    if code == 0:
+        assert err == "" and out.startswith("scheme\t"), (kind, err)
+    else:
+        lines = err.splitlines()
+        assert code == 1 and out == "", (kind, code, err)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (kind, err)

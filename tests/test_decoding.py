@@ -333,6 +333,13 @@ def test_multi_response_distinct_first_tokens(toy_model):
             assert abs(score - rescore(params, post, tokens)) < 1e-9
 
 
+def test_multi_response_degenerate_max_len(make_params):
+    """max_len 0 gives beam_search's degenerate no-step result."""
+    params = make_params("glo")
+    assert beam_search(params, [4, 5], max_len=0) == [([], 0.0)]
+    assert multi_response(params, [4, 5], max_len=0) == [([], 0.0)]
+
+
 def test_multi_response_keeps_the_best_per_first_token(toy_model):
     params, vocabs, _ = toy_model
     post = [vocabs[0].id_for(t) for t in ["delta", "alpha", "echo"]]

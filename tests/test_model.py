@@ -1,5 +1,7 @@
 import math
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from replygen.model import (
     sequence_log_likelihood,
 )
 
-from conftest import TINY, random_post
+from conftest import HYB_TENSOR_NAMES, TINY, random_post, tensor_names
 
 
 # --- parameter construction ----------------------------------------------
@@ -40,6 +42,13 @@ def test_init_params_tensor_sets():
     assert glo.attn is None and glo.enc_g is None
     assert loc.attn is not None and loc.enc_g is None
     assert hyb.attn is not None and hyb.enc_g is not None
+
+
+def test_named_tensors_pinned_order():
+    assert len(HYB_TENSOR_NAMES) == 41
+    for scheme in ("glo", "loc", "hyb"):
+        names = list(init_params(scheme, TINY, Rng(0)).named_tensors())
+        assert names == tensor_names(scheme), scheme
 
 
 def test_init_params_shapes_and_dtype():
@@ -421,6 +430,32 @@ def test_checkpoint_roundtrip_bitwise(scheme, tmp_path, make_params):
     _assert_params_equal(params, load_checkpoint(path))
 
 
+def _stored_tensor_names(path):
+    """The tensor names of a checkpoint, in file order, read by the layout
+    documented in model.py."""
+    data = path.read_bytes()
+    precision = data[9]
+    (count,) = struct.unpack_from("<I", data, 34)  # after the 34-byte header
+    off, names = 38, []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, off)
+        names.append(data[off + 2:off + 2 + name_len].decode("utf-8"))
+        off += 2 + name_len
+        ndim = data[off]
+        shape = struct.unpack_from(f"<{ndim}I", data, off + 1)
+        off += 1 + 4 * ndim + math.prod(shape) * precision
+    assert off == len(data)
+    return names
+
+
+@pytest.mark.parametrize("precision", [4, 8])
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_checkpoint_stores_tensors_in_pinned_order(scheme, precision, tmp_path, make_params):
+    path = tmp_path / f"{scheme}.nrm"
+    save_checkpoint(make_params(scheme), path, precision=precision)
+    assert _stored_tensor_names(path) == tensor_names(scheme)
+
+
 def test_checkpoint_roundtrip_preserves_scoring(tmp_path, make_params):
     params = make_params("hyb", seed=22)
     before = sequence_log_likelihood(params, [4, 5, 6], [7, 8])
@@ -529,3 +564,20 @@ def test_checkpoint_rejects_non_finite_tensor(value, precision, tmp_path, make_p
                        match=f"'W_s' holds a non-finite value at offset {offset} "
                              rf"\(payload at offset {payload}\)"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_signaling_nan_without_a_warning(tmp_path, make_params):
+    """A float32 signaling NaN is refused before the cast to float64, which
+    it would trip with an invalid-value warning."""
+    params = make_params("loc", seed=24)
+    params.W_s[1, 2] = 0.5
+    path = tmp_path / "model.nrm"
+    save_checkpoint(params, path, precision=4)
+    data = path.read_bytes()
+    marker = np.array([0.5], dtype="<f4").tobytes()
+    assert data.count(marker) == 1
+    path.write_bytes(data.replace(marker, bytes.fromhex("0100807f")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CheckpointFormatError, match="'W_s' holds a non-finite value"):
+            load_checkpoint(path)

@@ -30,7 +30,7 @@ from replygen.training import (
     train,
 )
 
-from conftest import FIRST_CONTENT, TINY, toy_corpus
+from conftest import FIRST_CONTENT, HYB_TENSOR_NAMES, TINY, toy_corpus
 
 
 # --- loss ----------------------------------------------------------------
@@ -85,13 +85,13 @@ def _all_rows_output_backward(grads, params, cache, lam, steps, b):
     dlogits[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T] -= 1.0
     dlogits *= (lam * batch.resp_mask[:, 1:].T)[:, :, None]
     dlogits = dlogits.reshape(steps * b, -1)
-    grads["W_o"] += dlogits.T @ rout
-    grads["b_o"] += dlogits.sum(axis=0)
+    grads.W_o += dlogits.T @ rout
+    grads.b_o += dlogits.sum(axis=0)
     da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
-    grads["W_s"] += da.T @ s_t
-    grads["W_y"] += da.T @ y_emb
-    grads["W_c"] += da.T @ c
-    grads["b_r"] += da.sum(axis=0)
+    grads.W_s += da.T @ s_t
+    grads.W_y += da.T @ y_emb
+    grads.W_c += da.T @ c
+    grads.b_r += da.sum(axis=0)
     return [(da @ w).reshape(steps, b, -1) for w in (params.W_s, params.W_y, params.W_c)]
 
 
@@ -346,6 +346,29 @@ def test_init_hybrid_provenance_and_copies():
         elif src == "glo":
             np.testing.assert_array_equal(tensors[name],
                                           glo_t["enc." + name.split(".", 1)[1]])
+
+
+def test_init_hybrid_provenance_follows_shapes():
+    """With glo's d_a, d_L and d_r unlike loc's, glo still gives exactly the
+    enc_g tensors, loc every tensor of its shape, and only the four tensors
+    of doubled context width are fresh."""
+    loc = init_params("loc", TINY, Rng(1))
+    glo_dims = Dims(d_h=TINY.d_h, d_emb=TINY.d_emb, d_a=3, d_L=2, d_r=5,
+                    v_post=TINY.v_post, v_resp=TINY.v_resp)
+    glo = init_params("glo", glo_dims, Rng(2))
+    params, provenance = init_hybrid_from_pretrained(loc, glo, Rng(5))
+    fresh = {"L", "W_0", "W_c", "attn.U_a"}
+    assert provenance == {
+        n: "glo" if n.startswith("enc_g.") else "fresh" if n in fresh else "loc"
+        for n in HYB_TENSOR_NAMES}
+    assert list(provenance) == HYB_TENSOR_NAMES
+    assert params.dims == loc.dims
+    tensors, loc_t, glo_t = params.named_tensors(), loc.named_tensors(), glo.named_tensors()
+    for name, src in provenance.items():
+        if src == "loc":
+            np.testing.assert_array_equal(tensors[name], loc_t[name])
+        elif src == "glo":
+            np.testing.assert_array_equal(tensors[name], glo_t["enc." + name[len("enc_g."):]])
 
 
 def test_init_hybrid_fresh_tensors_have_doubled_context_width():
