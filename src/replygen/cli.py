@@ -47,10 +47,12 @@ def _load_config(path):
 
     A key must be a setting of some subcommand or a common flag, so that a
     misspelled one is refused instead of silently ignored."""
+    from .corpus import _open_utf8
+
     if not os.path.isfile(path):
         raise CliError(f"config file not found: {path}")
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -129,7 +131,7 @@ def _out_stream(path):
 
 
 def _cmd_clean(args, cfg):
-    from .corpus import CleanConfig, DEFAULT_STOPLIST, clean_corpus, load_pairs
+    from .corpus import CleanConfig, DEFAULT_STOPLIST, _open_utf8, clean_corpus, load_pairs
 
     pairs_path = _require_file(_get(args, cfg, "pairs"), "pairs")
     out_path = _require(_get(args, cfg, "out"), "out")
@@ -137,7 +139,7 @@ def _cmd_clean(args, cfg):
     stop_path = _get(args, cfg, "stoplist")
     if stop_path is not None:
         _require_file(stop_path, "stoplist")
-        with open(stop_path, encoding="utf-8") as fh:
+        with _open_utf8(stop_path) as fh:
             stoplist = frozenset(line.strip() for line in fh if line.strip())
     config = CleanConfig(
         trivial_stoplist=stoplist,
@@ -279,6 +281,8 @@ def _cmd_train(args, cfg):
 
 
 def _read_posts(args, cfg):
+    from .corpus import _open_utf8
+
     post_text = _get(args, cfg, "post")
     posts_file = _get(args, cfg, "posts-file")
     if (post_text is None) == (posts_file is None):
@@ -289,15 +293,8 @@ def _read_posts(args, cfg):
             raise CliError("--post must contain at least one token")
         return [tokens], False
     _require_file(posts_file, "posts-file")
-    posts = []
-    try:
-        with open(posts_file, encoding="utf-8") as fh:
-            for line in fh:
-                tokens = line.split()
-                if tokens:
-                    posts.append(tokens)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{posts_file}: not valid UTF-8 ({exc})") from exc
+    with _open_utf8(posts_file) as fh:
+        posts = [tokens for tokens in map(str.split, fh) if tokens]
     if not posts:
         raise CliError(f"no posts found in {posts_file}")
     return posts, True

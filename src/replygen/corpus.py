@@ -7,6 +7,7 @@ trivial responses, advertisement heuristics, and a per-post response cap.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import re
 from dataclasses import dataclass, field
@@ -50,7 +51,18 @@ _URL_RE = re.compile(r"(?i)^(https?://|www\.)\S*$")
 
 
 class CorpusFormatError(ValueError):
-    """A corpus or vocabulary file violates its documented format."""
+    """An input text file violates its documented format or is not UTF-8."""
+
+
+@contextlib.contextmanager
+def _open_utf8(path, newline=None):
+    """Open a UTF-8 text file for reading. A decode error while the block
+    reads it is a CorpusFormatError that names the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 @dataclass
@@ -95,7 +107,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, side: str = "post") -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
+        with _open_utf8(path) as fh:
             tokens = [line.rstrip("\n") for line in fh]
         if tuple(tokens[:4]) != RESERVED_TOKENS:
             raise CorpusFormatError(
@@ -151,19 +163,16 @@ def load_pairs(path) -> list[PostResponsePair]:
     """
     pairs = []
     blank = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    blank += 1
-                    continue
-                if "\t" not in line:
-                    raise CorpusFormatError(f"{path}:{lineno}: missing TAB separator")
-                post_text, resp_text = line.split("\t", 1)
-                pairs.append(PostResponsePair(post_text.split(), resp_text.split()))
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
+    with _open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                blank += 1
+                continue
+            if "\t" not in line:
+                raise CorpusFormatError(f"{path}:{lineno}: missing TAB separator")
+            post_text, resp_text = line.split("\t", 1)
+            pairs.append(PostResponsePair(post_text.split(), resp_text.split()))
     if blank:
         logger.info("load_pairs: skipped %d blank line(s) in %s", blank, path)
     return pairs

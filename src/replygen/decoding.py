@@ -147,8 +147,8 @@ def _joined_step(params: ModelParams, memories: list, widths: list, s_prev: np.n
     """
     slices = np.split(s_prev, np.cumsum(widths)[:-1])
     c = np.concatenate([_context(params, m, s)[0] for m, s in zip(memories, slices)])
-    s_t, cache = _decoder_gru(params, c, s_prev, y_prev)
-    _output_layer(params, s_t, cache["y_emb"], c, out=out)
+    s_t, y_emb, _ = _decoder_gru(params, c, s_prev, y_prev)
+    _output_layer(params, s_t, y_emb, c, out=out)
     return s_t
 
 

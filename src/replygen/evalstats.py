@@ -9,11 +9,14 @@ external dependency.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import _open_utf8
 
 __all__ = [
     "AnnotationTable",
@@ -207,6 +210,18 @@ def chi_square_sf(x: float, dof: int) -> float:
 # --- file formats -------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _csv_rows(path):
+    """(line number, fields) of each record of a UTF-8 CSV file, header first.
+    Malformed CSV, such as an overlong field, is a ValueError naming the line."""
+    with _open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield ((reader.line_num, row) for row in reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_annotations_csv(path, categories: tuple = DEFAULT_CATEGORIES) -> AnnotationTable:
     """Read a CSV with header item,rater,label into an AnnotationTable.
 
@@ -215,12 +230,11 @@ def load_annotations_csv(path, categories: tuple = DEFAULT_CATEGORIES) -> Annota
     """
     per_item: dict[str, list] = {}
     seen_pairs = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _csv_rows(path) as rows:
+        _, header = next(rows, (1, None))
         if header is None or [h.strip().lower() for h in header] != ["item", "rater", "label"]:
             raise ValueError(f"{path}: expected CSV header 'item,rater,label'")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
@@ -235,6 +249,8 @@ def load_annotations_csv(path, categories: tuple = DEFAULT_CATEGORIES) -> Annota
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: label {label_text!r} is not "
                                  f"an integer") from None
+            if label not in categories:
+                raise ValueError(f"{path}:{lineno}: label {label} is not one of {categories}")
             per_item.setdefault(item, []).append(label)
     if not per_item:
         raise ValueError(f"{path}: no annotations found")
@@ -249,24 +265,23 @@ def load_annotations_csv(path, categories: tuple = DEFAULT_CATEGORIES) -> Annota
 def load_scores_csv(path):
     """Read a Friedman score matrix: header row of treatment names, one CSV
     row of scores per subject. Returns (names, N x k float matrix)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _csv_rows(path) as rows:
+        _, header = next(rows, (1, None))
         if not header or len(header) < 2:
             raise ValueError(f"{path}: expected a header row with at least "
                              f"two treatment names")
         names = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        scores = []
+        for lineno, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(names):
                 raise ValueError(f"{path}:{lineno}: expected {len(names)} "
                                  f"scores, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                scores.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric score") from None
-    if not rows:
+    if not scores:
         raise ValueError(f"{path}: no score rows found")
-    return names, np.array(rows, dtype=np.float64)
+    return names, np.array(scores, dtype=np.float64)

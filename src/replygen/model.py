@@ -296,20 +296,21 @@ def gru_step(cell: GruParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
 
 
 def _gru_step_full(cell, x, h_prev):
-    """As gru_step, but also returns the gate activations for backprop."""
+    """As gru_step, but returns (h, cache): cache is the step's
+    (x, h_prev, z, r, hbar), the tuple training._gru_backward reads."""
     z = sigmoid(x @ cell.W_z.T + h_prev @ cell.U_z.T + cell.b_z)
     r = sigmoid(x @ cell.W_r.T + h_prev @ cell.U_r.T + cell.b_r)
     hbar = np.tanh(x @ cell.W_h.T + (r * h_prev) @ cell.U_h.T + cell.b_h)
     h = (1.0 - z) * h_prev + z * hbar
-    return h, z, r, hbar
+    return h, (x, h_prev, z, r, hbar)
 
 
 def _run_encoder(cell, E_x, ids, mask):
     """Masked left-to-right pass. Padded steps carry the previous state
     forward unchanged, so `final` is the state at each row's true length.
 
-    Also returns the per-step (x, h_prev, z, r, hbar) tuples that backprop
-    reads; the pass computes them all anyway.
+    Also returns every step's _gru_step_full cache, which backprop reads;
+    the pass computes them all anyway.
     """
     b, t_max = ids.shape
     d_h = cell.U_z.shape[0]
@@ -317,9 +318,8 @@ def _run_encoder(cell, E_x, ids, mask):
     states = np.zeros((b, t_max, d_h))
     caches = []
     for t in range(t_max):
-        x = E_x[ids[:, t]]
-        h_hat, z, r, hbar = _gru_step_full(cell, x, h)
-        caches.append((x, h, z, r, hbar))
+        h_hat, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+        caches.append(cache)
         m = mask[:, t][:, None]
         states[:, t, :] = m * h_hat
         h = m * h_hat + (1.0 - m) * h
@@ -438,14 +438,13 @@ _SOFTMAX_ROWS = 8
 
 def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, y_prev):
     """The decoder GRU of a step, given each row's context c. Returns
-    (s_t, cache); cache holds the step's intermediates that the output layer
-    (y_emb) and the backward pass (u, s_prev and the gates) read."""
-    y_prev = np.asarray(y_prev, dtype=np.int64)
-    y_emb = params.E_y[y_prev]
+    (s_t, y_emb, cache): y_emb is the previous tokens' embeddings, which the
+    output layer reads, and cache is _gru_step_full's, whose x is the GRU
+    input u = [y_emb, L c] and whose h_prev is s_prev."""
+    y_emb = params.E_y[np.asarray(y_prev, dtype=np.int64)]
     u = np.concatenate([y_emb, c @ params.L.T], axis=1)
-    s_t, z, r, hbar = _gru_step_full(params.dec, u, s_prev)
-    cache = {"y_emb": y_emb, "u": u, "s_prev": s_prev, "z": z, "r": r, "hbar": hbar}
-    return s_t, cache
+    s_t, cache = _gru_step_full(params.dec, u, s_prev)
+    return s_t, y_emb, cache
 
 
 def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray,
@@ -471,12 +470,11 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
 def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
     """One decoder step: the context, the decoder GRU, then the output
     layer. memory may hold one post broadcast over every row of s_prev.
-    Returns (s_t, log_probs, cache), cache as _decoder_gru's plus the
-    step's attention weights "alpha" (None under glo)."""
+    Returns (s_t, log_probs, alpha); alpha is the step's attention weights,
+    None under glo."""
     c, alpha = _context(params, memory, s_prev)
-    s_t, cache = _decoder_gru(params, c, s_prev, y_prev)
-    cache["alpha"] = alpha
-    return s_t, _output_layer(params, s_t, cache["y_emb"], c)[1], cache
+    s_t, y_emb, _ = _decoder_gru(params, c, s_prev, y_prev)
+    return s_t, _output_layer(params, s_t, y_emb, c)[1], alpha
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,
@@ -488,8 +486,8 @@ def decoder_step(params: ModelParams, enc_out: EncodedPost,
     The context memory is built from enc_out on every call; enc_out may
     hold one post broadcast over every row of s_prev.
     """
-    s_t, logp, cache = _decoder_step(params, context_memory(params, enc_out), s_prev, y_prev)
-    return s_t, np.exp(logp), cache["alpha"]
+    s_t, logp, alpha = _decoder_step(params, context_memory(params, enc_out), s_prev, y_prev)
+    return s_t, np.exp(logp), alpha
 
 
 def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:

@@ -4,7 +4,9 @@ The loss is the mean negative log-likelihood per framed response token
 (content tokens plus the closing end marker); every post and every response
 in a batch must have at least one token. Backpropagation through the
 decoder, the attention, and the masked encoder recurrences is written out
-explicitly; there is no autodiff anywhere. `grad_check` compares every
+explicitly; there is no autodiff anywhere. One forward pass records a tape
+(every GRU step's cache, the attention weights, the log-probabilities) that
+`batch_loss` drops and `backward` reads. `grad_check` compares every
 analytic gradient against central finite differences and is the standing
 proof that the derivation matches the forward pass.
 """
@@ -55,19 +57,16 @@ class TrainConfig:
     max_response_len: int | None = 30
 
 
-def _forward(params: ModelParams, batch, keep: bool):
-    """Shared forward pass. Returns (loss, token_count, aux).
+def _forward(params: ModelParams, batch):
+    """Shared forward pass. Returns (loss, token_count, tape).
 
     Under teacher forcing the readout and the output softmax feed nothing
     back into the recurrence: the loop runs only the context and the decoder
     GRU, step by step, and _output_loss then runs the output layer once over
-    the real target rows of all steps. aux carries the intermediates the
-    backward pass needs: the memory, the encoder caches, s_0, the stacked
-    (steps, B, width) c, and, only with keep, every step's _decoder_gru
-    cache with its attention weights "alpha" and _output_loss's cache as
-    "output". Without keep, each step's cache is dropped as the loop moves
-    on. Both ways the loss is computed by the same operations, so it is
-    bit-identical.
+    the real target rows of all steps. tape is what the backward pass reads:
+    (memory, encoder caches, s_0, steps, c, output cache), where steps holds
+    every decoder step's (_gru_step_full cache, attention weights alpha) and
+    c is the stacked (steps, B, width) context.
     """
     enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
     if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
@@ -79,41 +78,36 @@ def _forward(params: ModelParams, batch, keep: bool):
     steps = t_resp - 1
     s_t = np.empty((steps, b, params.dims.d_h))
     c = np.empty((steps, b, memory.init.shape[1]))
-    dec_caches = []
+    dec_steps = []
     s = s0
     for t in range(steps):
         c_t, alpha = _context(params, memory, s)
-        s, cache = _decoder_gru(params, c_t, s, batch.resp_ids[:, t])
+        s, _, cache = _decoder_gru(params, c_t, s, batch.resp_ids[:, t])
         s_t[t] = s
         c[t] = c_t
-        if keep:
-            cache["alpha"] = alpha
-            dec_caches.append(cache)
+        dec_steps.append((cache, alpha))
     y_emb = params.E_y[batch.resp_ids[:, :-1].T]
-    target_logp, output = _output_loss(params, batch, s_t, y_emb, c, keep)
+    target_logp, output = _output_loss(params, batch, s_t, y_emb, c)
 
     loss_sum = 0.0
     for t in range(steps):  # summed step by step, so the loss does not move
         loss_sum -= float((batch.resp_mask[:, t + 1] * target_logp[t]).sum())
 
     token_count = float(batch.resp_mask[:, 1:].sum())
-    aux = {"memory": memory, "enc_caches": enc_caches, "s0": s0,
-           "dec_caches": dec_caches, "output": output, "c": c}
-    return loss_sum / token_count, token_count, aux
+    tape = (memory, enc_caches, s0, dec_steps, c, output)
+    return loss_sum / token_count, token_count, tape
 
 
-def _output_loss(params: ModelParams, batch, s_t, y_emb, c, keep: bool):
+def _output_loss(params: ModelParams, batch, s_t, y_emb, c):
     """The teacher-forced output layer over the real target rows only.
 
     s_t, y_emb and c are stacked (steps, B, width). The rows whose target is
     padding are never formed: the real rows are gathered in step-major
     order, run through _output_layer in one call, and their targets'
     log-probabilities scattered into a (steps, B) array that is 0 at
-    padding. Returns (target_logp, cache). With keep, cache holds the real
-    rows' flat step-major indices "real", their targets, their gathered
-    (s_t, y_emb, c) "inputs", their readout "rout" and their (n_real,
-    v_resp) next-token distributions "probs", computed in place in the
-    log-probabilities' buffer; without keep it is None.
+    padding. Returns (target_logp, cache); cache is the real rows' flat
+    step-major indices, their targets, their gathered (s_t, y_emb, c), their
+    readout and their (n_real, v_resp) log-probabilities.
     """
     steps, b = s_t.shape[:2]
     real = np.flatnonzero(batch.resp_mask[:, 1:].T.reshape(-1))
@@ -122,11 +116,7 @@ def _output_loss(params: ModelParams, batch, s_t, y_emb, c, keep: bool):
     targets = batch.resp_ids[:, 1:].T.reshape(-1)[real]
     target_logp = np.zeros((steps, b))
     target_logp.reshape(-1)[real] = logp[np.arange(len(real)), targets]
-    if not keep:
-        return target_logp, None
-    np.exp(logp, out=logp)  # _output_backward turns these into dlogits in place
-    return target_logp, {"real": real, "targets": targets, "inputs": inputs,
-                         "rout": rout, "probs": logp}
+    return target_logp, (real, targets, inputs, rout, logp)
 
 
 def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
@@ -135,12 +125,12 @@ def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
     gradients into the gradient ModelParams grads, from one product each
     over the real rows, and returns the gradients w.r.t. s_t, y_emb and c
     as (steps, B, width) arrays that are exactly 0 at the padding rows.
+    The cached log-probabilities become dlogits in place.
     """
-    real, rout = cache["real"], cache["rout"]
-    s_t, y_emb, c = cache["inputs"]
+    real, targets, (s_t, y_emb, c), rout, dlogits = cache
     # softmax cross-entropy: dlogits = lam * (probs - onehot(target))
-    dlogits = cache["probs"]
-    dlogits[np.arange(len(real)), cache["targets"]] -= 1.0
+    np.exp(dlogits, out=dlogits)
+    dlogits[np.arange(len(real)), targets] -= 1.0
     dlogits *= lam
 
     grads.W_o += dlogits.T @ rout
@@ -160,12 +150,14 @@ def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
 
 def batch_loss(params: ModelParams, batch):
     """Mean per-token negative log-likelihood of a batch; returns (loss, n_tokens)."""
-    loss, token_count, _ = _forward(params, batch, keep=False)
+    loss, token_count, _ = _forward(params, batch)
     return loss, token_count
 
 
-def _gru_backward(dcell, cell, x, h_prev, z, r, hbar, dh):
-    """Backprop one cell step. Accumulates into dcell; returns (dx, dh_prev)."""
+def _gru_backward(dcell, cell, cache, dh):
+    """Backprop one cell step, given its _gru_step_full cache. Accumulates
+    into dcell; returns (dx, dh_prev)."""
+    x, h_prev, z, r, hbar = cache
     dz = dh * (hbar - h_prev)
     dhbar = dh * z
     dh_prev = dh * (1.0 - z)
@@ -194,8 +186,9 @@ def _gru_backward(dcell, cell, x, h_prev, z, r, hbar, dh):
     return dx, dh_prev
 
 
-def _attention_backward(grads, params, memory, dmemory, cache, dc):
-    """Backprop one step of the additive scorer and the weighted sum.
+def _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc):
+    """Backprop one step of the additive scorer and the weighted sum, given
+    the step's attention weights alpha and decoder state s_prev.
 
     The gradients w.r.t. the memory's values and keys are accumulated into
     dmemory; _memory_backward maps them to U_a, b_a and the encoder states
@@ -204,7 +197,6 @@ def _attention_backward(grads, params, memory, dmemory, cache, dc):
     w.r.t. s_prev.
     """
     a = params.attn
-    alpha, s_prev = cache["alpha"], cache["s_prev"]
     ta = _score_tanh(params, memory, s_prev)
     d_a = ta.shape[2]
 
@@ -249,10 +241,9 @@ def _encoder_backward(dcell, dE_x, cell, ids, mask, caches, dstates, dfinal):
         dstates = np.zeros(ids.shape + dfinal.shape[1:])
     dcarry = dfinal.copy()
     for t in reversed(range(ids.shape[1])):
-        x, h_prev, z, r, hbar = caches[t]
         m = mask[:, t][:, None]
         dh_hat = (dcarry + dstates[:, t, :]) * m
-        dx, dh_prev = _gru_backward(dcell, cell, x, h_prev, z, r, hbar, dh_hat)
+        dx, dh_prev = _gru_backward(dcell, cell, caches[t], dh_hat)
         dcarry = dcarry * (1.0 - m) + dh_prev
         np.add.at(dE_x, ids[:, t], dx)
 
@@ -260,8 +251,8 @@ def _encoder_backward(dcell, dE_x, cell, ids, mask, caches, dstates, dfinal):
 def backward(params: ModelParams, batch):
     """Loss and its gradient for every tensor; returns (loss, grads dict).
 
-    Gradient keys match ModelParams.named_tensors(). The loss here is
-    bit-identical to batch_loss on the same inputs.
+    Gradient keys match ModelParams.named_tensors(). The loss comes from
+    the same _forward as batch_loss's, so the two are bit-identical.
 
     The readout and output layer feed nothing back into the recurrence, so
     _forward runs them once over the real target rows of all steps, and
@@ -274,17 +265,16 @@ def backward(params: ModelParams, batch):
     of the same shapes, which _memory_backward, its adjoint, maps back to
     the encoders once.
     """
-    loss, token_count, aux = _forward(params, batch, keep=True)
+    loss, token_count, tape = _forward(params, batch)
+    memory, (enc_caches, encg_caches), s0, dec_steps, c, output = tape
     grads = _params_from_tensors(params.scheme, params.dims, {
         name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
 
-    memory = aux["memory"]
-    caches = aux["dec_caches"]
     d_h = params.dims.d_h
     d_emb = params.dims.d_emb
     b = batch.post_ids.shape[0]
-    steps = len(caches)
-    ds_out, dy_emb, dc_out = _output_backward(grads, params, aux["output"],
+    steps = len(dec_steps)
+    ds_out, dy_emb, dc_out = _output_backward(grads, params, output,
                                               1.0 / token_count, steps, b)
     dlc = np.empty((steps, b, params.dims.d_L))
 
@@ -295,29 +285,27 @@ def backward(params: ModelParams, batch):
 
     ds_carry = np.zeros((b, d_h))
     for t in reversed(range(steps)):
-        cache = caches[t]
-        du, ds_prev = _gru_backward(grads.dec, params.dec, cache["u"],
-                                    cache["s_prev"], cache["z"], cache["r"],
-                                    cache["hbar"], ds_carry + ds_out[t])
+        cache, alpha = dec_steps[t]
+        du, ds_prev = _gru_backward(grads.dec, params.dec, cache, ds_carry + ds_out[t])
         dy_emb[t] += du[:, :d_emb]
         dlc[t] = du[:, d_emb:]
         dc = dc_out[t] + dlc[t] @ params.L
         if memory.keys is None:
             dmemory.init += dc
         else:
-            ds_prev += _attention_backward(grads, params, memory, dmemory, cache, dc)
+            s_prev = cache[1]
+            ds_prev += _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc)
         ds_carry = ds_prev
-    grads.L += dlc.reshape(steps * b, -1).T @ aux["c"].reshape(steps * b, -1)
+    grads.L += dlc.reshape(steps * b, -1).T @ c.reshape(steps * b, -1)
     np.add.at(grads.E_y, batch.resp_ids[:, :-1].T.reshape(-1),
               dy_emb.reshape(steps * b, d_emb))
 
     # start state s_0 = tanh(W_0 c_0)
-    da0 = ds_carry * (1.0 - aux["s0"] ** 2)
+    da0 = ds_carry * (1.0 - s0 ** 2)
     grads.W_0 += da0.T @ memory.init
     dmemory.init += da0 @ params.W_0
 
     dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
-    enc_caches, encg_caches = aux["enc_caches"]
     _encoder_backward(grads.enc, grads.E_x, params.enc, batch.post_ids, batch.post_mask,
                       enc_caches, dstates, dfinal)
     if params.scheme == "hyb":
@@ -326,12 +314,10 @@ def backward(params: ModelParams, batch):
     return loss, grads.named_tensors()
 
 
-def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4,
-               max_entries: int | None = None, rng: Rng | None = None):
+def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4):
     """Compare analytic gradients against finite differences.
 
-    Every entry of every tensor is checked unless max_entries caps the count
-    per tensor (then rng picks the sample). The relative error for entry i is
+    Every entry of every tensor is checked. The relative error for entry i is
     |a_i - n_i| / max(|a_i|, |n_i|, 1e-8), with n_i the central difference
     at eps. Where that exceeds tol, n_i is measured again with the
     fourth-order five-point difference at h = 100 * eps, and the entry's
@@ -351,14 +337,8 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4,
     for name, arr in params.named_tensors().items():
         flat = arr.reshape(-1)
         g = grads[name].reshape(-1)
-        if max_entries is not None and flat.size > max_entries:
-            if rng is None:
-                raise ValueError("sampling entries requires an rng")
-            picked = sorted({rng.randrange(flat.size) for _ in range(max_entries)})
-        else:
-            picked = range(flat.size)
         worst = 0.0
-        for i in picked:
+        for i in range(flat.size):
             orig = flat[i]
 
             def f(x):

@@ -426,6 +426,53 @@ def test_friedman_command(workdir, capsys):
     assert ranks == {"A": 1.0, "B": 2.0}
 
 
+@pytest.mark.parametrize("command, flag, text", [
+    ("kappa", "--annotations", "item,rater,label\ni1,r1,2\ni1,r2,99999999999999999999\n"),
+    ("kappa", "--annotations", "item,rater,label\ni1,r1,2\ni1,r2,\"" + "x" * 131_073 + "\"\n"),
+    ("friedman", "--scores", "A,B\n1,2\n2," + "1" * 131_073 + "\n"),
+], ids=["huge-label", "long-label", "long-score"])
+def test_bad_csv_row_is_one_error_line_naming_its_line(command, flag, text, workdir, capsys):
+    """A label far outside the categories, and a field over the csv module's
+    size limit, are refused with the file and line, not a traceback."""
+    path = workdir / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, command, flag, str(path), "--quiet")
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}:3: "), err[:300]
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("clean", "stoplist"), ("perplexity", "post-vocab"), ("perplexity", "resp-vocab"),
+    ("perplexity", "pairs"), ("kappa", "annotations"), ("friedman", "scores"),
+    ("kappa", "config"),
+])
+def test_input_file_not_utf8_names_the_file(command, bad, workdir, capsys):
+    """Every reader names the file that is not UTF-8; perplexity reads three."""
+    args = prep_corpus(workdir, capsys)
+    files = {flag[2:]: value for flag, value in zip(args[::2], args[1::2])}
+    sizes = [len(Vocabulary.load(files[side])) for side in ("post-vocab", "resp-vocab")]
+    files["checkpoint"] = workdir / "tiny.ckpt"
+    save_checkpoint(init_params("glo", Dims(d_h=4, d_emb=3, d_a=4, d_L=3, d_r=4,
+                                            v_post=sizes[0], v_resp=sizes[1]), Rng(0)),
+                    files["checkpoint"])
+    for name, text in (("stoplist", "lol\n"), ("annotations", "item,rater,label\ni1,r1,2\n"),
+                       ("scores", "A,B\n1,2\n"), ("config", "quiet = 1\n")):
+        files[name] = workdir / f"{name}.txt"
+        files[name].write_text(text, encoding="utf-8")
+    files[bad] = workdir / f"bad-{bad}"
+    files[bad].write_bytes(b"\xff" + (workdir / "raw.tsv").read_bytes())
+    flags = {"clean": ["pairs", "stoplist"], "kappa": ["annotations"], "friedman": ["scores"],
+             "perplexity": ["checkpoint", "pairs", "post-vocab", "resp-vocab"]}[command]
+    argv = [command, "--out", str(workdir / "out.tsv")] if command == "clean" else [command]
+    for flag in flags + (["config"] if bad == "config" else []):
+        argv += [f"--{flag}", str(files[flag])]
+    rc, out, err = run(capsys, *argv, "--quiet")
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {files[bad]}: not valid UTF-8 ("), err
+
+
 def test_grad_check_command_passes(capsys):
     rc, out, err = run(capsys, "grad-check", "--scheme", "glo", "--quiet")
     assert rc == 0, err

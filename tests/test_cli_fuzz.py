@@ -1,5 +1,5 @@
-"""Hypothesis fuzzing of every subcommand's flags and config file, and of
-checkpoint bytes.
+"""Hypothesis fuzzing of every subcommand's flags and config file, of
+checkpoint bytes, and of the contents of every other input file.
 
 Each drawn invocation holds at least one value the subcommand must refuse,
 and no input file exists, so every run must end with exit code 1, nothing
@@ -8,21 +8,26 @@ No draw uses a valid --threads or --deterministic, which would export BLAS
 thread counts; os.environ is restored after every example all the same.
 
 A checkpoint with flipped, cut or appended bytes must either still load
-(exit 0, nothing on stderr) or be refused with that one error line.
+(exit 0, nothing on stderr) or be refused with that one error line. So must
+a pairs file, stoplist, vocabulary, posts file or evaluation CSV with
+inserted, replaced or deleted bytes and fields; on exit 0 every stdout line
+is tab-separated.
 """
 
 import contextlib
 import io
 import os
+import re
 import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replygen import Rng, cli
+from replygen import Dims, Rng, cli
 from replygen.cli import main
+from replygen.corpus import build_vocab, load_pairs
 from replygen.model import init_params, save_checkpoint
 
 from conftest import TINY
@@ -169,3 +174,109 @@ def test_mutated_checkpoints_load_or_are_one_error_line(scheme, precision, fuzz_
         lines = err.splitlines()
         assert code == 1 and out == "", (kind, code, err)
         assert len(lines) == 1 and lines[0].startswith("error: "), (kind, err)
+
+
+PAIRS = """\
+how are you today\ti am doing fine thanks
+what is for lunch\tmaybe some hot soup
+any plans tonight\tvisit https://spam.example now
+did you see that game\tlol
+where should we meet\tby the main gate
+"""
+
+# The file each fuzzed input starts from, and the argv that reads it as {F}.
+INPUTS = {
+    "pairs-clean": ("pairs.tsv", ["clean", "--pairs", "{F}", "--out", "{O}"]),
+    "pairs-build-vocab": ("pairs.tsv", ["build-vocab", "--pairs", "{F}", "--side", "post",
+                                        "--out", "{O}"]),
+    "stoplist": ("stop.txt", ["clean", "--pairs", "{D}/pairs.tsv", "--stoplist", "{F}",
+                              "--out", "{O}"]),
+    "post-vocab": ("post.vocab", ["perplexity", "--checkpoint", "{D}/tiny.ckpt",
+                                  "--pairs", "{D}/pairs.tsv", "--post-vocab", "{F}",
+                                  "--resp-vocab", "{D}/response.vocab"]),
+    "resp-vocab": ("response.vocab", ["perplexity", "--checkpoint", "{D}/tiny.ckpt",
+                                      "--pairs", "{D}/pairs.tsv", "--post-vocab",
+                                      "{D}/post.vocab", "--resp-vocab", "{F}"]),
+    "posts-file": ("posts.txt", ["generate", "--checkpoint", "{D}/tiny.ckpt",
+                                 "--post-vocab", "{D}/post.vocab", "--resp-vocab",
+                                 "{D}/response.vocab", "--posts-file", "{F}",
+                                 "--beam", "2", "--max-len", "3"]),
+    "annotations": ("ann.csv", ["kappa", "--annotations", "{F}"]),
+    "scores": ("scores.csv", ["friedman", "--scores", "{F}"]),
+}
+
+# What a mutation inserts: the separators of every format, bytes that are
+# not UTF-8, a field past the csv module's 131072-character limit and
+# integers far past int64.
+PIECES = (st.sampled_from([b"\t", b",", b'"', b"\n", b"\r", b"\x00", b"\xff", b"\xc3",
+                           "\u2028".encode(), b" ", b"=", b"<pad>", b"nan", b"-inf", b"1e999"])
+          | st.binary(min_size=1, max_size=6)
+          | st.integers(131_073, 140_000).map(lambda n: b"x" * n)
+          | st.integers(min_value=2 ** 63).map(lambda n: str(n).encode()))
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    """Valid inputs: pairs, stoplist, both vocabularies, a tiny glo
+    checkpoint of their sizes, posts and both CSVs."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "pairs.tsv").write_text(PAIRS, encoding="utf-8")
+    (d / "stop.txt").write_text("lol\nok\n", encoding="utf-8")
+    (d / "posts.txt").write_text("how are you\n\nwhat is for lunch\n", encoding="utf-8")
+    (d / "ann.csv").write_text("item,rater,label\ni1,r1,2\ni1,r2,1\n"
+                               "i2,r1,0\ni2,r2,0\n", encoding="utf-8")
+    (d / "scores.csv").write_text("A,B\n2.0,1.0\n3.0,0.5\n", encoding="utf-8")
+    sizes = []
+    for side in ("post", "response"):
+        vocab, _ = build_vocab(load_pairs(d / "pairs.tsv"), side)
+        vocab.save(d / f"{side}.vocab")
+        sizes.append(len(vocab))
+    dims = Dims(d_h=4, d_emb=3, d_a=4, d_L=3, d_r=4, v_post=sizes[0], v_resp=sizes[1])
+    save_checkpoint(init_params("glo", dims, Rng(0)), d / "tiny.ckpt")
+    return d
+
+
+# Up to three edits: insert a piece at a byte offset, replace a whole field
+# or separator with one, or delete as many bytes as the piece is long, at
+# most 8. Offsets and field indices wrap around the file.
+MUTATIONS = st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                               st.integers(0, 2 ** 16), PIECES), min_size=1, max_size=3)
+
+
+def mutate(good: bytes, mutations) -> bytes:
+    data = good
+    for action, where, piece in mutations:
+        if action == "replace":
+            parts = re.split(rb"([\t,\n ])", data)
+            parts[where % len(parts)] = piece
+            data = b"".join(parts)
+            continue
+        pos = where % (len(data) + 1)
+        end = pos + min(len(piece), 8) if action == "delete" else pos
+        data = data[:pos] + (piece if action == "insert" else b"") + data[end:]
+    return data
+
+
+@pytest.mark.parametrize("kind", list(INPUTS))
+@settings(max_examples=40, deadline=None)
+@given(mutations=MUTATIONS)
+# A label far past int64 (ann.csv's field 10 is its first label), and a
+# field past the csv limit, in every input.
+@example(mutations=[("replace", 10, str(2 ** 64).encode())])
+@example(mutations=[("insert", 0, b"x" * 131_073)])
+def test_mutated_input_files_run_or_are_one_error_line(kind, input_dir, fuzz_dir, mutations):
+    name, argv = INPUTS[kind]
+    mutated = mutate((input_dir / name).read_bytes(), mutations)
+    target = fuzz_dir / f"mutated-{name}"
+    target.write_bytes(mutated)
+    values = {"F": target, "O": fuzz_dir / "out", "D": input_dir}
+
+    code, out, err = _run([a.format(**values) for a in argv] + ["--quiet"])
+    if code == 0:
+        assert err == "", (kind, err)
+        assert out.endswith("\n") and all("\t" in line for line in out.split("\n")[:-1]), \
+            (kind, out)
+    else:
+        lines = err.splitlines()
+        assert code == 1 and out == "", (kind, code, err)
+        assert len(lines) == 1 and lines[0].startswith("error: "), (kind, err[-2000:])

@@ -339,9 +339,8 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
         else np.repeat(one.global_final, n, axis=0))
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(n)])
     y = np.array([4 + rng.randrange(8) for _ in range(n)])
-    s_b, logp_b, cache_b = _decoder_step(params, memory, s, y)
-    s_c, logp_c, cache_c = _decoder_step(params, context_memory(params, copied), s, y)
-    alpha_b, alpha_c = cache_b["alpha"], cache_c["alpha"]
+    s_b, logp_b, alpha_b = _decoder_step(params, memory, s, y)
+    s_c, logp_c, alpha_c = _decoder_step(params, context_memory(params, copied), s, y)
     np.testing.assert_allclose(s_b, s_c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(logp_b, logp_c, rtol=0, atol=1e-12)
     assert memory.init.shape == (1, params.W_0.shape[1])

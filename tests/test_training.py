@@ -62,7 +62,7 @@ def test_batch_loss_matches_per_row_scoring(rows):
         assert abs(loss - (-total / count)) < 1e-12
 
 
-def _all_rows_output_loss(params, batch, s_t, y_emb, c, keep):
+def _all_rows_output_loss(params, batch, s_t, y_emb, c):
     """Reference for training._output_loss: the output layer over all
     steps * B rows, padding included, as it ran before the packing."""
     steps, b = s_t.shape[:2]
@@ -70,10 +70,7 @@ def _all_rows_output_loss(params, batch, s_t, y_emb, c, keep):
     rout, logp = _output_layer(params, *rows)
     logp = logp.reshape(steps, b, -1)
     target_logp = logp[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T]
-    if not keep:
-        return target_logp, None
-    np.exp(logp, out=logp)
-    return target_logp, {"batch": batch, "rows": rows, "rout": rout, "probs": logp}
+    return target_logp, {"batch": batch, "rows": rows, "rout": rout, "logp": logp}
 
 
 def _all_rows_output_backward(grads, params, cache, lam, steps, b):
@@ -81,7 +78,7 @@ def _all_rows_output_backward(grads, params, cache, lam, steps, b):
     dlogits weighted by lam times the target mask."""
     batch, rout = cache["batch"], cache["rout"]
     s_t, y_emb, c = cache["rows"]
-    dlogits = cache["probs"]
+    dlogits = np.exp(cache["logp"], out=cache["logp"])
     dlogits[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T] -= 1.0
     dlogits *= (lam * batch.resp_mask[:, 1:].T)[:, :, None]
     dlogits = dlogits.reshape(steps * b, -1)
@@ -226,14 +223,6 @@ def test_grad_check_passes_on_wide_init(make_params, small_batch):
     worst = max(report.values())
     assert ok, f"worst relative error {worst:.3e}"
     assert len(report) == 28
-
-
-def test_grad_check_sampling_path(make_params, small_batch):
-    params = make_params("loc", seed=12, low=-0.8, high=0.8)
-    ok, report = grad_check(params, small_batch, max_entries=3, rng=Rng(0))
-    assert ok
-    with pytest.raises(ValueError):
-        grad_check(params, small_batch, max_entries=3)
 
 
 @pytest.mark.parametrize("knob", ["eps", "tol"])
