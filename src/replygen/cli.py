@@ -16,9 +16,12 @@ from a flag or from the config file. Results go to stdout, logs to stderr;
 every failure, a malformed flag included, is a single ``error: ...`` line on
 stderr with exit code 1.
 
-Heavy imports happen inside the subcommand handlers so that --threads and
---deterministic can pin the numeric libraries' thread counts through the
-environment before they load.
+--threads and --deterministic pin the numeric libraries' thread counts
+through the environment, which BLAS reads once, when numpy loads. Nothing
+numeric loads before that: importing ``replygen`` and this module imports no
+numpy (the package resolves its exports lazily), the config file is read
+here, and every handler imports what it needs when it runs. A program that
+has imported numpy before calling ``main`` keeps its thread counts.
 """
 
 from __future__ import annotations
@@ -46,23 +49,27 @@ def _load_config(path):
     """Parse a flat key = value config file ('#' starts a comment line).
 
     A key must be a setting of some subcommand or a common flag, so that a
-    misspelled one is refused instead of silently ignored."""
-    from .corpus import _open_utf8
-
+    misspelled one is refused instead of silently ignored. The file is read
+    here, not through ``corpus``, so that nothing numeric loads before main
+    pins the thread counts."""
     if not os.path.isfile(path):
         raise CliError(f"config file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not valid UTF-8 ({exc})") from None
     cfg = {}
-    with _open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise CliError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _SETTINGS:
-                raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
-            cfg[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _SETTINGS:
+            raise CliError(f"{path}:{lineno}: unknown setting {key!r}")
+        cfg[key] = value
     return cfg
 
 

@@ -107,12 +107,25 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, side: str = "post") -> "Vocabulary":
+        """Read one token per line, the reserved tokens first. A line that is
+        not exactly one whitespace-free token, or repeats an earlier line, is
+        refused naming FILE:LINE, so a decoded word never holds a separator."""
+        index = {}
         with _open_utf8(path) as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+            for lineno, line in enumerate(fh, start=1):
+                token = line.rstrip("\n")
+                if token.split() != [token]:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: expected one token without whitespace, "
+                        f"got {token!r}")
+                if token in index:
+                    raise CorpusFormatError(f"{path}:{lineno}: duplicate token {token!r}")
+                index[token] = len(index)
+        tokens = list(index)
         if tuple(tokens[:4]) != RESERVED_TOKENS:
             raise CorpusFormatError(
                 f"{path}: first four lines must be {' '.join(RESERVED_TOKENS)}")
-        return cls.from_tokens(side, tokens[4:])
+        return cls(side=side, tokens=tokens, index=index)
 
 
 @dataclass

@@ -271,6 +271,11 @@ def load_scores_csv(path):
             raise ValueError(f"{path}: expected a header row with at least "
                              f"two treatment names")
         names = [h.strip() for h in header]
+        for name in names:
+            # a tab or line break in a name would split its avg_rank line
+            if "\t" in name or name.splitlines() not in ([], [name]):
+                raise ValueError(f"{path}:1: treatment name {name!r} holds a tab "
+                                 f"or a line break")
         scores = []
         for lineno, row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):

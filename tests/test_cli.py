@@ -442,6 +442,18 @@ def test_bad_csv_row_is_one_error_line_naming_its_line(command, flag, text, work
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}:3: "), err[:300]
 
 
+@pytest.mark.parametrize("name", ["a\tb", "a\nb\nc", "a\u2028b"], ids=["tab", "lf", "u2028"])
+def test_friedman_refuses_a_name_that_would_split_its_line(name, workdir, capsys):
+    """A treatment name is printed inside its avg_rank line, so a tab or a
+    line break in it is refused with the file and the header line."""
+    path = workdir / "scores.csv"
+    path.write_text(f'"{name}",B\n2.0,1.0\n', encoding="utf-8")
+    rc, out, err = run(capsys, "friedman", "--scores", str(path), "--quiet")
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}:1: treatment name "), err
+
+
 @pytest.mark.parametrize("command, bad", [
     ("clean", "stoplist"), ("perplexity", "post-vocab"), ("perplexity", "resp-vocab"),
     ("perplexity", "pairs"), ("kappa", "annotations"), ("friedman", "scores"),

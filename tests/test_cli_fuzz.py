@@ -11,7 +11,7 @@ A checkpoint with flipped, cut or appended bytes must either still load
 (exit 0, nothing on stderr) or be refused with that one error line. So must
 a pairs file, stoplist, vocabulary, posts file or evaluation CSV with
 inserted, replaced or deleted bytes and fields; on exit 0 every stdout line
-is tab-separated.
+has the number of tab-separated fields its key implies.
 """
 
 import contextlib
@@ -197,6 +197,19 @@ INPUTS = {
     "resp-vocab": ("response.vocab", ["perplexity", "--checkpoint", "{D}/tiny.ckpt",
                                       "--pairs", "{D}/pairs.tsv", "--post-vocab",
                                       "{D}/post.vocab", "--resp-vocab", "{F}"]),
+    # one-token responses at a beam wider than the vocabulary print every word
+    "resp-vocab-generate": ("response.vocab", ["generate", "--checkpoint", "{D}/tiny.ckpt",
+                                               "--post-vocab", "{D}/post.vocab",
+                                               "--resp-vocab", "{F}", "--post", "how are you",
+                                               "--beam", "30", "--max-len", "1"]),
+    "pairs-train": ("pairs.tsv", ["train", "--pairs", "{F}", "--post-vocab", "{D}/post.vocab",
+                                  "--resp-vocab", "{D}/response.vocab", "--scheme", "glo",
+                                  "--out", "{O}", "--d-h", "4", "--d-emb", "3", "--d-a", "4",
+                                  "--d-l", "3", "--d-r", "4", "--epochs", "1",
+                                  "--batch-size", "4"]),
+    "pairs-perplexity": ("pairs.tsv", ["perplexity", "--checkpoint", "{D}/tiny.ckpt",
+                                       "--pairs", "{F}", "--post-vocab", "{D}/post.vocab",
+                                       "--resp-vocab", "{D}/response.vocab"]),
     "posts-file": ("posts.txt", ["generate", "--checkpoint", "{D}/tiny.ckpt",
                                  "--post-vocab", "{D}/post.vocab", "--resp-vocab",
                                  "{D}/response.vocab", "--posts-file", "{F}",
@@ -257,13 +270,24 @@ def mutate(good: bytes, mutations) -> bytes:
     return data
 
 
+def fields(key):
+    """Tab-separated fields of a stdout line that starts with ``key``: a
+    generate rank line and the avg_rank and fraction lines have three, every
+    other line two."""
+    return 3 if key.isdigit() or key in ("avg_rank", "fraction") else 2
+
+
 @pytest.mark.parametrize("kind", list(INPUTS))
 @settings(max_examples=40, deadline=None)
 @given(mutations=MUTATIONS)
-# A label far past int64 (ann.csv's field 10 is its first label), and a
-# field past the csv limit, in every input.
+# A label far past int64 (ann.csv's field 10 is its first label), a field
+# past the csv limit, a tab in a word (response.vocab's field 8 is its first
+# content token) and line breaks in a name (scores.csv's field 0), in every
+# input.
 @example(mutations=[("replace", 10, str(2 ** 64).encode())])
 @example(mutations=[("insert", 0, b"x" * 131_073)])
+@example(mutations=[("replace", 8, b"a\tb")])
+@example(mutations=[("replace", 0, b'"a\nb\nc"')])
 def test_mutated_input_files_run_or_are_one_error_line(kind, input_dir, fuzz_dir, mutations):
     name, argv = INPUTS[kind]
     mutated = mutate((input_dir / name).read_bytes(), mutations)
@@ -274,8 +298,10 @@ def test_mutated_input_files_run_or_are_one_error_line(kind, input_dir, fuzz_dir
     code, out, err = _run([a.format(**values) for a in argv] + ["--quiet"])
     if code == 0:
         assert err == "", (kind, err)
-        assert out.endswith("\n") and all("\t" in line for line in out.split("\n")[:-1]), \
-            (kind, out)
+        assert out.endswith("\n"), (kind, out)
+        for line in out.splitlines():
+            parts = line.split("\t")
+            assert len(parts) == fields(parts[0]), (kind, line)
     else:
         lines = err.splitlines()
         assert code == 1 and out == "", (kind, code, err)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,25 @@ def test_vocabulary_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("<pad>\n<s>\nwrong\n<unk>\nword\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("line", ["", "a b", " a", "a\tb", "a\u2028b"],
+                         ids=["blank", "space", "leading-space", "tab", "u2028"])
+def test_vocabulary_load_refuses_a_line_that_is_not_one_token(line, tmp_path):
+    """A decoded word is printed inside tab-separated lines, so each
+    vocabulary line must be exactly one str.split() token."""
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(RESERVED_TOKENS + ("ok", line, "end")) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:6: "):
+        Vocabulary.load(path)
+
+
+def test_vocabulary_load_names_the_duplicate_line(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join(RESERVED_TOKENS + ("dup", "x", "dup")) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(path))}:7: duplicate token 'dup'$"):
         Vocabulary.load(path)
 
 
