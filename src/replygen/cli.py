@@ -375,8 +375,6 @@ def _synthetic_batch(rng, vocab_size, batch, post_len, resp_len):
     from .corpus import BOS_ID, EOS_ID, UNK_ID, _pack
 
     first_content = UNK_ID + 1
-    if vocab_size <= first_content:
-        raise CliError(f"vocab-size must be > {first_content}")
     post_rows, resp_rows = [], []
     for _ in range(batch):
         n_post = rng.randrange(post_len) + 1

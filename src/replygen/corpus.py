@@ -101,8 +101,9 @@ class Vocabulary:
     def from_tokens(cls, side: str, content_tokens) -> "Vocabulary":
         tokens = list(RESERVED_TOKENS) + list(content_tokens)
         index = {tok: i for i, tok in enumerate(tokens)}
-        if len(index) != len(tokens):
-            raise CorpusFormatError("duplicate token in vocabulary")
+        if len(index) != len(tokens):  # a repeated token maps to its last id
+            dup = next(tok for i, tok in enumerate(tokens) if index[tok] != i)
+            raise CorpusFormatError(f"duplicate token {dup!r} in vocabulary")
         return cls(side=side, tokens=tokens, index=index)
 
     @classmethod
@@ -151,17 +152,15 @@ class CleanConfig:
 class Batch:
     """Padded id matrices plus 0/1 masks for one minibatch.
 
-    Response rows carry the BOS prefix and EOS suffix; lengths count the
-    framed sequence. mask[i][t] == 1 iff t < length[i], and PAD appears
-    only where the mask is 0.
+    Response rows carry the BOS prefix and EOS suffix. A mask row is 1 on
+    the row's tokens and 0 on the padding after them; it is the batch's one
+    record of where each row ends, and PAD appears only where it is 0.
     """
 
     post_ids: np.ndarray      # (B, Tp) int64
     post_mask: np.ndarray     # (B, Tp) float64, 0/1
-    post_lengths: np.ndarray  # (B,) int64
     resp_ids: np.ndarray      # (B, Tr) int64, BOS ... EOS then PAD
     resp_mask: np.ndarray     # (B, Tr) float64, 0/1
-    resp_lengths: np.ndarray  # (B,) int64
 
     def __len__(self) -> int:
         return self.post_ids.shape[0]
@@ -247,7 +246,8 @@ def clean_corpus(pairs, config: CleanConfig | None = None):
 def build_vocab(pairs, side: str, cap: int = 40000):
     """Keep the ``cap`` most frequent tokens of one side; ties go to the
     token seen first. Returns (Vocabulary, coverage) where coverage is the
-    kept-token share of all token occurrences on that side.
+    kept-token share of all token occurrences on that side. The reserved
+    spellings, at ids 0-3 already, are never ranked or counted as kept.
     """
     if cap < 1:
         raise ValueError(f"vocabulary cap must be >= 1, got {cap}")
@@ -267,6 +267,8 @@ def build_vocab(pairs, side: str, cap: int = 40000):
     if total == 0:
         raise CorpusFormatError(f"cannot build a vocabulary from an empty {side} corpus")
 
+    for token in RESERVED_TOKENS:
+        freq.pop(token, None)
     ranked = sorted(freq, key=lambda t: (-freq[t], first_seen[t]))
     kept = ranked[:cap]
     coverage = sum(freq[t] for t in kept) / total
@@ -314,13 +316,9 @@ def _pack(post_rows, resp_rows) -> Batch:
     post_mask = np.zeros((b, tp), dtype=np.float64)
     resp_ids = np.full((b, tr), PAD_ID, dtype=np.int64)
     resp_mask = np.zeros((b, tr), dtype=np.float64)
-    post_lengths = np.zeros(b, dtype=np.int64)
-    resp_lengths = np.zeros(b, dtype=np.int64)
     for i, (prow, rrow) in enumerate(zip(post_rows, resp_rows)):
         post_ids[i, :len(prow)] = prow
         post_mask[i, :len(prow)] = 1.0
-        post_lengths[i] = len(prow)
         resp_ids[i, :len(rrow)] = rrow
         resp_mask[i, :len(rrow)] = 1.0
-        resp_lengths[i] = len(rrow)
-    return Batch(post_ids, post_mask, post_lengths, resp_ids, resp_mask, resp_lengths)
+    return Batch(post_ids, post_mask, resp_ids, resp_mask)

@@ -151,9 +151,9 @@ class ModelParams:
 class EncodedPost:
     """Encoder outputs for a batch of posts.
 
-    states is (B, T, d_h) with zeros at padded positions; final is the last
-    real state per row. global_final is the second encoder's final state
-    (hybrid scheme only, else None).
+    states is (B, T, d_h) with zeros at padded positions; final is each
+    row's state at its last token, states[rows, lengths - 1]. global_final
+    is the second encoder's final state (hybrid scheme only, else None).
     """
 
     states: np.ndarray
@@ -305,25 +305,19 @@ def _gru_step_full(cell, x, h_prev):
     return h, (x, h_prev, z, r, hbar)
 
 
-def _run_encoder(cell, E_x, ids, mask):
-    """Masked left-to-right pass. Padded steps carry the previous state
-    forward unchanged, so `final` is the state at each row's true length.
-
-    Also returns every step's _gru_step_full cache, which backprop reads;
-    the pass computes them all anyway.
-    """
-    b, t_max = ids.shape
-    d_h = cell.U_z.shape[0]
-    h = np.zeros((b, d_h))
-    states = np.zeros((b, t_max, d_h))
-    caches = []
-    for t in range(t_max):
-        h_hat, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+def _run_encoder(cell, E_x, ids, lengths):
+    """Left-to-right pass of every row through every position, padding
+    included. Returns (states, final, caches): every step's state, each
+    row's state at its length, and every step's _gru_step_full cache, which
+    backprop reads. Padded steps' states are computed but never read."""
+    h = np.zeros((len(ids), cell.U_z.shape[0]))
+    states, caches = [], []
+    for t in range(ids.shape[1]):
+        h, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+        states.append(h)
         caches.append(cache)
-        m = mask[:, t][:, None]
-        states[:, t, :] = m * h_hat
-        h = m * h_hat + (1.0 - m) * h
-    return states, h, caches
+    states = np.stack(states, axis=1)
+    return states, states[np.arange(len(ids)), lengths - 1], caches
 
 
 def _encode(params: ModelParams, post_ids, post_mask):
@@ -334,20 +328,24 @@ def _encode(params: ModelParams, post_ids, post_mask):
         raise ValueError(
             f"post_ids and post_mask must be matching 2-d arrays, "
             f"got {post_ids.shape} and {post_mask.shape}")
-    lengths = post_mask.sum(axis=1).astype(np.int64)
+    lengths = np.count_nonzero(post_mask, axis=1)
+    if (post_mask != (np.arange(post_mask.shape[1]) < lengths[:, None])).any():
+        raise ValueError("post_mask must be 1 on each post's tokens and 0 after them")
     if (lengths < 1).any():
         raise ValueError("every post in a batch must have at least one token")
-    states, final, caches = _run_encoder(params.enc, params.E_x, post_ids, post_mask)
+    states, final, caches = _run_encoder(params.enc, params.E_x, post_ids, lengths)
+    states *= post_mask[:, :, None]
     global_final, g_caches = None, None
     if params.scheme == "hyb":
-        _, global_final, g_caches = _run_encoder(params.enc_g, params.E_x, post_ids, post_mask)
+        _, global_final, g_caches = _run_encoder(params.enc_g, params.E_x, post_ids, lengths)
     enc_out = EncodedPost(states=states, mask=post_mask, lengths=lengths,
                           final=final, global_final=global_final)
     return enc_out, (caches, g_caches)
 
 
 def encode(params: ModelParams, post_ids: np.ndarray, post_mask: np.ndarray) -> EncodedPost:
-    """Run the encoder(s) over a padded batch of posts."""
+    """Run the encoder(s) over a padded batch of posts. post_mask must be 1
+    on each post's (at least one) tokens and 0 after them, else ValueError."""
     return _encode(params, post_ids, post_mask)[0]
 
 

@@ -3,7 +3,7 @@
 The loss is the mean negative log-likelihood per framed response token
 (content tokens plus the closing end marker); every post and every response
 in a batch must have at least one token. Backpropagation through the
-decoder, the attention, and the masked encoder recurrences is written out
+decoder, the attention, and the encoder recurrences is written out
 explicitly; there is no autodiff anywhere. One forward pass records a tape
 (every GRU step's cache, the attention weights, the log-probabilities) that
 `batch_loss` drops and `backward` reads. `grad_check` compares every
@@ -64,9 +64,9 @@ def _forward(params: ModelParams, batch):
     back into the recurrence: the loop runs only the context and the decoder
     GRU, step by step, and _output_loss then runs the output layer once over
     the real target rows of all steps. tape is what the backward pass reads:
-    (memory, encoder caches, s_0, steps, c, output cache), where steps holds
-    every decoder step's (_gru_step_full cache, attention weights alpha) and
-    c is the stacked (steps, B, width) context.
+    (memory, post lengths, encoder caches, s_0, steps, c, output cache),
+    where steps holds every decoder step's (_gru_step_full cache, attention
+    weights alpha) and c is the stacked (steps, B, width) context.
     """
     enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
     if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
@@ -91,10 +91,10 @@ def _forward(params: ModelParams, batch):
 
     loss_sum = 0.0
     for t in range(steps):  # summed step by step, so the loss does not move
-        loss_sum -= float((batch.resp_mask[:, t + 1] * target_logp[t]).sum())
+        loss_sum -= float(target_logp[t].sum())
 
     token_count = float(batch.resp_mask[:, 1:].sum())
-    tape = (memory, enc_caches, s0, dec_steps, c, output)
+    tape = (memory, enc_out.lengths, enc_caches, s0, dec_steps, c, output)
     return loss_sum / token_count, token_count, tape
 
 
@@ -234,17 +234,17 @@ def _memory_backward(grads, params, memory, dmemory):
             dinit[:, d_h:] + dvalues[:, :, d_h:].sum(axis=1))
 
 
-def _encoder_backward(dcell, dE_x, cell, ids, mask, caches, dstates, dfinal):
-    """Backprop a masked recurrence into dcell and dE_x. Padded steps pass
-    the carry through. dstates is None when no gradient reaches the states."""
+def _encoder_backward(dcell, dE_x, cell, ids, lengths, caches, dstates, dfinal):
+    """Adjoint of model._run_encoder into dcell and dE_x; dstates is None
+    when no gradient reaches the states. dfinal enters at each row's last
+    token. No state past it is read, so no mask is needed: every gradient
+    at a padded step is exactly 0."""
     if dstates is None:
         dstates = np.zeros(ids.shape + dfinal.shape[1:])
-    dcarry = dfinal.copy()
+    dstates[np.arange(len(ids)), lengths - 1] += dfinal
+    dh = np.zeros_like(dfinal)
     for t in reversed(range(ids.shape[1])):
-        m = mask[:, t][:, None]
-        dh_hat = (dcarry + dstates[:, t, :]) * m
-        dx, dh_prev = _gru_backward(dcell, cell, caches[t], dh_hat)
-        dcarry = dcarry * (1.0 - m) + dh_prev
+        dx, dh = _gru_backward(dcell, cell, caches[t], dh + dstates[:, t])
         np.add.at(dE_x, ids[:, t], dx)
 
 
@@ -266,7 +266,7 @@ def backward(params: ModelParams, batch):
     the encoders once.
     """
     loss, token_count, tape = _forward(params, batch)
-    memory, (enc_caches, encg_caches), s0, dec_steps, c, output = tape
+    memory, lengths, (enc_caches, encg_caches), s0, dec_steps, c, output = tape
     grads = _params_from_tensors(params.scheme, params.dims, {
         name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
 
@@ -306,11 +306,11 @@ def backward(params: ModelParams, batch):
     dmemory.init += da0 @ params.W_0
 
     dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
-    _encoder_backward(grads.enc, grads.E_x, params.enc, batch.post_ids, batch.post_mask,
+    _encoder_backward(grads.enc, grads.E_x, params.enc, batch.post_ids, lengths,
                       enc_caches, dstates, dfinal)
     if params.scheme == "hyb":
-        _encoder_backward(grads.enc_g, grads.E_x, params.enc_g, batch.post_ids,
-                          batch.post_mask, encg_caches, None, dglobal_final)
+        _encoder_backward(grads.enc_g, grads.E_x, params.enc_g, batch.post_ids, lengths,
+                          encg_caches, None, dglobal_final)
     return loss, grads.named_tensors()
 
 

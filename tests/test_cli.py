@@ -115,6 +115,21 @@ def test_build_vocab_cap_changes_coverage(workdir, capsys):
     assert float(table(out)["coverage"][0][0]) < 1.0
 
 
+def test_build_vocab_keeps_reserved_spellings_at_their_ids(tmp_path, capsys):
+    """A pairs file whose text holds a reserved spelling builds a vocabulary
+    in which that spelling appears once, at its reserved id."""
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("hi <unk> there\tfine thanks\nthere <s>\tok </s>\n", encoding="utf-8")
+    out_path = tmp_path / "p.vocab"
+    rc, out, err = run(capsys, "build-vocab", "--pairs", str(pairs), "--side", "post",
+                       "--out", str(out_path), "--quiet")
+    assert rc == 0, err
+    rows = table(out)
+    assert rows["size"] == [["6"]]
+    assert float(rows["coverage"][0][0]) == 3 / 5
+    assert Vocabulary.load(out_path).tokens == ["<pad>", "<s>", "</s>", "<unk>", "there", "hi"]
+
+
 # --- training and evaluation ---------------------------------------------------
 
 

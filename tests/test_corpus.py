@@ -196,10 +196,22 @@ def test_vocabulary_lookup_and_unk():
 
 
 def test_vocabulary_rejects_duplicates():
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(CorpusFormatError, match="duplicate token 'dup'"):
         Vocabulary.from_tokens("post", ["dup", "dup"])
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(CorpusFormatError, match="duplicate token '<unk>'"):
         Vocabulary.from_tokens("post", ["<unk>"])  # collides with a reserved token
+
+
+def test_build_vocab_never_ranks_reserved_spellings():
+    """Reserved spellings in the text keep ids 0-3: they are not ranked, and
+    their occurrences count toward coverage's total but not as kept."""
+    pairs = [pair("hi <unk> there", "fine </s>"), pair("<s> hi <pad>", "ok")]
+    vocab, coverage = build_vocab(pairs, "post")
+    assert vocab.tokens == list(RESERVED_TOKENS) + ["hi", "there"]
+    assert coverage == 3 / 6
+    assert encode(["hi", "<unk>", "<s>", "<pad>"], vocab) == [4, UNK_ID, BOS_ID, PAD_ID]
+    vocab, coverage = build_vocab(pairs, "response")
+    assert vocab.tokens[4:] == ["fine", "ok"] and coverage == 2 / 3
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path):
@@ -257,8 +269,8 @@ def test_make_batches_covers_every_pair_once():
     assert [len(b) for b in batches] == [3, 3, 3, 1]
     seen = []
     for b in batches:
-        for row, n in zip(b.resp_ids, b.resp_lengths):
-            seen.append(tuple(row[:n]))
+        for row, mask in zip(b.resp_ids, b.resp_mask):
+            seen.append(tuple(row[mask == 1.0]))
     assert len(set(seen)) == 10
 
 
@@ -267,14 +279,16 @@ def test_make_batches_masks_and_padding():
     vocabs = _two_vocabs(pairs)
     (batch,) = make_batches(pairs, vocabs, batch_size=2, rng=Rng(1))
     assert batch.post_ids.shape == batch.post_mask.shape
-    # mask is 0/1 and PAD appears exactly where the mask is 0
-    for ids, mask, lengths in ((batch.post_ids, batch.post_mask, batch.post_lengths),
-                               (batch.resp_ids, batch.resp_mask, batch.resp_lengths)):
-        assert set(np.unique(mask)) <= {0.0, 1.0}
-        np.testing.assert_array_equal(mask.sum(axis=1), lengths.astype(float))
+    # mask rows are 1 on the row's tokens, then 0; PAD appears exactly where
+    # the mask is 0
+    for ids, mask, lengths in ((batch.post_ids, batch.post_mask, {3, 1}),
+                               (batch.resp_ids, batch.resp_mask, {4, 3})):
+        n = mask.sum(axis=1).astype(int)
+        assert set(n) == lengths
+        np.testing.assert_array_equal(mask, np.arange(mask.shape[1]) < n[:, None])
         assert ((ids == PAD_ID) == (mask == 0.0)).all()
     # responses are framed
-    for row, n in zip(batch.resp_ids, batch.resp_lengths):
+    for row, n in zip(batch.resp_ids, batch.resp_mask.sum(axis=1).astype(int)):
         assert row[0] == BOS_ID and row[n - 1] == EOS_ID
 
 
@@ -293,7 +307,7 @@ def test_make_batches_truncates_responses():
     vocabs = _two_vocabs(pairs)
     (batch,) = make_batches(pairs, vocabs, 1, Rng(0), max_response_len=2)
     # BOS + 2 content + EOS
-    assert batch.resp_lengths[0] == 4
+    assert batch.resp_mask[0].sum() == 4
     assert batch.resp_ids[0, -1] == EOS_ID
 
 

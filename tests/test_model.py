@@ -186,16 +186,15 @@ def test_encode_state_shapes_and_pad_zeroing(make_params, small_batch):
     assert out.states.shape == (b, t, TINY.d_h)
     assert out.final.shape == (b, TINY.d_h)
     # state rows at padded positions are exactly zero
-    for i in range(b):
-        for j in range(int(small_batch.post_lengths[i]), t):
-            assert (out.states[i, j] == 0.0).all()
+    assert (small_batch.post_mask == 0.0).any()
+    assert (out.states[small_batch.post_mask == 0.0] == 0.0).all()
 
 
 def test_encode_final_is_state_at_true_length(make_params, small_batch):
     params = make_params("glo")
     out = encode(params, small_batch.post_ids, small_batch.post_mask)
     for i in range(len(small_batch)):
-        n = int(small_batch.post_lengths[i])
+        n = int(small_batch.post_mask[i].sum())
         np.testing.assert_array_equal(out.final[i], out.states[i, n - 1])
 
 
@@ -234,6 +233,14 @@ def test_encode_validates_input(make_params):
         encode(params, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
     with pytest.raises(ValueError):  # a row of all-zero mask has no final state
         encode(params, np.array([[4, 5]]), np.array([[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("mask", [[[1, 0.5, 1]], [[1, 0, 1]], [[0, 1, 1]], [[1, 1, 2]]])
+def test_encode_refuses_a_mask_that_is_not_0_1_and_left_aligned(mask, make_params):
+    """A mask is 1 on a post's tokens and 0 on the padding after them; encode
+    neither blends a fractional entry nor carries a state over a hole."""
+    with pytest.raises(ValueError, match="post_mask must be 1 on each post's tokens"):
+        encode(make_params("loc"), np.array([[4, 5, 6]]), np.array(mask, dtype=float))
 
 
 # --- attention and context -----------------------------------------------

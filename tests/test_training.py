@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replygen import Dims, Rng, training
+from replygen import Dims, Rng, model, training
 from replygen.corpus import BOS_ID, EOS_ID, build_vocab, _pack
 from replygen.model import (
     _decoder_step,
+    _gru_step_full,
     _output_layer,
     _start_state,
     context_memory,
@@ -64,12 +65,14 @@ def test_batch_loss_matches_per_row_scoring(rows):
 
 def _all_rows_output_loss(params, batch, s_t, y_emb, c):
     """Reference for training._output_loss: the output layer over all
-    steps * B rows, padding included, as it ran before the packing."""
+    steps * B rows, padding included, as it ran before the packing, with
+    the target log-probabilities masked to 0 at padding."""
     steps, b = s_t.shape[:2]
     rows = tuple(x.reshape(steps * b, -1) for x in (s_t, y_emb, c))
     rout, logp = _output_layer(params, *rows)
     logp = logp.reshape(steps, b, -1)
     target_logp = logp[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T]
+    target_logp *= batch.resp_mask[:, 1:].T
     return target_logp, {"batch": batch, "rows": rows, "rout": rout, "logp": logp}
 
 
@@ -142,15 +145,14 @@ def test_batch_loss_ignores_padded_steps(make_params, small_batch):
     params = make_params("loc", seed=4)
     loss, n = batch_loss(params, small_batch)
     # re-pack with two extra all-pad response columns
-    posts = [list(small_batch.post_ids[i, :small_batch.post_lengths[i]])
-             for i in range(len(small_batch))]
-    resps = [list(small_batch.resp_ids[i, :small_batch.resp_lengths[i]])
-             for i in range(len(small_batch))]
+    posts = [list(ids[mask == 1.0])
+             for ids, mask in zip(small_batch.post_ids, small_batch.post_mask)]
+    resps = [list(ids[mask == 1.0])
+             for ids, mask in zip(small_batch.resp_ids, small_batch.resp_mask)]
     resps[0] = resps[0]  # row 0 already the longest; pad others further
     widened = _pack(posts, [resps[0] + [0, 0]] + resps[1:])
     widened.resp_mask[0, -2:] = 0.0
     widened.resp_ids[0, -2:] = 0
-    widened.resp_lengths[0] -= 2
     loss2, n2 = batch_loss(params, widened)
     assert n == n2
     assert loss == loss2
@@ -258,6 +260,90 @@ def test_grad_check_catches_a_scaled_gradient(scheme, name, make_params, small_b
     ok, report = grad_check(params, small_batch)
     assert not ok
     assert [n for n, err in report.items() if err > 1e-4] == [name]
+
+
+# --- the padding edge ----------------------------------------------------
+
+
+# A 1-token post beside a full-length one, and a 1-token response beside a
+# long one: dfinal enters the short post's encoder at step 0, and every
+# later step of that row, on either side, is padding.
+EDGE_ROWS = [([5], [7]), ([4, 6, 8, 10, 7, 9], [4, 11, 6, 9, 5, 8])]
+
+
+def _edge_batch(rows):
+    return _pack([post for post, _ in rows], [[BOS_ID] + resp + [EOS_ID] for _, resp in rows])
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_grad_check_passes_at_the_padding_edge(scheme, make_params):
+    params = make_params(scheme, seed=12, low=-0.8, high=0.8)
+    ok, report = grad_check(params, _edge_batch(EDGE_ROWS))
+    assert ok, f"worst relative error {max(report.values()):.3e}"
+
+
+def _lengths_mask(ids, lengths):
+    return (np.arange(ids.shape[1]) < lengths[:, None]).astype(np.float64)
+
+
+def _carried_run_encoder(cell, E_x, ids, lengths):
+    """Reference for model._run_encoder: the masked pass that carried each
+    row's state unchanged through its padded steps, as it ran before every
+    row stepped every position."""
+    mask = _lengths_mask(ids, lengths)
+    h = np.zeros((len(ids), cell.U_z.shape[0]))
+    states = np.zeros(ids.shape + h.shape[1:])
+    caches = []
+    for t in range(ids.shape[1]):
+        h_hat, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+        caches.append(cache)
+        m = mask[:, t][:, None]
+        states[:, t, :] = m * h_hat
+        h = m * h_hat + (1.0 - m) * h
+    return states, h, caches
+
+
+def _carried_encoder_backward(dcell, dE_x, cell, ids, lengths, caches, dstates, dfinal):
+    """Reference for training._encoder_backward: the adjoint of the carried
+    pass, which passed the final state's gradient through padded steps."""
+    mask = _lengths_mask(ids, lengths)
+    if dstates is None:
+        dstates = np.zeros(ids.shape + dfinal.shape[1:])
+    dcarry = dfinal.copy()
+    for t in reversed(range(ids.shape[1])):
+        m = mask[:, t][:, None]
+        dx, dh_prev = training._gru_backward(dcell, cell, caches[t],
+                                             (dcarry + dstates[:, t, :]) * m)
+        dcarry = dcarry * (1.0 - m) + dh_prev
+        np.add.at(dE_x, ids[:, t], dx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(_content_ids, min_size=1, max_size=7),
+                          st.lists(_content_ids, min_size=1, max_size=5)),
+                min_size=1, max_size=6),
+       st.integers(0, 2 ** 16))
+@example(EDGE_ROWS, 0)
+def test_encoder_matches_the_carried_state_reference(rows, seed):
+    """Stepping every row through every position, with final read at each
+    row's length, gives the encoder states, final states and encoder
+    gradients of the pass that carried the state through padding."""
+    batch = _edge_batch(rows)
+    for scheme in ("glo", "loc", "hyb"):
+        params = init_params(scheme, TINY, Rng(seed), low=-0.5, high=0.5)
+        enc = encode(params, batch.post_ids, batch.post_mask)
+        loss, grads = backward(params, batch)
+        with mock.patch.object(model, "_run_encoder", _carried_run_encoder), \
+                mock.patch.object(training, "_encoder_backward", _carried_encoder_backward):
+            ref = encode(params, batch.post_ids, batch.post_mask)
+            ref_loss, ref_grads = backward(params, batch)
+        assert loss == ref_loss, scheme
+        for field in ("states", "final", "global_final"):
+            np.testing.assert_array_equal(getattr(enc, field), getattr(ref, field),
+                                          err_msg=f"{scheme} {field}")
+        for name, g in ref_grads.items():
+            if name == "E_x" or name.startswith(("enc.", "enc_g.")):
+                np.testing.assert_array_equal(grads[name], g, err_msg=f"{scheme} {name}")
 
 
 # --- SGD -----------------------------------------------------------------
