@@ -87,7 +87,9 @@ class Vocabulary:
         return len(self.tokens)
 
     def id_for(self, token: str) -> int:
-        return self.index.get(token, UNK_ID)
+        """The token's id; UNK_ID for an unknown token and for the reserved
+        spellings, so text never yields a padding or a begin or end marker."""
+        return max(self.index.get(token, UNK_ID), UNK_ID)
 
     def decode(self, ids) -> list[str]:
         return [self.tokens[i] for i in ids]
@@ -247,7 +249,8 @@ def build_vocab(pairs, side: str, cap: int = 40000):
     """Keep the ``cap`` most frequent tokens of one side; ties go to the
     token seen first. Returns (Vocabulary, coverage) where coverage is the
     kept-token share of all token occurrences on that side. The reserved
-    spellings, at ids 0-3 already, are never ranked or counted as kept.
+    spellings, at ids 0-3 already, are never ranked or counted as kept:
+    where the text holds one, id_for reads it as UNK_ID.
     """
     if cap < 1:
         raise ValueError(f"vocabulary cap must be >= 1, got {cap}")

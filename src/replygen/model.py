@@ -320,6 +320,15 @@ def _run_encoder(cell, E_x, ids, lengths):
     return states, states[np.arange(len(ids)), lengths - 1], caches
 
 
+def _mask_lengths(mask, name: str, row: str):
+    """Each row's length under a padding mask; a ValueError unless the mask
+    is 1 on a prefix of every row and 0 after it."""
+    lengths = np.count_nonzero(mask, axis=1)
+    if (mask != (np.arange(mask.shape[1]) < lengths[:, None])).any():
+        raise ValueError(f"{name} must be 1 on each {row}'s tokens and 0 after them")
+    return lengths
+
+
 def _encode(params: ModelParams, post_ids, post_mask):
     """As encode, but returns (enc_out, (enc caches, enc_g caches or None))."""
     post_ids = np.asarray(post_ids, dtype=np.int64)
@@ -328,9 +337,7 @@ def _encode(params: ModelParams, post_ids, post_mask):
         raise ValueError(
             f"post_ids and post_mask must be matching 2-d arrays, "
             f"got {post_ids.shape} and {post_mask.shape}")
-    lengths = np.count_nonzero(post_mask, axis=1)
-    if (post_mask != (np.arange(post_mask.shape[1]) < lengths[:, None])).any():
-        raise ValueError("post_mask must be 1 on each post's tokens and 0 after them")
+    lengths = _mask_lengths(post_mask, "post_mask", "post")
     if (lengths < 1).any():
         raise ValueError("every post in a batch must have at least one token")
     states, final, caches = _run_encoder(params.enc, params.E_x, post_ids, lengths)
@@ -492,9 +499,9 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     """Log-probability of a response (content ids, no frame tokens).
 
     The response is scored as y_1 .. y_m followed by the end marker, starting
-    from the begin marker, so every candidate the decoders return can be
-    re-scored exactly. An empty response has no probability under this
-    framing and raises ValueError.
+    from the begin marker, so every candidate the decoders return re-scores
+    to its score up to floating-point roundoff. An empty response has no
+    probability under this framing and raises ValueError.
     """
     resp_ids = list(resp_ids)
     if not resp_ids:

@@ -26,6 +26,7 @@ from .model import (
     _context,
     _decoder_gru,
     _encode,
+    _mask_lengths,
     _output_layer,
     _params_from_tensors,
     _score_tanh,
@@ -69,7 +70,8 @@ def _forward(params: ModelParams, batch):
     weights alpha) and c is the stacked (steps, B, width) context.
     """
     enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
-    if (batch.resp_mask[:, 1:].sum(axis=1) < 2).any():  # the end marker alone
+    # a response row holds the begin marker, its tokens and the end marker
+    if (_mask_lengths(batch.resp_mask, "resp_mask", "response") < 3).any():
         raise ValueError("every response in a batch must have at least one token")
     memory = context_memory(params, enc_out)
     s0 = _start_state(params, memory)

@@ -203,13 +203,13 @@ def test_vocabulary_rejects_duplicates():
 
 
 def test_build_vocab_never_ranks_reserved_spellings():
-    """Reserved spellings in the text keep ids 0-3: they are not ranked, and
-    their occurrences count toward coverage's total but not as kept."""
+    """Reserved spellings in the text are not ranked, their occurrences count
+    toward coverage's total but not as kept, and each reads as UNK_ID."""
     pairs = [pair("hi <unk> there", "fine </s>"), pair("<s> hi <pad>", "ok")]
     vocab, coverage = build_vocab(pairs, "post")
     assert vocab.tokens == list(RESERVED_TOKENS) + ["hi", "there"]
     assert coverage == 3 / 6
-    assert encode(["hi", "<unk>", "<s>", "<pad>"], vocab) == [4, UNK_ID, BOS_ID, PAD_ID]
+    assert encode(["hi", "<unk>", "<s>", "<pad>"], vocab) == [4, UNK_ID, UNK_ID, UNK_ID]
     vocab, coverage = build_vocab(pairs, "response")
     assert vocab.tokens[4:] == ["fine", "ok"] and coverage == 2 / 3
 
@@ -290,6 +290,21 @@ def test_make_batches_masks_and_padding():
     # responses are framed
     for row, n in zip(batch.resp_ids, batch.resp_mask.sum(axis=1).astype(int)):
         assert row[0] == BOS_ID and row[n - 1] == EOS_ID
+
+
+def test_make_batches_frames_only_at_the_ends_whatever_the_text():
+    """Reserved spellings in pair text read as UNK: EOS_ID sits only at each
+    response's last real position, BOS_ID only at its first, and posts hold
+    no frame or padding id."""
+    pairs = [pair("hi </s> <s>", "ok </s> then <s>"), pair("<pad>", "<pad> fine"),
+             pair("hi", "</s> ok")]
+    vocabs = _two_vocabs(pairs)
+    (batch,) = make_batches(pairs, vocabs, batch_size=3, rng=Rng(2))
+    n = batch.resp_mask.sum(axis=1).astype(int)
+    cols = np.arange(batch.resp_ids.shape[1])
+    assert ((batch.resp_ids == EOS_ID) == (cols == n[:, None] - 1)).all()
+    assert ((batch.resp_ids == BOS_ID) == (cols == 0)).all()
+    assert (batch.post_ids[batch.post_mask == 1.0] >= UNK_ID).all()
 
 
 def test_make_batches_shuffle_is_seeded():

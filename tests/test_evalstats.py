@@ -127,6 +127,18 @@ def test_friedman_against_scipy():
         assert dof == k - 1
 
 
+def test_friedman_tie_correction_against_scipy():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n, k = int(rng.integers(3, 12)), int(rng.integers(3, 8))
+        m = rng.integers(0, 3, size=(n, k)).astype(np.float64)  # many ties
+        m[0] = np.arange(k)  # so no matrix is tied throughout
+        statistic, _, p, _ = friedman_test(m)
+        ref = sps.friedmanchisquare(*[m[:, j] for j in range(k)])
+        assert statistic == pytest.approx(ref.statistic, rel=1e-10)
+        assert p == pytest.approx(ref.pvalue, rel=1e-8, abs=1e-12)
+
+
 def test_friedman_rank_direction_is_descending():
     # one subject, strictly decreasing scores: ranks are 1..k in order
     _, _, _, ranks = friedman_test(np.array([[9.0, 7.0, 4.0, 1.0]]))
@@ -170,11 +182,10 @@ def test_chi_square_sf_dof2_closed_form():
 
 
 def test_chi_square_sf_against_scipy_grid():
-    for dof in range(1, 11):
-        for x in np.linspace(0.01, 60.0, 40):
-            mine = chi_square_sf(float(x), dof)
-            ref = float(sps.chi2.sf(x, dof))
-            assert abs(mine - ref) < 1e-10, (x, dof)
+    xs = np.concatenate([np.linspace(0.001, 60.0, 40), np.geomspace(1e-12, 5000.0, 40)])
+    for dof in [*range(1, 61), 99, 100, 250, 999, 1000]:
+        for x, ref in zip(xs, sps.chi2.sf(xs, dof)):
+            assert abs(chi_square_sf(float(x), dof) - ref) < 1e-10, (x, dof)
 
 
 def test_chi_square_sf_spot_values():
@@ -202,6 +213,13 @@ def test_chi_square_sf_domain_errors():
 def test_chi_square_sf_extreme_tail_stays_in_unit_interval():
     p = chi_square_sf(500.0, 1)
     assert 0.0 <= p < 1e-100
+
+
+def test_chi_square_sf_at_the_ends_of_the_float_range():
+    assert chi_square_sf(math.inf, 1) == 0.0
+    assert chi_square_sf(math.inf, 4) == 0.0
+    assert chi_square_sf(5e-324, 1) == 1.0  # half of it underflows to 0
+    assert chi_square_sf(1e-300, 2) == 1.0
 
 
 # --- file loaders ----------------------------------------------------------------

@@ -5,6 +5,7 @@ Each case runs in a fresh interpreter with the *_NUM_THREADS variables
 cleared, since this test process has long since loaded numpy.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -89,3 +90,22 @@ print(len(replygen.__all__))
 """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "37\n"
+
+
+def test_the_package_runs_on_numpy_alone():
+    """scipy and hypothesis serve the tests only: with both unimportable,
+    every submodule imports and the statistics run."""
+    proc = python(f"""
+import importlib, sys
+sys.modules["scipy"] = sys.modules["hypothesis"] = None
+for module in {sorted(EXPORTS) + ["cli"]!r}:
+    importlib.import_module("replygen." + module)
+from replygen.evalstats import AnnotationTable, chi_square_sf, fleiss_kappa, friedman_test
+print(chi_square_sf(2.0, 2))
+print(friedman_test([[2.0, 1.0], [3.0, 0.5], [5.0, 4.0]])[0])
+print(fleiss_kappa(AnnotationTable([[2, 2, 1], [0, 0, 0]])))
+""")
+    assert proc.returncode == 0, proc.stderr
+    p, statistic, kappa = map(float, proc.stdout.split())
+    assert (p, statistic) == (math.exp(-1.0), 3.0)
+    assert kappa == pytest.approx(5.0 / 11.0, abs=1e-15)

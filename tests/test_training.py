@@ -168,6 +168,18 @@ def test_batch_loss_rejects_empty_response(make_params):
             fn(params, batch)
 
 
+@pytest.mark.parametrize("mask", [[1, 1, 0.5, 1], [1, 1, 0, 1]], ids=["half", "hole"])
+def test_batch_loss_refuses_a_resp_mask_that_is_not_0_1_and_left_aligned(mask, make_params):
+    """Every real target weighs 1 / token_count in backward, so the loss
+    neither counts a fractional entry nor drops a target behind a hole."""
+    batch = _pack([[4, 5], [6]], [[BOS_ID, 7, 8, EOS_ID], [BOS_ID, 9, EOS_ID]])
+    batch.resp_mask[0] = mask
+    params = make_params("loc")
+    for fn in (batch_loss, backward):
+        with pytest.raises(ValueError, match="resp_mask must be 1 on each response's tokens"):
+            fn(params, batch)
+
+
 def test_backward_reports_same_loss(make_params, small_batch):
     """The cached forward of backward and the cache-free one of batch_loss
     give the same loss bitwise, for every scheme."""
