@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID
+from .corpus import BOS_ID, EOS_ID, PAD_ID
 from .numerics import Rng, log_softmax, sigmoid, softmax_stable
 
 __all__ = [
@@ -305,19 +305,49 @@ def _gru_step_full(cell, x, h_prev):
     return h, (x, h_prev, z, r, hbar)
 
 
+def _packing(lengths):
+    """The packed order of rows of the given lengths: (order, counts).
+
+    order is the rows in a stable order of descending length, so the rows
+    longer than t are its first counts[t] entries; counts runs to the
+    longest length, and a step t of a recurrence over the rows in that
+    order runs the prefix of counts[t] rows only (the packed sequences of
+    PyTorch's pack_padded_sequence).
+    """
+    order = np.argsort(-lengths, kind="stable")
+    counts = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+    return order, counts.tolist()
+
+
 def _run_encoder(cell, E_x, ids, lengths):
-    """Left-to-right pass of every row through every position, padding
-    included. Returns (states, final, caches): every step's state, each
-    row's state at its length, and every step's _gru_step_full cache, which
-    backprop reads. Padded steps' states are computed but never read."""
-    h = np.zeros((len(ids), cell.U_z.shape[0]))
-    states, caches = [], []
-    for t in range(ids.shape[1]):
-        h, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
-        states.append(h)
+    """Left-to-right pass over the rows' tokens, packed: the rows are taken
+    in _packing's order, and step t runs the counts[t] rows whose post is
+    longer than t only. Returns (states, final, tape): states (B, T, d_h)
+    in the caller's row order, exactly 0 at padded positions; each row's
+    state at its length; and the (order, ids, counts, caches) that backprop
+    reads, with ids in the packed order and caches[t] step t's
+    _gru_step_full cache."""
+    order, counts = _packing(lengths)
+    ids = ids[order]
+    (b, t_post), d_h = ids.shape, cell.U_z.shape[0]
+    h = np.zeros((b, d_h))
+    packed = np.zeros((t_post, b, d_h))  # time-major, rows in the packed order
+    caches = []
+    for t, n in enumerate(counts):
+        h, cache = _gru_step_full(cell, E_x[ids[:n, t]], h[:n])
+        packed[t, :n] = h
         caches.append(cache)
-    states = np.stack(states, axis=1)
-    return states, states[np.arange(len(ids)), lengths - 1], caches
+    states = np.empty((b, t_post, d_h))
+    states[order] = packed.transpose(1, 0, 2)
+    return states, states[np.arange(b), lengths - 1], (order, ids, counts, caches)
+
+
+def _check_ids(ids: np.ndarray, v: int, side: str) -> None:
+    """A ValueError naming the first of ids outside [0, v): a table row
+    index neither wraps around nor runs past the table."""
+    bad = (ids < 0) | (ids >= v)
+    if bad.any():
+        raise ValueError(f"{side} id {int(ids[bad][0])} is outside the vocabulary [0, {v})")
 
 
 def _mask_lengths(mask, name: str, row: str):
@@ -329,30 +359,34 @@ def _mask_lengths(mask, name: str, row: str):
     return lengths
 
 
-def _encode(params: ModelParams, post_ids, post_mask):
-    """As encode, but returns (enc_out, (enc caches, enc_g caches or None))."""
+def _encode(params: ModelParams, post_ids, post_mask, rows=slice(None)):
+    """As encode, but returns (enc_out, (enc tape, enc_g tape or None)),
+    each tape as _run_encoder returns it. rows picks and orders the posts
+    to encode, once the whole batch is checked."""
     post_ids = np.asarray(post_ids, dtype=np.int64)
     post_mask = np.asarray(post_mask, dtype=np.float64)
     if post_ids.ndim != 2 or post_mask.shape != post_ids.shape:
         raise ValueError(
             f"post_ids and post_mask must be matching 2-d arrays, "
             f"got {post_ids.shape} and {post_mask.shape}")
+    _check_ids(post_ids, params.dims.v_post, "post")
     lengths = _mask_lengths(post_mask, "post_mask", "post")
     if (lengths < 1).any():
         raise ValueError("every post in a batch must have at least one token")
-    states, final, caches = _run_encoder(params.enc, params.E_x, post_ids, lengths)
-    states *= post_mask[:, :, None]
-    global_final, g_caches = None, None
+    post_ids, post_mask, lengths = post_ids[rows], post_mask[rows], lengths[rows]
+    states, final, tape = _run_encoder(params.enc, params.E_x, post_ids, lengths)
+    global_final, g_tape = None, None
     if params.scheme == "hyb":
-        _, global_final, g_caches = _run_encoder(params.enc_g, params.E_x, post_ids, lengths)
+        _, global_final, g_tape = _run_encoder(params.enc_g, params.E_x, post_ids, lengths)
     enc_out = EncodedPost(states=states, mask=post_mask, lengths=lengths,
                           final=final, global_final=global_final)
-    return enc_out, (caches, g_caches)
+    return enc_out, (tape, g_tape)
 
 
 def encode(params: ModelParams, post_ids: np.ndarray, post_mask: np.ndarray) -> EncodedPost:
     """Run the encoder(s) over a padded batch of posts. post_mask must be 1
-    on each post's (at least one) tokens and 0 after them, else ValueError."""
+    on each post's (at least one) tokens and 0 after them, and every id in
+    post_ids must lie in [0, v_post), else ValueError."""
     return _encode(params, post_ids, post_mask)[0]
 
 
@@ -501,11 +535,20 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     The response is scored as y_1 .. y_m followed by the end marker, starting
     from the begin marker, so every candidate the decoders return re-scores
     to its score up to floating-point roundoff. An empty response has no
-    probability under this framing and raises ValueError.
+    probability under this framing, and an id outside [0, v_resp) or a
+    padding, begin or end marker inside the response has none in this
+    model: each raises ValueError, as an id outside [0, v_post) in the post
+    does.
     """
     resp_ids = list(resp_ids)
     if not resp_ids:
         raise ValueError("cannot score an empty response")
+    resp = np.asarray(resp_ids, dtype=np.int64)
+    _check_ids(resp, params.dims.v_resp, "response")
+    markers = resp[np.isin(resp, (PAD_ID, BOS_ID, EOS_ID))]
+    if markers.size:
+        raise ValueError(f"response id {int(markers[0])} is a padding, begin or end "
+                         f"marker, which a response holds only as its frame")
     memory = context_memory(params, encode_post(params, post_ids))
     s = _start_state(params, memory)
     targets = resp_ids + [EOS_ID]

@@ -23,11 +23,13 @@ from .model import (
     ContextMemory,
     Dims,
     ModelParams,
+    _check_ids,
     _context,
     _decoder_gru,
     _encode,
     _mask_lengths,
     _output_layer,
+    _packing,
     _params_from_tensors,
     _score_tanh,
     _start_state,
@@ -58,81 +60,101 @@ class TrainConfig:
     max_response_len: int | None = 30
 
 
+def _head(memory: ContextMemory, n: int) -> ContextMemory:
+    """The first n rows of a context memory, as views."""
+    return ContextMemory(*(None if a is None else a[:n]
+                           for a in (memory.init, memory.values, memory.keys, memory.mask)))
+
+
 def _forward(params: ModelParams, batch):
     """Shared forward pass. Returns (loss, token_count, tape).
 
-    Under teacher forcing the readout and the output softmax feed nothing
-    back into the recurrence: the loop runs only the context and the decoder
-    GRU, step by step, and _output_loss then runs the output layer once over
-    the real target rows of all steps. tape is what the backward pass reads:
-    (memory, post lengths, encoder caches, s_0, steps, c, output cache),
-    where steps holds every decoder step's (_gru_step_full cache, attention
-    weights alpha) and c is the stacked (steps, B, width) context.
+    The recurrences are packed. The rows are taken once in _packing's order
+    of their target counts (response length less the begin marker), so the
+    rows with a target at step t are the prefix of counts[t] rows, and the
+    loop runs the context and the decoder GRU of step t over those rows
+    only, against views of the context memory's first counts[t] rows. It
+    ends at the last step with a live row. The encoders get the posts in
+    the same order and pack them by post length themselves.
+
+    Every per-target array is packed step-major: step t's rows are
+    counts[0] + ... + counts[t - 1] onwards. Under teacher forcing the
+    readout and the output softmax feed nothing back into the recurrence,
+    so _output_loss runs them once over all those rows after the loop. The
+    targets' log-probabilities go back to the caller's row order before the
+    loss is summed step by step. tape is what the backward pass reads:
+    (counts, input ids, memory, encoder tapes, s_0, steps, c, output
+    cache), where steps holds every decoder step's (_gru_step_full cache,
+    attention weights alpha), and the input ids and c are packed; each
+    encoder tape holds its own order and counts.
     """
-    enc_out, enc_caches = _encode(params, batch.post_ids, batch.post_mask)
+    resp_ids = np.asarray(batch.resp_ids, dtype=np.int64)
+    _check_ids(resp_ids, params.dims.v_resp, "response")
     # a response row holds the begin marker, its tokens and the end marker
-    if (_mask_lengths(batch.resp_mask, "resp_mask", "response") < 3).any():
+    lengths = _mask_lengths(batch.resp_mask, "resp_mask", "response")
+    if (lengths < 3).any():
         raise ValueError("every response in a batch must have at least one token")
+    b = len(resp_ids)
+    if len(batch.post_ids) != b:
+        raise ValueError(f"a batch needs one post per response, got {len(batch.post_ids)} "
+                         f"posts and {b} responses")
+    order, counts = _packing(lengths - 1)
+    enc_out, enc_tapes = _encode(params, batch.post_ids, batch.post_mask, order)
     memory = context_memory(params, enc_out)
     s0 = _start_state(params, memory)
 
-    b, t_resp = batch.resp_ids.shape
-    steps = t_resp - 1
-    s_t = np.empty((steps, b, params.dims.d_h))
-    c = np.empty((steps, b, memory.init.shape[1]))
+    steps = len(counts)
+    live = np.arange(b) < np.array(counts)[:, None]  # (steps, B), rows in order
+    by_step = resp_ids[order, :steps + 1].T
+    inputs, targets = by_step[:-1][live], by_step[1:][live]
+    s_t = np.empty((len(targets), params.dims.d_h))
+    c = np.empty((len(targets), memory.init.shape[1]))
     dec_steps = []
-    s = s0
-    for t in range(steps):
-        c_t, alpha = _context(params, memory, s)
-        s, _, cache = _decoder_gru(params, c_t, s, batch.resp_ids[:, t])
-        s_t[t] = s
-        c[t] = c_t
+    s, start = s0, 0
+    for n in counts:
+        rows = slice(start, start + n)
+        c[rows], alpha = _context(params, _head(memory, n), s[:n])
+        s, _, cache = _decoder_gru(params, c[rows], s[:n], inputs[rows])
+        s_t[rows] = s
         dec_steps.append((cache, alpha))
-    y_emb = params.E_y[batch.resp_ids[:, :-1].T]
-    target_logp, output = _output_loss(params, batch, s_t, y_emb, c)
+        start += n
+    target_logp, output = _output_loss(params, s_t, params.E_y[inputs], c, targets)
 
+    by_row = np.zeros((steps, b))
+    by_row[live] = target_logp
     loss_sum = 0.0
-    for t in range(steps):  # summed step by step, so the loss does not move
-        loss_sum -= float(target_logp[t].sum())
+    for row in by_row[:, np.argsort(order)]:  # caller order, summed step by step
+        loss_sum -= float(row.sum())
 
-    token_count = float(batch.resp_mask[:, 1:].sum())
-    tape = (memory, enc_out.lengths, enc_caches, s0, dec_steps, c, output)
+    token_count = float(len(targets))
+    tape = (counts, inputs, memory, enc_tapes, s0, dec_steps, c, output)
     return loss_sum / token_count, token_count, tape
 
 
-def _output_loss(params: ModelParams, batch, s_t, y_emb, c):
-    """The teacher-forced output layer over the real target rows only.
+def _output_loss(params: ModelParams, s_t, y_emb, c, targets):
+    """The teacher-forced output layer over the packed target rows.
 
-    s_t, y_emb and c are stacked (steps, B, width). The rows whose target is
-    padding are never formed: the real rows are gathered in step-major
-    order, run through _output_layer in one call, and their targets'
-    log-probabilities scattered into a (steps, B) array that is 0 at
-    padding. Returns (target_logp, cache); cache is the real rows' flat
-    step-major indices, their targets, their gathered (s_t, y_emb, c), their
-    readout and their (n_real, v_resp) log-probabilities.
+    s_t, y_emb and c are (n_real, width), one row per real target; padding
+    rows are never formed. Runs _output_layer in one call and returns
+    (target_logp, cache): each row's target log-probability, and the
+    targets, the inputs, the readout and the (n_real, v_resp)
+    log-probabilities.
     """
-    steps, b = s_t.shape[:2]
-    real = np.flatnonzero(batch.resp_mask[:, 1:].T.reshape(-1))
-    inputs = tuple(x.reshape(steps * b, -1)[real] for x in (s_t, y_emb, c))
-    rout, logp = _output_layer(params, *inputs)
-    targets = batch.resp_ids[:, 1:].T.reshape(-1)[real]
-    target_logp = np.zeros((steps, b))
-    target_logp.reshape(-1)[real] = logp[np.arange(len(real)), targets]
-    return target_logp, (real, targets, inputs, rout, logp)
+    rout, logp = _output_layer(params, s_t, y_emb, c)
+    return logp[np.arange(len(targets)), targets], (targets, (s_t, y_emb, c), rout, logp)
 
 
-def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
+def _output_backward(grads, params, cache, lam: float):
     """Adjoint of _output_loss, given its cache and the loss weight lam of
-    every real target. Accumulates the W_o, b_o, W_s, W_y, W_c and b_r
-    gradients into the gradient ModelParams grads, from one product each
-    over the real rows, and returns the gradients w.r.t. s_t, y_emb and c
-    as (steps, B, width) arrays that are exactly 0 at the padding rows.
+    every target. Accumulates the W_o, b_o, W_s, W_y, W_c and b_r gradients
+    into the gradient ModelParams grads, from one product each over the
+    packed rows, and returns the packed gradients w.r.t. s_t, y_emb and c.
     The cached log-probabilities become dlogits in place.
     """
-    real, targets, (s_t, y_emb, c), rout, dlogits = cache
+    targets, (s_t, y_emb, c), rout, dlogits = cache
     # softmax cross-entropy: dlogits = lam * (probs - onehot(target))
     np.exp(dlogits, out=dlogits)
-    dlogits[np.arange(len(real)), targets] -= 1.0
+    dlogits[np.arange(len(targets)), targets] -= 1.0
     dlogits *= lam
 
     grads.W_o += dlogits.T @ rout
@@ -142,12 +164,7 @@ def _output_backward(grads, params, cache, lam: float, steps: int, b: int):
     grads.W_y += da.T @ y_emb
     grads.W_c += da.T @ c
     grads.b_r += da.sum(axis=0)
-    douts = []
-    for w in (params.W_s, params.W_y, params.W_c):
-        d = np.zeros((steps, b, w.shape[1]))
-        d.reshape(steps * b, -1)[real] = da @ w
-        douts.append(d)
-    return douts
+    return [da @ w for w in (params.W_s, params.W_y, params.W_c)]
 
 
 def batch_loss(params: ModelParams, batch):
@@ -236,18 +253,22 @@ def _memory_backward(grads, params, memory, dmemory):
             dinit[:, d_h:] + dvalues[:, :, d_h:].sum(axis=1))
 
 
-def _encoder_backward(dcell, dE_x, cell, ids, lengths, caches, dstates, dfinal):
-    """Adjoint of model._run_encoder into dcell and dE_x; dstates is None
-    when no gradient reaches the states. dfinal enters at each row's last
-    token. No state past it is read, so no mask is needed: every gradient
-    at a padded step is exactly 0."""
-    if dstates is None:
-        dstates = np.zeros(ids.shape + dfinal.shape[1:])
-    dstates[np.arange(len(ids)), lengths - 1] += dfinal
-    dh = np.zeros_like(dfinal)
-    for t in reversed(range(ids.shape[1])):
-        dx, dh = _gru_backward(dcell, cell, caches[t], dh + dstates[:, t])
-        np.add.at(dE_x, ids[:, t], dx)
+def _encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
+    """Adjoint of model._run_encoder into dcell and dE_x, given its tape;
+    dstates is None when no gradient reaches the states. The steps run in
+    reverse over the same live rows as the forward pass, in its packed
+    order: a row leaves the prefix at its last token, so it joins at that
+    step, where its dfinal enters. No state past it is read, so no mask is
+    needed."""
+    order, ids, counts, caches = tape
+    dh = dfinal[order]  # a row holds its dfinal until its last token's step
+    if dstates is not None:
+        dstates = dstates[order]
+    for t in reversed(range(len(counts))):
+        n = counts[t]
+        dx, dh[:n] = _gru_backward(dcell, cell, caches[t],
+                                   dh[:n] if dstates is None else dh[:n] + dstates[:n, t])
+        np.add.at(dE_x, ids[:n, t], dx)
 
 
 def backward(params: ModelParams, batch):
@@ -257,62 +278,62 @@ def backward(params: ModelParams, batch):
     the same _forward as batch_loss's, so the two are bit-identical.
 
     The readout and output layer feed nothing back into the recurrence, so
-    _forward runs them once over the real target rows of all steps, and
-    _output_backward forms their gradients, and the gradients they pass to
-    s_t, y_emb and c, from one product each over those rows, before the
-    reverse loop through the decoder GRU and the attention. Padding rows are
-    never formed; their gradients w.r.t. s_t, y_emb and c are exactly 0, as
-    their loss weight is. The context memory is built once per
-    batch; the loop and the start state add their gradients into a memory
-    of the same shapes, which _memory_backward, its adjoint, maps back to
-    the encoders once.
+    _forward runs them once over the packed target rows of all steps, and
+    _output_backward forms their gradients, and the packed gradients they
+    pass to s_t, y_emb and c, from one product each over those rows,
+    before the reverse loop. That loop reads the tape's counts: step t
+    runs the decoder GRU and the attention backward over the counts[t]
+    live rows only, in the order _forward packed them, with the carried
+    gradient of the counts[t + 1] rows of step t + 1 added to its first
+    rows. Padding rows are never formed. The context memory is built
+    once per batch; the loop and the start state add their gradients into
+    views of the first rows of a memory of the same shapes, which
+    _memory_backward, its adjoint, maps back to the encoders once.
     """
     loss, token_count, tape = _forward(params, batch)
-    memory, lengths, (enc_caches, encg_caches), s0, dec_steps, c, output = tape
+    counts, inputs, memory, (enc_tape, encg_tape), s0, dec_steps, c, output = tape
     grads = _params_from_tensors(params.scheme, params.dims, {
         name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
 
-    d_h = params.dims.d_h
     d_emb = params.dims.d_emb
-    b = batch.post_ids.shape[0]
-    steps = len(dec_steps)
-    ds_out, dy_emb, dc_out = _output_backward(grads, params, output,
-                                              1.0 / token_count, steps, b)
-    dlc = np.empty((steps, b, params.dims.d_L))
+    ds_out, dy_emb, dc_out = _output_backward(grads, params, output, 1.0 / token_count)
+    dlc = np.empty((len(c), params.dims.d_L))
 
     dmemory = ContextMemory(np.zeros_like(memory.init))
     if memory.keys is not None:
         dmemory.values = np.zeros_like(memory.values)
         dmemory.keys = np.zeros_like(memory.keys)
 
-    ds_carry = np.zeros((b, d_h))
-    for t in reversed(range(steps)):
-        cache, alpha = dec_steps[t]
-        du, ds_prev = _gru_backward(grads.dec, params.dec, cache, ds_carry + ds_out[t])
-        dy_emb[t] += du[:, :d_emb]
-        dlc[t] = du[:, d_emb:]
-        dc = dc_out[t] + dlc[t] @ params.L
+    ds_carry = np.zeros((0, params.dims.d_h))
+    end = len(c)
+    for n, (cache, alpha) in zip(reversed(counts), reversed(dec_steps)):
+        rows = slice(end - n, end)
+        ds = ds_out[rows]
+        ds[:len(ds_carry)] += ds_carry
+        du, ds_carry = _gru_backward(grads.dec, params.dec, cache, ds)
+        dy_emb[rows] += du[:, :d_emb]
+        dlc[rows] = du[:, d_emb:]
+        dc = dc_out[rows] + dlc[rows] @ params.L
         if memory.keys is None:
-            dmemory.init += dc
+            dmemory.init[:n] += dc
         else:
             s_prev = cache[1]
-            ds_prev += _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc)
-        ds_carry = ds_prev
-    grads.L += dlc.reshape(steps * b, -1).T @ c.reshape(steps * b, -1)
-    np.add.at(grads.E_y, batch.resp_ids[:, :-1].T.reshape(-1),
-              dy_emb.reshape(steps * b, d_emb))
+            ds_carry += _attention_backward(grads, params, _head(memory, n),
+                                            _head(dmemory, n), alpha, s_prev, dc)
+        end -= n
+    grads.L += dlc.T @ c
+    np.add.at(grads.E_y, inputs, dy_emb)
 
-    # start state s_0 = tanh(W_0 c_0)
+    # start state s_0 = tanh(W_0 c_0); every row is live at step 0
     da0 = ds_carry * (1.0 - s0 ** 2)
     grads.W_0 += da0.T @ memory.init
     dmemory.init += da0 @ params.W_0
 
     dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
-    _encoder_backward(grads.enc, grads.E_x, params.enc, batch.post_ids, lengths,
-                      enc_caches, dstates, dfinal)
+    _encoder_backward(grads.enc, grads.E_x, params.enc, enc_tape, dstates, dfinal)
     if params.scheme == "hyb":
-        _encoder_backward(grads.enc_g, grads.E_x, params.enc_g, batch.post_ids, lengths,
-                          encg_caches, None, dglobal_final)
+        _encoder_backward(grads.enc_g, grads.E_x, params.enc_g, encg_tape, None,
+                          dglobal_final)
     return loss, grads.named_tensors()
 
 

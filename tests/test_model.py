@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from replygen import Dims, Rng
-from replygen.corpus import BOS_ID, EOS_ID
+from replygen.corpus import BOS_ID, EOS_ID, PAD_ID
 from replygen.model import (
     CheckpointFormatError,
     EncodedPost,
@@ -233,6 +233,32 @@ def test_encode_validates_input(make_params):
         encode(params, np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)))
     with pytest.raises(ValueError):  # a row of all-zero mask has no final state
         encode(params, np.array([[4, 5]]), np.array([[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [-1, TINY.v_post], ids=["negative", "past-the-end"])
+def test_encode_refuses_an_id_outside_the_vocabulary(bad, make_params):
+    """A negative id would read a row counted from the table's end, and an
+    id of v_post would run past it: encode, encode_post and the post of
+    sequence_log_likelihood refuse both, naming the id."""
+    params = make_params("hyb")
+    message = f"post id {bad} is outside the vocabulary"
+    with pytest.raises(ValueError, match=message):
+        encode(params, np.array([[4, 5], [6, bad]]), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match=message):
+        encode_post(params, [4, bad])
+    with pytest.raises(ValueError, match=message):
+        sequence_log_likelihood(params, [bad], [5])
+
+
+@pytest.mark.parametrize("resp, bad", [([-1], -1), ([5, TINY.v_resp], TINY.v_resp),
+                                       ([5, EOS_ID, 6], EOS_ID), ([PAD_ID], PAD_ID),
+                                       ([BOS_ID, 5], BOS_ID)],
+                         ids=["negative", "past-the-end", "end-marker", "pad", "begin-marker"])
+def test_sequence_log_likelihood_refuses_an_id_no_response_holds(resp, bad, make_params):
+    """A response is content ids only: the markers frame it, so one inside
+    it, like an id outside [0, v_resp), is refused by name."""
+    with pytest.raises(ValueError, match=f"response id {bad} is "):
+        sequence_log_likelihood(make_params("loc"), [4, 5], resp)
 
 
 @pytest.mark.parametrize("mask", [[[1, 0.5, 1]], [[1, 0, 1]], [[0, 1, 1]], [[1, 1, 2]]])

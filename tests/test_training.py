@@ -9,11 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replygen import Dims, Rng, model, training
-from replygen.corpus import BOS_ID, EOS_ID, build_vocab, _pack
+from replygen.corpus import BOS_ID, EOS_ID, Batch, build_vocab, _pack
 from replygen.model import (
+    ContextMemory,
+    _context,
+    _decoder_gru,
     _decoder_step,
     _gru_step_full,
     _output_layer,
+    _params_from_tensors,
     _start_state,
     context_memory,
     encode,
@@ -95,6 +99,36 @@ def _all_rows_output_backward(grads, params, cache, lam, steps, b):
     return [(da @ w).reshape(steps, b, -1) for w in (params.W_s, params.W_y, params.W_c)]
 
 
+def _packed_all_rows_output(batch):
+    """_all_rows_output_loss and _all_rows_output_backward behind the packed
+    interface of training._output_loss and _output_backward. The packed
+    rows are scattered into the (steps, B) layout of the batch's rows in
+    the packed order (stable, by descending target count), where step t's
+    real rows are its first ones and every padding row is 0; the all-rows
+    layer runs over that, and the real rows are gathered back."""
+    n_targets = np.count_nonzero(batch.resp_mask[:, 1:], axis=1)
+    order = np.argsort(-n_targets, kind="stable")
+    live = n_targets[order] > np.arange(batch.resp_ids.shape[1] - 1)[:, None]
+    ordered = Batch(*(x[order] for x in (batch.post_ids, batch.post_mask,
+                                         batch.resp_ids, batch.resp_mask)))
+
+    def padded(x):
+        out = np.zeros(live.shape + x.shape[1:])
+        out[live] = x
+        return out
+
+    def output_loss(params, s_t, y_emb, c, targets):
+        target_logp, cache = _all_rows_output_loss(params, ordered,
+                                                   *(padded(x) for x in (s_t, y_emb, c)))
+        return target_logp[live], cache
+
+    def output_backward(grads, params, cache, lam):
+        return [d[live] for d in _all_rows_output_backward(grads, params, cache, lam,
+                                                           *live.shape)]
+
+    return output_loss, output_backward
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.lists(_content_ids, min_size=1, max_size=6),
                           st.lists(_content_ids, min_size=1, max_size=5)),
@@ -107,12 +141,13 @@ def test_real_row_output_layer_matches_all_rows(rows, seed):
     random ragged batches."""
     batch = _pack([post for post, _ in rows],
                   [[BOS_ID] + resp + [EOS_ID] for _, resp in rows])
+    output_loss, output_backward = _packed_all_rows_output(batch)
     for scheme in ("glo", "loc", "hyb"):
         params = init_params(scheme, TINY, Rng(seed), low=-0.5, high=0.5)
         loss, _ = batch_loss(params, batch)
         loss_b, grads = backward(params, batch)
-        with mock.patch.object(training, "_output_loss", _all_rows_output_loss), \
-                mock.patch.object(training, "_output_backward", _all_rows_output_backward):
+        with mock.patch.object(training, "_output_loss", output_loss), \
+                mock.patch.object(training, "_output_backward", output_backward):
             ref_loss, _ = batch_loss(params, batch)
             ref_loss_b, ref_grads = backward(params, batch)
         assert loss == loss_b == ref_loss == ref_loss_b, scheme
@@ -180,6 +215,30 @@ def test_batch_loss_refuses_a_resp_mask_that_is_not_0_1_and_left_aligned(mask, m
             fn(params, batch)
 
 
+@pytest.mark.parametrize("bad", [-1, TINY.v_resp], ids=["negative", "past-the-end"])
+def test_batch_loss_refuses_an_id_outside_the_vocabulary(bad, make_params):
+    """An embedding or output row index neither wraps around nor runs past
+    its table, on either side of a batch."""
+    params = make_params("hyb")
+    for side, batch in (
+            ("response", _pack([[4, 5], [6]], [[BOS_ID, 7, 8, EOS_ID], [BOS_ID, bad, EOS_ID]])),
+            ("post", _pack([[4, 5], [bad]], [[BOS_ID, 7, 8, EOS_ID], [BOS_ID, 9, EOS_ID]]))):
+        for fn in (batch_loss, backward):
+            with pytest.raises(ValueError, match=f"{side} id {bad} is outside the vocabulary"):
+                fn(params, batch)
+
+
+def test_batch_loss_refuses_more_posts_than_responses(make_params):
+    """The packed order of the responses picks the posts, so a post past
+    the last response would be dropped unseen."""
+    full = _pack([[4, 5], [6], [7]], [[BOS_ID, 7, EOS_ID], [BOS_ID, 8, EOS_ID],
+                                      [BOS_ID, 9, EOS_ID]])
+    batch = Batch(full.post_ids, full.post_mask, full.resp_ids[:2], full.resp_mask[:2])
+    for fn in (batch_loss, backward):
+        with pytest.raises(ValueError, match="one post per response, got 3 posts and 2"):
+            fn(make_params("loc"), batch)
+
+
 def test_backward_reports_same_loss(make_params, small_batch):
     """The cached forward of backward and the cache-free one of batch_loss
     give the same loss bitwise, for every scheme."""
@@ -191,8 +250,10 @@ def test_backward_reports_same_loss(make_params, small_batch):
 
 
 def test_batch_loss_matches_stepwise_decoder(make_params, small_batch):
-    """The output layer, run once over every step of a batch, gives bitwise
-    the loss of stepping _decoder_step, for every scheme."""
+    """The output layer, run once over every step of a batch, gives the
+    loss of stepping _decoder_step over all rows, for every scheme, up to
+    the roundoff of products over fewer rows: the packed steps run the live
+    rows only."""
     b = small_batch
     rows = np.arange(len(b))
     for scheme in ("glo", "loc", "hyb"):
@@ -204,7 +265,7 @@ def test_batch_loss_matches_stepwise_decoder(make_params, small_batch):
             s, logp, _ = _decoder_step(params, memory, s, b.resp_ids[:, t])
             loss_sum -= float((b.resp_mask[:, t + 1] * logp[rows, b.resp_ids[:, t + 1]]).sum())
         loss, n_tok = batch_loss(params, b)
-        assert loss == loss_sum / n_tok, scheme
+        assert abs(loss - loss_sum / n_tok) < 1e-12, scheme
 
 
 def test_backward_grad_keys_match_tensors(make_params, small_batch):
@@ -282,6 +343,12 @@ def test_grad_check_catches_a_scaled_gradient(scheme, name, make_params, small_b
 # later step of that row, on either side, is padding.
 EDGE_ROWS = [([5], [7]), ([4, 6, 8, 10, 7, 9], [4, 11, 6, 9, 5, 8])]
 
+# Four rows out of length order on both sides: the encoder's live rows go
+# 4, 3, 2, 1 over its 7 steps (posts of 3, 1, 7, 5 tokens), and the
+# decoder's 4, 3, 2, 1 over its 7 (3, 7, 2, 5 targets).
+STAIR_ROWS = [([4, 5, 6], [7, 8]), ([5], [9, 4, 6, 8, 10, 5]),
+              ([6, 7, 8, 9, 10, 11, 4], [5]), ([8, 9, 10, 11, 4], [6, 7, 8, 9])]
+
 
 def _edge_batch(rows):
     return _pack([post for post, _ in rows], [[BOS_ID] + resp + [EOS_ID] for _, resp in rows])
@@ -291,6 +358,13 @@ def _edge_batch(rows):
 def test_grad_check_passes_at_the_padding_edge(scheme, make_params):
     params = make_params(scheme, seed=12, low=-0.8, high=0.8)
     ok, report = grad_check(params, _edge_batch(EDGE_ROWS))
+    assert ok, f"worst relative error {max(report.values()):.3e}"
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_grad_check_passes_as_the_live_rows_step_down(scheme, make_params):
+    params = make_params(scheme, seed=15, low=-0.8, high=0.8)
+    ok, report = grad_check(params, _edge_batch(STAIR_ROWS))
     assert ok, f"worst relative error {max(report.values()):.3e}"
 
 
@@ -312,12 +386,13 @@ def _carried_run_encoder(cell, E_x, ids, lengths):
         m = mask[:, t][:, None]
         states[:, t, :] = m * h_hat
         h = m * h_hat + (1.0 - m) * h
-    return states, h, caches
+    return states, h, (ids, lengths, caches)
 
 
-def _carried_encoder_backward(dcell, dE_x, cell, ids, lengths, caches, dstates, dfinal):
+def _carried_encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
     """Reference for training._encoder_backward: the adjoint of the carried
     pass, which passed the final state's gradient through padded steps."""
+    ids, lengths, caches = tape
     mask = _lengths_mask(ids, lengths)
     if dstates is None:
         dstates = np.zeros(ids.shape + dfinal.shape[1:])
@@ -337,9 +412,10 @@ def _carried_encoder_backward(dcell, dE_x, cell, ids, lengths, caches, dstates, 
        st.integers(0, 2 ** 16))
 @example(EDGE_ROWS, 0)
 def test_encoder_matches_the_carried_state_reference(rows, seed):
-    """Stepping every row through every position, with final read at each
-    row's length, gives the encoder states, final states and encoder
-    gradients of the pass that carried the state through padding."""
+    """Stepping each row through its own positions only, with final read at
+    each row's length, gives the encoder states, final states and encoder
+    gradients of the pass that carried the state through padding, up to
+    the roundoff of products over fewer rows."""
     batch = _edge_batch(rows)
     for scheme in ("glo", "loc", "hyb"):
         params = init_params(scheme, TINY, Rng(seed), low=-0.5, high=0.5)
@@ -349,13 +425,143 @@ def test_encoder_matches_the_carried_state_reference(rows, seed):
                 mock.patch.object(training, "_encoder_backward", _carried_encoder_backward):
             ref = encode(params, batch.post_ids, batch.post_mask)
             ref_loss, ref_grads = backward(params, batch)
-        assert loss == ref_loss, scheme
+        assert abs(loss - ref_loss) < 1e-12, scheme
         for field in ("states", "final", "global_final"):
-            np.testing.assert_array_equal(getattr(enc, field), getattr(ref, field),
-                                          err_msg=f"{scheme} {field}")
+            if getattr(ref, field) is not None:
+                np.testing.assert_allclose(getattr(enc, field), getattr(ref, field),
+                                           rtol=0, atol=1e-12, err_msg=f"{scheme} {field}")
         for name, g in ref_grads.items():
             if name == "E_x" or name.startswith(("enc.", "enc_g.")):
-                np.testing.assert_array_equal(grads[name], g, err_msg=f"{scheme} {name}")
+                np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12,
+                                           err_msg=f"{scheme} {name}")
+
+
+# --- the packed recurrences ------------------------------------------------
+
+
+def _all_rows_run_encoder(cell, E_x, ids, lengths):
+    """Reference for model._run_encoder: every row steps every position,
+    padding included, as the encoders ran before the packing."""
+    h = np.zeros((len(ids), cell.U_z.shape[0]))
+    states, caches = [], []
+    for t in range(ids.shape[1]):
+        h, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+        states.append(h)
+        caches.append(cache)
+    states = np.stack(states, axis=1) * _lengths_mask(ids, lengths)[:, :, None]
+    return states, states[np.arange(len(ids)), lengths - 1], (ids, lengths, caches)
+
+
+def _all_rows_encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
+    """Reference for training._encoder_backward: the adjoint of
+    _all_rows_run_encoder, whose gradient at a padded step is exactly 0."""
+    ids, lengths, caches = tape
+    if dstates is None:
+        dstates = np.zeros(ids.shape + dfinal.shape[1:])
+    dstates[np.arange(len(ids)), lengths - 1] += dfinal
+    dh = np.zeros_like(dfinal)
+    for t in reversed(range(ids.shape[1])):
+        dx, dh = training._gru_backward(dcell, cell, caches[t], dh + dstates[:, t])
+        np.add.at(dE_x, ids[:, t], dx)
+
+
+def _padded_backward(params, batch):
+    """Reference for batch_loss and backward: the loops as they ran before
+    the packing. Every encoder and decoder step runs all B rows, in the
+    batch's order, through every position, and the output layer runs over
+    all steps * B rows with the loss weight 0 at padding. Returns (loss,
+    grads)."""
+    with mock.patch.object(model, "_run_encoder", _all_rows_run_encoder):
+        enc_out, (enc_tape, encg_tape) = model._encode(params, batch.post_ids, batch.post_mask)
+    memory = context_memory(params, enc_out)
+    s0 = _start_state(params, memory)
+    b, t_resp = batch.resp_ids.shape
+    steps = t_resp - 1
+    s_t = np.empty((steps, b, params.dims.d_h))
+    c = np.empty((steps, b, memory.init.shape[1]))
+    dec_steps = []
+    s = s0
+    for t in range(steps):
+        c[t], alpha = _context(params, memory, s)
+        s, _, cache = _decoder_gru(params, c[t], s, batch.resp_ids[:, t])
+        s_t[t] = s
+        dec_steps.append((cache, alpha))
+    target_logp, output = _all_rows_output_loss(params, batch, s_t,
+                                                params.E_y[batch.resp_ids[:, :-1].T], c)
+    loss_sum = 0.0
+    for t in range(steps):
+        loss_sum -= float(target_logp[t].sum())
+    token_count = float(batch.resp_mask[:, 1:].sum())
+
+    grads = _params_from_tensors(params.scheme, params.dims, {
+        name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
+    d_emb = params.dims.d_emb
+    ds_out, dy_emb, dc_out = _all_rows_output_backward(grads, params, output,
+                                                       1.0 / token_count, steps, b)
+    dlc = np.empty((steps, b, params.dims.d_L))
+    dmemory = ContextMemory(np.zeros_like(memory.init))
+    if memory.keys is not None:
+        dmemory.values = np.zeros_like(memory.values)
+        dmemory.keys = np.zeros_like(memory.keys)
+    ds_carry = np.zeros((b, params.dims.d_h))
+    for t in reversed(range(steps)):
+        cache, alpha = dec_steps[t]
+        du, ds_prev = training._gru_backward(grads.dec, params.dec, cache,
+                                             ds_carry + ds_out[t])
+        dy_emb[t] += du[:, :d_emb]
+        dlc[t] = du[:, d_emb:]
+        dc = dc_out[t] + dlc[t] @ params.L
+        if memory.keys is None:
+            dmemory.init += dc
+        else:
+            ds_prev += training._attention_backward(grads, params, memory, dmemory, alpha,
+                                                    cache[1], dc)
+        ds_carry = ds_prev
+    grads.L += dlc.reshape(steps * b, -1).T @ c.reshape(steps * b, -1)
+    np.add.at(grads.E_y, batch.resp_ids[:, :-1].T.reshape(-1), dy_emb.reshape(steps * b, d_emb))
+    da0 = ds_carry * (1.0 - s0 ** 2)
+    grads.W_0 += da0.T @ memory.init
+    dmemory.init += da0 @ params.W_0
+    dstates, dfinal, dglobal_final = training._memory_backward(grads, params, memory, dmemory)
+    _all_rows_encoder_backward(grads.enc, grads.E_x, params.enc, enc_tape, dstates, dfinal)
+    if params.scheme == "hyb":
+        _all_rows_encoder_backward(grads.enc_g, grads.E_x, params.enc_g, encg_tape, None,
+                                   dglobal_final)
+    return loss_sum / token_count, grads.named_tensors()
+
+
+def _widened(batch, columns):
+    """The batch with `columns` more all-pad columns on both sides."""
+    def wider(x):
+        return np.pad(x, ((0, 0), (0, columns)))
+    return Batch(*(wider(x) for x in (batch.post_ids, batch.post_mask,
+                                      batch.resp_ids, batch.resp_mask)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(_content_ids, min_size=1, max_size=7),
+                          st.lists(_content_ids, min_size=1, max_size=6)),
+                min_size=1, max_size=20),
+       st.integers(0, 2 ** 16), st.integers(0, 2))
+@example(EDGE_ROWS, 0, 2)
+@example(STAIR_ROWS, 0, 0)
+def test_packed_recurrences_match_the_padded_reference(rows, seed, pad_columns):
+    """batch_loss and backward, whose every encoder and decoder step runs
+    the live rows only, give the loss and every gradient of the all-rows
+    loops up to the roundoff of products over fewer rows, on random ragged
+    batches of up to 20 rows, 1-token posts and responses included, and
+    with trailing all-pad columns."""
+    batch = _widened(_edge_batch(rows), pad_columns)
+    for scheme in ("glo", "loc", "hyb"):
+        params = init_params(scheme, TINY, Rng(seed), low=-0.5, high=0.5)
+        loss, _ = batch_loss(params, batch)
+        loss_b, grads = backward(params, batch)
+        ref_loss, ref_grads = _padded_backward(params, batch)
+        assert loss == loss_b, scheme
+        assert abs(loss - ref_loss) < 1e-12, scheme
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12,
+                                       err_msg=f"{scheme} {name}")
 
 
 # --- SGD -----------------------------------------------------------------
