@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (ModelParams, _context, _decoder_gru, _decoder_step, _output_layer,
-                    _start_state, context_memory, encode_post)
+from .model import (ModelParams, _context, _decoder_gru, _decoder_step, _decoder_xw,
+                    _output_layer, _start_state, context_memory, encode_post)
 
 __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response",
            "first_token_best", "exhaustive_oracle"]
@@ -147,7 +147,8 @@ def _joined_step(params: ModelParams, memories: list, widths: list, s_prev: np.n
     """
     slices = np.split(s_prev, np.cumsum(widths)[:-1])
     c = np.concatenate([_context(params, m, s)[0] for m, s in zip(memories, slices)])
-    s_t, y_emb, _ = _decoder_gru(params, c, s_prev, y_prev)
+    y_emb = params.E_y[y_prev]
+    s_t = _decoder_gru(params, c, s_prev, _decoder_xw(params, y_emb))
     _output_layer(params, s_t, y_emb, c, out=out)
     return s_t
 

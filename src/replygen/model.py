@@ -78,6 +78,15 @@ class Dims:
     v_resp: int
 
 
+def _gate(stack: str, k: int) -> property:
+    """A read-only attribute: the k-th block of d_h rows of the stacked
+    array `stack`, as a view."""
+    def rows(cell):
+        d_h = len(cell.U_h)
+        return getattr(cell, stack)[k * d_h:(k + 1) * d_h]
+    return property(rows)
+
+
 @dataclass
 class GruParams:
     """One gated recurrent cell.
@@ -88,17 +97,23 @@ class GruParams:
         r = sigmoid(W_r x + U_r h + b_r)        reset gate
         hbar = tanh(W_h x + U_h (r * h) + b_h)  candidate
         h_new = (1 - z) * h + z * hbar
+
+    The gates are stacked, so one product serves all of them: W (3 d_h,
+    d_in) holds the rows of W_z, W_r and W_h, U_zr (2 d_h, d_h) those of
+    U_z and U_r, and b (3 d_h,) b_z, b_r and b_h, in that order. U_h is
+    its own array. W_z, W_r, W_h, U_z, U_r, b_z, b_r and b_h are read-only
+    attributes, each a view of its rows of the stack: writing into one
+    writes the stack, and none can be rebound.
     """
 
-    W_z: np.ndarray
-    U_z: np.ndarray
-    b_z: np.ndarray
-    W_r: np.ndarray
-    U_r: np.ndarray
-    b_r: np.ndarray
-    W_h: np.ndarray
+    W: np.ndarray
+    U_zr: np.ndarray
     U_h: np.ndarray
-    b_h: np.ndarray
+    b: np.ndarray
+
+    W_z, W_r, W_h = (_gate("W", k) for k in range(3))
+    U_z, U_r = (_gate("U_zr", k) for k in range(2))
+    b_z, b_r, b_h = (_gate("b", k) for k in range(3))
 
 
 @dataclass
@@ -200,23 +215,25 @@ def _expected_shapes(scheme: str, dims: Dims) -> dict[str, tuple]:
     return shapes
 
 
-# The cell classes, by the annotation text of the ModelParams fields they fill
-_CELLS = {cls.__name__: cls for cls in (GruParams, AttentionParams)}
+def _new_params(scheme: str, dims: Dims, new=np.empty) -> ModelParams:
+    """A ModelParams of new arrays, new(shape) each, in the shapes
+    _expected_shapes declares. A GRU cell's stacked arrays are new arrays
+    and its gate tensors views of them, so writing the named tensors
+    writes the stacks."""
+    shapes = _expected_shapes(scheme, dims)
 
+    def gru(cell):
+        if f"{cell}.W_z" not in shapes:
+            return None
+        d_h, d_in = shapes[f"{cell}.W_z"]
+        return GruParams(new((3 * d_h, d_in)), new((2 * d_h, d_h)), new((d_h, d_h)),
+                         new((3 * d_h,)))
 
-def _params_from_tensors(scheme: str, dims: Dims, t: dict[str, np.ndarray]) -> ModelParams:
-    """The ModelParams over tensors t, named as _expected_shapes names them.
-    A cell field "x" takes the tensors "x.<its field>", and is None when t
-    has none of them."""
-    kwargs = {}
-    for f in fields(ModelParams)[2:]:  # after scheme and dims
-        cell = _CELLS.get(f.type.split(" | ")[0])
-        if cell is None:
-            kwargs[f.name] = t[f.name]
-        else:
-            names = [f"{f.name}.{g.name}" for g in fields(cell)]
-            kwargs[f.name] = cell(*(t[n] for n in names)) if names[0] in t else None
-    return ModelParams(scheme, dims, **kwargs)
+    attn = (AttentionParams(*(new(shapes[f"attn.{f.name}"]) for f in fields(AttentionParams)))
+            if "attn.W_a" in shapes else None)
+    top = {name: new(shape) for name, shape in shapes.items() if "." not in name}
+    return ModelParams(scheme, dims, enc=gru("enc"), enc_g=gru("enc_g"), dec=gru("dec"),
+                       attn=attn, **top)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15   # splitmix64's counter increment
@@ -282,72 +299,108 @@ def init_params(scheme: str, dims: Dims, rng: Rng,
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     key = rng.next_u64()
-    tensors = {}
-    for name, shape in _expected_shapes(scheme, dims).items():
+    params = _new_params(scheme, dims)
+    for name, arr in params.named_tensors().items():
         base = _mix64(np.array([key ^ _fnv1a64(name)], dtype=np.uint64))[0]
-        tensors[name] = np.empty(shape)
-        _fill_uniform(tensors[name], base, low, high)
-    return _params_from_tensors(scheme, dims, tensors)
+        _fill_uniform(arr, base, low, high)
+    return params
 
 
 def gru_step(cell: GruParams, x: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
     """Advance the cell one step for a (B, d_in) input. Returns (B, d_h)."""
-    return _gru_step_full(cell, x, h_prev)[0]
+    return _gru_step(cell, x @ cell.W.T + cell.b, h_prev)
 
 
-def _gru_step_full(cell, x, h_prev):
-    """As gru_step, but returns (h, cache): cache is the step's
-    (x, h_prev, z, r, hbar), the tuple training._gru_backward reads."""
-    z = sigmoid(x @ cell.W_z.T + h_prev @ cell.U_z.T + cell.b_z)
-    r = sigmoid(x @ cell.W_r.T + h_prev @ cell.U_r.T + cell.b_r)
-    hbar = np.tanh(x @ cell.W_h.T + (r * h_prev) @ cell.U_h.T + cell.b_h)
-    h = (1.0 - z) * h_prev + z * hbar
-    return h, (x, h_prev, z, r, hbar)
+def _gru_step(cell: GruParams, xw: np.ndarray, h_prev: np.ndarray, zr=None, hbar=None):
+    """One step of the cell over n rows, given their input products
+    xw = x @ W.T + b, (n, 3 d_h). Returns the new state (n, d_h).
+
+    The gates z|r (n, 2 d_h) and the candidate hbar (n, d_h) go into zr
+    and hbar when they are given: the tape training's adjoint reads.
+    """
+    d_h = h_prev.shape[1]
+    if zr is None:
+        zr = np.empty((len(h_prev), 2 * d_h))
+    zr[...] = sigmoid(xw[:, :2 * d_h] + h_prev @ cell.U_zr.T)
+    z, r = zr[:, :d_h], zr[:, d_h:]
+    hbar = np.tanh(xw[:, 2 * d_h:] + (r * h_prev) @ cell.U_h.T, out=hbar)
+    return (1.0 - z) * h_prev + z * hbar
+
+
+def _gru_tape(x: np.ndarray, d_h: int):
+    """The tape of a packed recurrence whose step rows read the inputs x
+    (n, d_in): (x, h_prev, zr, hbar), whose row i belongs to the same step
+    row in each. h_prev (n, d_h), the state each row reads, and the gates
+    zr (n, 2 d_h) and candidate hbar (n, d_h) that _gru_step writes are
+    left empty for the steps to fill."""
+    return (x,) + tuple(np.empty((len(x), w)) for w in (d_h, 2 * d_h, d_h))
 
 
 def _packing(lengths):
-    """The packed order of rows of the given lengths: (order, counts).
+    """The packed order of rows of the given lengths: (order, counts, live).
 
     order is the rows in a stable order of descending length, so the rows
     longer than t are its first counts[t] entries; counts runs to the
     longest length, and a step t of a recurrence over the rows in that
     order runs the prefix of counts[t] rows only (the packed sequences of
-    PyTorch's pack_padded_sequence).
+    PyTorch's pack_padded_sequence). live (steps, B) is True where a row,
+    in that order, has step t: x[live] of a (steps, B, ...) array x lists
+    step 0's rows, then step 1's, and so on, the step-major packed layout.
     """
     order = np.argsort(-lengths, kind="stable")
-    counts = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
-    return order, counts.tolist()
+    live = lengths[order] > np.arange(lengths.max(initial=0))[:, None]
+    return order, np.count_nonzero(live, axis=1).tolist(), live
 
 
 def _run_encoder(cell, E_x, ids, lengths):
     """Left-to-right pass over the rows' tokens, packed: the rows are taken
     in _packing's order, and step t runs the counts[t] rows whose post is
-    longer than t only. Returns (states, final, tape): states (B, T, d_h)
-    in the caller's row order, exactly 0 at padded positions; each row's
-    state at its length; and the (order, ids, counts, caches) that backprop
-    reads, with ids in the packed order and caches[t] step t's
-    _gru_step_full cache."""
-    order, counts = _packing(lengths)
-    ids = ids[order]
-    (b, t_post), d_h = ids.shape, cell.U_z.shape[0]
+    longer than t only. The input products of every token come from one
+    product before the loop. Returns (states, final, tape): states
+    (B, T, d_h) in the caller's row order, exactly 0 at padded positions;
+    each row's state at its length; and the (order, counts, token ids,
+    _gru_tape) that backprop reads, the ids and the GRU tape packed
+    step-major."""
+    order, counts, live = _packing(lengths)
+    b, t_post = ids.shape
+    d_h = cell.U_h.shape[0]
+    tokens = ids[order, :len(counts)].T[live]
+    tape = _gru_tape(E_x[tokens], d_h)
+    x, h_prev, zr, hbar = tape
+    xw = x @ cell.W.T
+    xw += cell.b
     h = np.zeros((b, d_h))
     packed = np.zeros((t_post, b, d_h))  # time-major, rows in the packed order
-    caches = []
+    start = 0
     for t, n in enumerate(counts):
-        h, cache = _gru_step_full(cell, E_x[ids[:n, t]], h[:n])
+        rows = slice(start, start + n)
+        h_prev[rows] = h[:n]
+        h = _gru_step(cell, xw[rows], h_prev[rows], zr[rows], hbar[rows])
         packed[t, :n] = h
-        caches.append(cache)
+        start += n
     states = np.empty((b, t_post, d_h))
     states[order] = packed.transpose(1, 0, 2)
-    return states, states[np.arange(b), lengths - 1], (order, ids, counts, caches)
+    return states, states[np.arange(b), lengths - 1], (order, counts, tokens, tape)
 
 
-def _check_ids(ids: np.ndarray, v: int, side: str) -> None:
-    """A ValueError naming the first of ids outside [0, v): a table row
-    index neither wraps around nor runs past the table."""
+def _check_ids(ids, v: int, side: str) -> np.ndarray:
+    """ids as an int64 array. A ValueError names the first id that is not
+    an integer, then the first outside [0, v): a table row index is neither
+    truncated, nor wraps around, nor runs past the table."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "f":
+        bad = ids != np.trunc(ids)  # NaN too
+        if bad.any():
+            raise ValueError(f"{side} id {float(ids[bad][0])} is not an integer")
+    elif ids.dtype.kind not in "iub":  # text or objects: converted as numpy converts them
+        ids = ids.astype(np.int64)
     bad = (ids < 0) | (ids >= v)
     if bad.any():
-        raise ValueError(f"{side} id {int(ids[bad][0])} is outside the vocabulary [0, {v})")
+        first = ids[bad][0].item()
+        if isinstance(first, float) and first.is_integer():
+            first = int(first)
+        raise ValueError(f"{side} id {first} is outside the vocabulary [0, {v})")
+    return ids.astype(np.int64, copy=False)
 
 
 def _mask_lengths(mask, name: str, row: str):
@@ -363,13 +416,13 @@ def _encode(params: ModelParams, post_ids, post_mask, rows=slice(None)):
     """As encode, but returns (enc_out, (enc tape, enc_g tape or None)),
     each tape as _run_encoder returns it. rows picks and orders the posts
     to encode, once the whole batch is checked."""
-    post_ids = np.asarray(post_ids, dtype=np.int64)
+    post_ids = np.asarray(post_ids)
     post_mask = np.asarray(post_mask, dtype=np.float64)
     if post_ids.ndim != 2 or post_mask.shape != post_ids.shape:
         raise ValueError(
             f"post_ids and post_mask must be matching 2-d arrays, "
             f"got {post_ids.shape} and {post_mask.shape}")
-    _check_ids(post_ids, params.dims.v_post, "post")
+    post_ids = _check_ids(post_ids, params.dims.v_post, "post")
     lengths = _mask_lengths(post_mask, "post_mask", "post")
     if (lengths < 1).any():
         raise ValueError("every post in a batch must have at least one token")
@@ -386,16 +439,16 @@ def _encode(params: ModelParams, post_ids, post_mask, rows=slice(None)):
 def encode(params: ModelParams, post_ids: np.ndarray, post_mask: np.ndarray) -> EncodedPost:
     """Run the encoder(s) over a padded batch of posts. post_mask must be 1
     on each post's (at least one) tokens and 0 after them, and every id in
-    post_ids must lie in [0, v_post), else ValueError."""
+    post_ids must be an integer in [0, v_post), else ValueError."""
     return _encode(params, post_ids, post_mask)[0]
 
 
 def encode_post(params: ModelParams, post_ids) -> EncodedPost:
     """Encode a single post given as a plain id sequence."""
-    ids = np.asarray(post_ids, dtype=np.int64).reshape(1, -1)
+    ids = np.asarray(post_ids).reshape(1, -1)
     if ids.size == 0:
         raise ValueError("cannot encode an empty post")
-    return encode(params, ids, np.ones_like(ids, dtype=np.float64))
+    return encode(params, ids, np.ones(ids.shape))
 
 
 @dataclass
@@ -475,15 +528,26 @@ def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
 _SOFTMAX_ROWS = 8
 
 
-def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, y_prev):
-    """The decoder GRU of a step, given each row's context c. Returns
-    (s_t, y_emb, cache): y_emb is the previous tokens' embeddings, which the
-    output layer reads, and cache is _gru_step_full's, whose x is the GRU
-    input u = [y_emb, L c] and whose h_prev is s_prev."""
-    y_emb = params.E_y[np.asarray(y_prev, dtype=np.int64)]
-    u = np.concatenate([y_emb, c @ params.L.T], axis=1)
-    s_t, cache = _gru_step_full(params.dec, u, s_prev)
-    return s_t, y_emb, cache
+def _decoder_xw(params: ModelParams, y_emb: np.ndarray) -> np.ndarray:
+    """The previous tokens' part of the decoder GRU's input products,
+    y_emb @ W[:, :d_emb].T + b: its input is u = [y_emb, L c], so W's first
+    d_emb columns read y_emb. Teacher forcing forms it for every step in
+    one product."""
+    xw = y_emb @ params.dec.W[:, :params.dims.d_emb].T
+    xw += params.dec.b
+    return xw
+
+
+def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, xw_y: np.ndarray,
+                 lc=None, zr=None, hbar=None):
+    """The decoder GRU of a step, given each row's context c and the rows'
+    _decoder_xw. Returns s_t. L c goes into lc, and the gates into zr and
+    hbar as _gru_step writes them, when they are given: the tape of the
+    backward pass."""
+    lc = np.matmul(c, params.L.T, out=lc)
+    xw = lc @ params.dec.W[:, params.dims.d_emb:].T
+    xw += xw_y
+    return _gru_step(params.dec, xw, s_prev, zr, hbar)
 
 
 def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray,
@@ -512,7 +576,8 @@ def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray
     Returns (s_t, log_probs, alpha); alpha is the step's attention weights,
     None under glo."""
     c, alpha = _context(params, memory, s_prev)
-    s_t, y_emb, _ = _decoder_gru(params, c, s_prev, y_prev)
+    y_emb = params.E_y[y_prev]
+    s_t = _decoder_gru(params, c, s_prev, _decoder_xw(params, y_emb))
     return s_t, _output_layer(params, s_t, y_emb, c)[1], alpha
 
 
@@ -523,8 +588,10 @@ def decoder_step(params: ModelParams, enc_out: EncodedPost,
     probs is the full next-token distribution (B, v_resp); alpha is the
     attention weights used for this step, or None under the glo scheme.
     The context memory is built from enc_out on every call; enc_out may
-    hold one post broadcast over every row of s_prev.
+    hold one post broadcast over every row of s_prev. Every id in y_prev
+    must be an integer in [0, v_resp), else ValueError.
     """
+    y_prev = _check_ids(y_prev, params.dims.v_resp, "response")
     s_t, logp, alpha = _decoder_step(params, context_memory(params, enc_out), s_prev, y_prev)
     return s_t, np.exp(logp), alpha
 
@@ -535,23 +602,22 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     The response is scored as y_1 .. y_m followed by the end marker, starting
     from the begin marker, so every candidate the decoders return re-scores
     to its score up to floating-point roundoff. An empty response has no
-    probability under this framing, and an id outside [0, v_resp) or a
-    padding, begin or end marker inside the response has none in this
-    model: each raises ValueError, as an id outside [0, v_post) in the post
-    does.
+    probability under this framing, and an id that is not an integer in
+    [0, v_resp), or a padding, begin or end marker inside the response, has
+    none in this model: each raises ValueError, as a post id that is not an
+    integer in [0, v_post) does.
     """
     resp_ids = list(resp_ids)
     if not resp_ids:
         raise ValueError("cannot score an empty response")
-    resp = np.asarray(resp_ids, dtype=np.int64)
-    _check_ids(resp, params.dims.v_resp, "response")
+    resp = _check_ids(resp_ids, params.dims.v_resp, "response")
     markers = resp[np.isin(resp, (PAD_ID, BOS_ID, EOS_ID))]
     if markers.size:
         raise ValueError(f"response id {int(markers[0])} is a padding, begin or end "
                          f"marker, which a response holds only as its frame")
     memory = context_memory(params, encode_post(params, post_ids))
     s = _start_state(params, memory)
-    targets = resp_ids + [EOS_ID]
+    targets = resp.tolist() + [EOS_ID]
     y_prev = np.array([BOS_ID])
     total = 0.0
     for y_t in targets:
@@ -587,6 +653,16 @@ class _Reader:
             raise CheckpointFormatError(
                 f"{self.path}: truncated at offset {self.off}: "
                 f"needed {n} bytes for {what}, had {self.size - self.off}")
+
+    def skip(self, n: int, what: str) -> None:
+        """Move past the next n bytes, which must be there."""
+        self.require(n, what)
+        self.fh.seek(n, os.SEEK_CUR)
+        self.off += n
+
+    def seek(self, off: int) -> None:
+        self.fh.seek(off)
+        self.off = off
 
     def read_into(self, buf: memoryview, what: str) -> None:
         """Fill buf with the next len(buf) bytes."""
@@ -641,9 +717,10 @@ def load_checkpoint(path) -> ModelParams:
     Malformed input raises CheckpointFormatError naming the byte offset of
     the problem. The whole file must be consumed; trailing bytes are an
     error, and so is a NaN or infinite value in any tensor. Tensors stored
-    at 4-byte precision come back as float64. Each payload is read straight
-    into its array (through a float32 staging array at 4-byte precision), so
-    loading holds little more than the model itself.
+    at 4-byte precision come back as float64. The tensor records are
+    checked first, then each payload is read straight into its array of a
+    new ModelParams (through a float32 staging array at 4-byte precision),
+    so loading holds little more than the model itself.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(_Reader(fh, path))
@@ -676,51 +753,57 @@ def _read_checkpoint(rd: _Reader) -> ModelParams:
     v_resp = rd.u32("v_resp")
     count = rd.u32("tensor count")
 
-    dtype = np.dtype("<f4" if precision == 4 else "<f8")
-    tensors: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple] = {}   # each tensor's shape, as its record gives it
+    payloads: dict[str, int] = {}   # and its payload's offset
     for _ in range(count):
         name_off = rd.off
         name_len = rd.u16("tensor name length")
         name = rd.take(name_len, "tensor name").decode("utf-8", errors="replace")
-        if name in tensors:
+        if name in shapes:
             raise CheckpointFormatError(
                 f"{path}: duplicate tensor {name!r} at offset {name_off}")
         ndim = rd.u8(f"ndim of {name}")
-        shape = tuple(rd.u32(f"dim {i} of {name}") for i in range(ndim))
-        payload_off = rd.off
-        rd.require(math.prod(shape) * precision, f"payload of {name}")
-        arr = np.empty(shape, dtype=dtype)
-        rd.read_into(memoryview(arr.reshape(-1)).cast("B"), f"payload of {name}")
-        # checked before the cast, which a signaling NaN would trip
-        if not np.isfinite(arr).all():
-            first = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} holds a non-finite value at offset "
-                f"{payload_off + first * precision} (payload at offset {payload_off})")
-        tensors[name] = arr.astype(np.float64, copy=False)
+        shapes[name] = tuple(rd.u32(f"dim {i} of {name}") for i in range(ndim))
+        payloads[name] = rd.off
+        rd.skip(math.prod(shapes[name]) * precision, f"payload of {name}")
     if rd.off != rd.size:
         raise CheckpointFormatError(
             f"{path}: {rd.size - rd.off} trailing byte(s) at offset {rd.off}")
 
     # d_r lives only in the tensor shapes
-    if "W_s" not in tensors:
+    if "W_s" not in shapes:
         raise CheckpointFormatError(f"{path}: missing tensor 'W_s'")
-    if tensors["W_s"].ndim != 2:
+    if len(shapes["W_s"]) != 2:
         raise CheckpointFormatError(f"{path}: tensor 'W_s' must be 2-d")
-    d_r = tensors["W_s"].shape[0]
+    d_r = shapes["W_s"][0]
     dims = Dims(d_h=d_h, d_emb=d_emb, d_a=d_a, d_L=d_L, d_r=d_r,
                 v_post=v_post, v_resp=v_resp)
 
     expected = _expected_shapes(scheme, dims)
-    missing = sorted(set(expected) - set(tensors))
-    extra = sorted(set(tensors) - set(expected))
+    missing = sorted(set(expected) - set(shapes))
+    extra = sorted(set(shapes) - set(expected))
     if missing:
         raise CheckpointFormatError(f"{path}: missing tensor(s) {', '.join(missing)}")
     if extra:
         raise CheckpointFormatError(f"{path}: unexpected tensor(s) {', '.join(extra)}")
     for name, shape in expected.items():
-        if tensors[name].shape != shape:
+        if shapes[name] != shape:
             raise CheckpointFormatError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}")
-    return _params_from_tensors(scheme, dims, tensors)
+                f"{path}: tensor {name!r} has shape {shapes[name]}, expected {shape}")
+
+    dtype = np.dtype("<f4" if precision == 4 else "<f8")
+    params = _new_params(scheme, dims)
+    for name, arr in params.named_tensors().items():
+        payload_off = payloads[name]
+        rd.seek(payload_off)
+        raw = arr if arr.dtype == dtype else np.empty(arr.shape, dtype=dtype)
+        rd.read_into(memoryview(raw.reshape(-1)).cast("B"), f"payload of {name}")
+        # checked before the cast, which a signaling NaN would trip
+        if not np.isfinite(raw).all():
+            first = int(np.flatnonzero(~np.isfinite(raw))[0])
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} holds a non-finite value at offset "
+                f"{payload_off + first * precision} (payload at offset {payload_off})")
+        if raw is not arr:
+            arr[...] = raw
+    return params

@@ -110,19 +110,33 @@ def log_softmax(logits, axis: int = -1, out: np.ndarray | None = None) -> np.nda
     return shifted
 
 
-def clip_global_norm(grads, max_norm: float):
-    """Jointly rescale gradient arrays so their global L2 norm is <= max_norm.
+def _clip_factor(grads, max_norm: float) -> float:
+    """The scale that brings the global L2 norm of gradient arrays down to
+    max_norm: max_norm / norm when the norm exceeds max_norm, else 1.0.
 
-    Returns (list of arrays, factor). When the norm is already within bounds
-    the input arrays are returned untouched with factor 1.0.
+    The squared norm is a sum of np.vdot(g, g), one dot product per array,
+    so no array-sized temporary is formed.
     """
     if not (math.isfinite(max_norm) and max_norm > 0):
         raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
     total_sq = 0.0
     for g in grads:
-        total_sq += float(np.sum(np.square(g, dtype=np.float64)))
+        g = np.asarray(g, dtype=np.float64)
+        total_sq += float(np.vdot(g, g))
     norm = math.sqrt(total_sq)
     if norm <= max_norm or norm == 0.0:
+        return 1.0
+    return max_norm / norm
+
+
+def clip_global_norm(grads, max_norm: float):
+    """Jointly rescale gradient arrays so their global L2 norm is <= max_norm.
+
+    Returns (list of arrays, factor), the factor from _clip_factor. When the
+    norm is already within bounds the input arrays are returned untouched
+    with factor 1.0.
+    """
+    factor = _clip_factor(grads, max_norm)
+    if factor == 1.0:
         return list(grads), 1.0
-    factor = max_norm / norm
     return [g * factor for g in grads], factor

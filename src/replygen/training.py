@@ -5,10 +5,11 @@ The loss is the mean negative log-likelihood per framed response token
 in a batch must have at least one token. Backpropagation through the
 decoder, the attention, and the encoder recurrences is written out
 explicitly; there is no autodiff anywhere. One forward pass records a tape
-(every GRU step's cache, the attention weights, the log-probabilities) that
-`batch_loss` drops and `backward` reads. `grad_check` compares every
-analytic gradient against central finite differences and is the standing
-proof that the derivation matches the forward pass.
+(every GRU step's inputs and gates, the attention weights, the
+log-probabilities) that `batch_loss` drops and `backward` reads.
+`grad_check` compares every analytic gradient against central finite
+differences and is the standing proof that the derivation matches the
+forward pass.
 """
 
 from __future__ import annotations
@@ -26,17 +27,19 @@ from .model import (
     _check_ids,
     _context,
     _decoder_gru,
+    _decoder_xw,
     _encode,
+    _gru_tape,
     _mask_lengths,
+    _new_params,
     _output_layer,
     _packing,
-    _params_from_tensors,
     _score_tanh,
     _start_state,
     context_memory,
     init_params,
 )
-from .numerics import Rng, clip_global_norm
+from .numerics import Rng, _clip_factor
 
 __all__ = [
     "TrainConfig",
@@ -79,17 +82,20 @@ def _forward(params: ModelParams, batch):
 
     Every per-target array is packed step-major: step t's rows are
     counts[0] + ... + counts[t - 1] onwards. Under teacher forcing the
-    readout and the output softmax feed nothing back into the recurrence,
-    so _output_loss runs them once over all those rows after the loop. The
-    targets' log-probabilities go back to the caller's row order before the
-    loss is summed step by step. tape is what the backward pass reads:
-    (counts, input ids, memory, encoder tapes, s_0, steps, c, output
-    cache), where steps holds every decoder step's (_gru_step_full cache,
-    attention weights alpha), and the input ids and c are packed; each
-    encoder tape holds its own order and counts.
+    previous tokens are known before the loop, so their part of the
+    decoder GRU's input products comes from one product over all rows
+    (_decoder_xw); the L c part depends on the step's attention, so each
+    step forms its own. Likewise the readout and the output softmax feed
+    nothing back into the recurrence, so _output_loss runs them once over
+    all rows after the loop. The targets' log-probabilities go back to the
+    caller's row order before the loss is summed step by step. tape is
+    what the backward pass reads: (counts, input ids, memory, encoder
+    tapes, s_0, decoder _gru_tape, each step's attention weights alpha,
+    c, output cache), where the input ids, c and the decoder tape are
+    packed (the tape's x is the GRU input u = [y_emb, L c]); each encoder
+    tape holds its own order and counts.
     """
-    resp_ids = np.asarray(batch.resp_ids, dtype=np.int64)
-    _check_ids(resp_ids, params.dims.v_resp, "response")
+    resp_ids = _check_ids(batch.resp_ids, params.dims.v_resp, "response")
     # a response row holds the begin marker, its tokens and the end marker
     lengths = _mask_lengths(batch.resp_mask, "resp_mask", "response")
     if (lengths < 3).any():
@@ -98,27 +104,32 @@ def _forward(params: ModelParams, batch):
     if len(batch.post_ids) != b:
         raise ValueError(f"a batch needs one post per response, got {len(batch.post_ids)} "
                          f"posts and {b} responses")
-    order, counts = _packing(lengths - 1)
+    order, counts, live = _packing(lengths - 1)
     enc_out, enc_tapes = _encode(params, batch.post_ids, batch.post_mask, order)
     memory = context_memory(params, enc_out)
     s0 = _start_state(params, memory)
 
-    steps = len(counts)
-    live = np.arange(b) < np.array(counts)[:, None]  # (steps, B), rows in order
+    steps, d_emb = len(counts), params.dims.d_emb
     by_step = resp_ids[order, :steps + 1].T
     inputs, targets = by_step[:-1][live], by_step[1:][live]
-    s_t = np.empty((len(targets), params.dims.d_h))
+    dec_tape = _gru_tape(np.empty((len(targets), d_emb + params.dims.d_L)), params.dims.d_h)
+    u, s_prev, zr, hbar = dec_tape
+    y_emb = u[:, :d_emb]
+    y_emb[...] = params.E_y[inputs]
+    xw_y = _decoder_xw(params, y_emb)
+    s_t = np.empty(s_prev.shape)
     c = np.empty((len(targets), memory.init.shape[1]))
-    dec_steps = []
+    alphas = []
     s, start = s0, 0
     for n in counts:
         rows = slice(start, start + n)
         c[rows], alpha = _context(params, _head(memory, n), s[:n])
-        s, _, cache = _decoder_gru(params, c[rows], s[:n], inputs[rows])
-        s_t[rows] = s
-        dec_steps.append((cache, alpha))
+        s_prev[rows] = s[:n]
+        s = s_t[rows] = _decoder_gru(params, c[rows], s_prev[rows], xw_y[rows],
+                                     u[rows, d_emb:], zr[rows], hbar[rows])
+        alphas.append(alpha)
         start += n
-    target_logp, output = _output_loss(params, s_t, params.E_y[inputs], c, targets)
+    target_logp, output = _output_loss(params, s_t, y_emb, c, targets)
 
     by_row = np.zeros((steps, b))
     by_row[live] = target_logp
@@ -127,7 +138,7 @@ def _forward(params: ModelParams, batch):
         loss_sum -= float(row.sum())
 
     token_count = float(len(targets))
-    tape = (counts, inputs, memory, enc_tapes, s0, dec_steps, c, output)
+    tape = (counts, inputs, memory, enc_tapes, s0, dec_tape, alphas, c, output)
     return loss_sum / token_count, token_count, tape
 
 
@@ -146,10 +157,10 @@ def _output_loss(params: ModelParams, s_t, y_emb, c, targets):
 
 def _output_backward(grads, params, cache, lam: float):
     """Adjoint of _output_loss, given its cache and the loss weight lam of
-    every target. Accumulates the W_o, b_o, W_s, W_y, W_c and b_r gradients
-    into the gradient ModelParams grads, from one product each over the
-    packed rows, and returns the packed gradients w.r.t. s_t, y_emb and c.
-    The cached log-probabilities become dlogits in place.
+    every target. Writes the W_o, b_o, W_s, W_y, W_c and b_r gradients into
+    the gradient ModelParams grads, from one product each over the packed
+    rows, and returns the packed gradients w.r.t. s_t, y_emb and c. The
+    cached log-probabilities become dlogits in place.
     """
     targets, (s_t, y_emb, c), rout, dlogits = cache
     # softmax cross-entropy: dlogits = lam * (probs - onehot(target))
@@ -157,13 +168,12 @@ def _output_backward(grads, params, cache, lam: float):
     dlogits[np.arange(len(targets)), targets] -= 1.0
     dlogits *= lam
 
-    grads.W_o += dlogits.T @ rout
-    grads.b_o += dlogits.sum(axis=0)
+    np.matmul(dlogits.T, rout, out=grads.W_o)
+    np.sum(dlogits, axis=0, out=grads.b_o)
     da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
-    grads.W_s += da.T @ s_t
-    grads.W_y += da.T @ y_emb
-    grads.W_c += da.T @ c
-    grads.b_r += da.sum(axis=0)
+    for x, dw in ((s_t, grads.W_s), (y_emb, grads.W_y), (c, grads.W_c)):
+        np.matmul(da.T, x, out=dw)
+    np.sum(da, axis=0, out=grads.b_r)
     return [da @ w for w in (params.W_s, params.W_y, params.W_c)]
 
 
@@ -173,36 +183,41 @@ def batch_loss(params: ModelParams, batch):
     return loss, token_count
 
 
-def _gru_backward(dcell, cell, cache, dh):
-    """Backprop one cell step, given its _gru_step_full cache. Accumulates
-    into dcell; returns (dx, dh_prev)."""
-    x, h_prev, z, r, hbar = cache
+def _gru_adjoint(cell, tape, rows, dh, dpre):
+    """Adjoint of the _gru_step that wrote rows `rows` of the _gru_tape
+    tape, given dh, the gradient w.r.t. its new state: writes the gradient
+    w.r.t. its pre-activations, dpre_z | dpre_r | dpre_h, into dpre
+    (n, 3 d_h) and returns the gradient w.r.t. its h_prev.
+
+    Only the state's path runs step by step. The weight and bias gradients
+    (_gru_weight_grads) and the input's (dpre @ W) are products over the
+    dpre of every step, formed once after the reverse loop.
+    """
+    _, h_prev, zr, hbar = (a[rows] for a in tape)
+    d_h = h_prev.shape[1]
+    z, r = zr[:, :d_h], zr[:, d_h:]
     dz = dh * (hbar - h_prev)
-    dhbar = dh * z
     dh_prev = dh * (1.0 - z)
 
-    dpre_h = dhbar * (1.0 - hbar * hbar)
-    dcell.W_h += dpre_h.T @ x
-    dcell.U_h += dpre_h.T @ (r * h_prev)
-    dcell.b_h += dpre_h.sum(axis=0)
+    dpre_h = np.multiply(dh * z, 1.0 - hbar * hbar, out=dpre[:, 2 * d_h:])
     drh = dpre_h @ cell.U_h
-    dr = drh * h_prev
     dh_prev += drh * r
+    np.multiply(dz * z, 1.0 - z, out=dpre[:, :d_h])
+    np.multiply(drh * h_prev * r, 1.0 - r, out=dpre[:, d_h:2 * d_h])
+    dh_prev += dpre[:, :2 * d_h] @ cell.U_zr
+    return dh_prev
 
-    dpre_z = dz * z * (1.0 - z)
-    dcell.W_z += dpre_z.T @ x
-    dcell.U_z += dpre_z.T @ h_prev
-    dcell.b_z += dpre_z.sum(axis=0)
-    dh_prev += dpre_z @ cell.U_z
 
-    dpre_r = dr * r * (1.0 - r)
-    dcell.W_r += dpre_r.T @ x
-    dcell.U_r += dpre_r.T @ h_prev
-    dcell.b_r += dpre_r.sum(axis=0)
-    dh_prev += dpre_r @ cell.U_r
-
-    dx = dpre_z @ cell.W_z + dpre_r @ cell.W_r + dpre_h @ cell.W_h
-    return dx, dh_prev
+def _gru_weight_grads(dcell, tape, dpre):
+    """Write the cell's W, U_zr, U_h and b gradients into dcell, one
+    product each over the rows of the _gru_tape tape and their dpre, as
+    _gru_adjoint wrote it."""
+    x, h_prev, zr, _ = tape
+    d_h = h_prev.shape[1]
+    np.matmul(dpre.T, x, out=dcell.W)
+    np.matmul(dpre[:, :2 * d_h].T, h_prev, out=dcell.U_zr)
+    np.matmul(dpre[:, 2 * d_h:].T, zr[:, d_h:] * h_prev, out=dcell.U_h)
+    np.sum(dpre, axis=0, out=dcell.b)
 
 
 def _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc):
@@ -235,7 +250,7 @@ def _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc):
 
 def _memory_backward(grads, params, memory, dmemory):
     """Adjoint of context_memory, given the gradient w.r.t. each of its
-    fields. Accumulates the U_a and b_a gradients and returns the gradients
+    fields. Writes the U_a and b_a gradients and returns the gradients
     (dstates, dfinal, dglobal_final) w.r.t. the encoder states, the final
     state and the second encoder's final state. dstates is None under glo,
     which reads no state but the final one; dglobal_final is (B, 0) unless
@@ -246,29 +261,35 @@ def _memory_backward(grads, params, memory, dmemory):
         return None, dinit, dinit[:, d_h:]
     dvalues = dmemory.values
     dk = dmemory.keys.reshape(-1, dmemory.keys.shape[2])
-    grads.attn.U_a += dk.T @ memory.values.reshape(-1, dvalues.shape[2])
-    grads.attn.b_a += dk.sum(axis=0)
+    np.matmul(dk.T, memory.values.reshape(-1, dvalues.shape[2]), out=grads.attn.U_a)
+    np.sum(dk, axis=0, out=grads.attn.b_a)
     dvalues += (dk @ params.attn.U_a).reshape(dvalues.shape)
     return (dvalues[:, :, :d_h], dinit[:, :d_h],
             dinit[:, d_h:] + dvalues[:, :, d_h:].sum(axis=1))
 
 
 def _encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
-    """Adjoint of model._run_encoder into dcell and dE_x, given its tape;
-    dstates is None when no gradient reaches the states. The steps run in
-    reverse over the same live rows as the forward pass, in its packed
-    order: a row leaves the prefix at its last token, so it joins at that
-    step, where its dfinal enters. No state past it is read, so no mask is
-    needed."""
-    order, ids, counts, caches = tape
+    """Adjoint of model._run_encoder: writes dcell and adds into dE_x,
+    given its tape; dstates is None when no gradient reaches the states.
+    The steps run in reverse over the same live rows as the forward pass,
+    in its packed order: a row leaves the prefix at its last token, so it
+    joins at that step, where its dfinal enters. No state past it is read,
+    so no mask is needed. The weight gradients and the tokens' input
+    gradient, scattered into dE_x, are one product each after the loop."""
+    order, counts, tokens, gru_tape = tape
     dh = dfinal[order]  # a row holds its dfinal until its last token's step
     if dstates is not None:
         dstates = dstates[order]
+    dpre = np.empty((len(tokens), 3 * cell.U_h.shape[0]))
+    end = len(tokens)
     for t in reversed(range(len(counts))):
         n = counts[t]
-        dx, dh[:n] = _gru_backward(dcell, cell, caches[t],
-                                   dh[:n] if dstates is None else dh[:n] + dstates[:n, t])
-        np.add.at(dE_x, ids[:n, t], dx)
+        rows = slice(end - n, end)
+        dh_t = dh[:n] if dstates is None else dh[:n] + dstates[:n, t]
+        dh[:n] = _gru_adjoint(cell, gru_tape, rows, dh_t, dpre[rows])
+        end -= n
+    _gru_weight_grads(dcell, gru_tape, dpre)
+    np.add.at(dE_x, tokens, dpre @ cell.W)
 
 
 def backward(params: ModelParams, batch):
@@ -282,51 +303,60 @@ def backward(params: ModelParams, batch):
     _output_backward forms their gradients, and the packed gradients they
     pass to s_t, y_emb and c, from one product each over those rows,
     before the reverse loop. That loop reads the tape's counts: step t
-    runs the decoder GRU and the attention backward over the counts[t]
-    live rows only, in the order _forward packed them, with the carried
+    runs the decoder GRU's state path (_gru_adjoint), the L c slice of
+    its input gradient and the attention backward over the counts[t] live
+    rows only, in the order _forward packed them, with the carried
     gradient of the counts[t + 1] rows of step t + 1 added to its first
-    rows. Padding rows are never formed. The context memory is built
-    once per batch; the loop and the start state add their gradients into
-    views of the first rows of a memory of the same shapes, which
-    _memory_backward, its adjoint, maps back to the encoders once.
+    rows. Padding rows are never formed. Each step writes its decoder
+    pre-activation gradients into one packed array, so the decoder's
+    weight gradients, the y_emb slice of its input gradient and the L
+    gradient are one product each after the loop. The context memory is
+    built once per batch; the loop and the start state add their
+    gradients into views of the first rows of a memory of the same shapes,
+    which _memory_backward, its adjoint, maps back to the encoders once.
+    The gradient arrays start as np.zeros, whose pages are zeroed only as
+    they are first written, and each cell's stacked arrays are among them,
+    so the products _gru_weight_grads writes land in place.
     """
     loss, token_count, tape = _forward(params, batch)
-    counts, inputs, memory, (enc_tape, encg_tape), s0, dec_steps, c, output = tape
-    grads = _params_from_tensors(params.scheme, params.dims, {
-        name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
+    counts, inputs, memory, (enc_tape, encg_tape), s0, dec_tape, alphas, c, output = tape
+    grads = _new_params(params.scheme, params.dims, np.zeros)
 
-    d_emb = params.dims.d_emb
+    d_h, d_emb = params.dims.d_h, params.dims.d_emb
     ds_out, dy_emb, dc_out = _output_backward(grads, params, output, 1.0 / token_count)
+    W_lc = params.dec.W[:, d_emb:]  # the columns of the decoder input's L c
+    dpre = np.empty((len(c), 3 * d_h))
     dlc = np.empty((len(c), params.dims.d_L))
 
-    dmemory = ContextMemory(np.zeros_like(memory.init))
+    dmemory = ContextMemory(np.zeros(memory.init.shape))
     if memory.keys is not None:
-        dmemory.values = np.zeros_like(memory.values)
-        dmemory.keys = np.zeros_like(memory.keys)
+        dmemory.values = np.zeros(memory.values.shape)
+        dmemory.keys = np.zeros(memory.keys.shape)
 
-    ds_carry = np.zeros((0, params.dims.d_h))
+    ds_carry = np.zeros((0, d_h))
     end = len(c)
-    for n, (cache, alpha) in zip(reversed(counts), reversed(dec_steps)):
+    for n, alpha in zip(reversed(counts), reversed(alphas)):
         rows = slice(end - n, end)
         ds = ds_out[rows]
         ds[:len(ds_carry)] += ds_carry
-        du, ds_carry = _gru_backward(grads.dec, params.dec, cache, ds)
-        dy_emb[rows] += du[:, :d_emb]
-        dlc[rows] = du[:, d_emb:]
+        ds_carry = _gru_adjoint(params.dec, dec_tape, rows, ds, dpre[rows])
+        np.matmul(dpre[rows], W_lc, out=dlc[rows])
         dc = dc_out[rows] + dlc[rows] @ params.L
         if memory.keys is None:
             dmemory.init[:n] += dc
         else:
-            s_prev = cache[1]
+            s_prev = dec_tape[1][rows]
             ds_carry += _attention_backward(grads, params, _head(memory, n),
                                             _head(dmemory, n), alpha, s_prev, dc)
         end -= n
-    grads.L += dlc.T @ c
+    _gru_weight_grads(grads.dec, dec_tape, dpre)
+    dy_emb += dpre @ params.dec.W[:, :d_emb]
+    np.matmul(dlc.T, c, out=grads.L)
     np.add.at(grads.E_y, inputs, dy_emb)
 
     # start state s_0 = tanh(W_0 c_0); every row is live at step 0
     da0 = ds_carry * (1.0 - s0 ** 2)
-    grads.W_0 += da0.T @ memory.init
+    np.matmul(da0.T, memory.init, out=grads.W_0)
     dmemory.init += da0 @ params.W_0
 
     dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
@@ -383,19 +413,34 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4)
     return ok, report
 
 
+# Entries of sgd_step's update buffer
+_UPDATE_BLOCK = 1 << 15
+
+
 def sgd_step(params: ModelParams, grads: dict, lr: float,
              clip_norm: float | None = None) -> float:
-    """Plain SGD update in place; returns the global-norm scale applied."""
+    """Plain SGD update in place; returns the global-norm scale applied.
+
+    Every tensor t becomes t - lr * (g * factor). factor is clip_norm over
+    the global L2 norm of grads where that norm exceeds clip_norm, and 1.0
+    otherwise or without clipping (g * 1.0 is g). The update runs block by
+    block through one small reused buffer, so it allocates no tensor-sized
+    temporary, and grads are left as they are.
+    """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
     tensors = params.named_tensors()
-    names = list(tensors)
-    glist = [grads[n] for n in names]
-    factor = 1.0
-    if clip_norm is not None:
-        glist, factor = clip_global_norm(glist, clip_norm)
-    for name, g in zip(names, glist):
-        tensors[name] -= lr * g
+    glist = [grads[n] for n in tensors]
+    factor = 1.0 if clip_norm is None else _clip_factor(glist, clip_norm)
+    buf = np.empty(_UPDATE_BLOCK)
+    for t, g in zip(tensors.values(), glist):
+        step = max(1, _UPDATE_BLOCK // max(1, t[:1].size))  # rows per block
+        for i in range(0, len(t), step):
+            dst = t[i:i + step]
+            block = buf[:dst.size].reshape(dst.shape)
+            np.multiply(g[i:i + step], factor, out=block)
+            block *= lr
+            dst -= block
     return factor
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -261,6 +262,28 @@ def test_sequence_log_likelihood_refuses_an_id_no_response_holds(resp, bad, make
         sequence_log_likelihood(make_params("loc"), [4, 5], resp)
 
 
+def test_encode_and_scoring_refuse_a_non_integral_id(make_params):
+    """A non-integral id is refused by its value, not truncated to the id
+    below it: by encode, encode_post and both sides of
+    sequence_log_likelihood. An integral float is its id."""
+    params = make_params("loc")
+    ones = np.ones((1, 2))
+    with pytest.raises(ValueError, match="post id 4.7 is not an integer"):
+        encode(params, [[4.7, 5.2]], ones)
+    with pytest.raises(ValueError, match="post id 5.2 is not an integer"):
+        encode_post(params, [4, 5.2])
+    with pytest.raises(ValueError, match="post id nan is not an integer"):
+        encode_post(params, [4, math.nan])
+    with pytest.raises(ValueError, match="post id 4.5 is not an integer"):
+        sequence_log_likelihood(params, [4.5], [5])
+    with pytest.raises(ValueError, match="response id 5.9 is not an integer"):
+        sequence_log_likelihood(params, [4], [5.9])
+    np.testing.assert_array_equal(encode(params, [[4.0, 5.0]], ones).states,
+                                  encode(params, [[4, 5]], ones).states)
+    assert (sequence_log_likelihood(params, [4.0], [5.0])
+            == sequence_log_likelihood(params, [4], [5]))
+
+
 @pytest.mark.parametrize("mask", [[[1, 0.5, 1]], [[1, 0, 1]], [[0, 1, 1]], [[1, 1, 2]]])
 def test_encode_refuses_a_mask_that_is_not_0_1_and_left_aligned(mask, make_params):
     """A mask is 1 on a post's tokens and 0 on the padding after them; encode
@@ -414,6 +437,20 @@ def test_decoder_step_probability_rows(make_params, small_batch):
             y = probs.argmax(axis=1)
 
 
+@pytest.mark.parametrize("bad, message", [(-1, "-1 is outside"),
+                                          (TINY.v_resp, f"{TINY.v_resp} is outside"),
+                                          (5.5, "5.5 is not an integer")],
+                         ids=["negative", "past-the-end", "non-integral"])
+def test_decoder_step_refuses_a_previous_id_outside_the_vocabulary(bad, message, make_params):
+    """y_prev picks rows of the output embeddings: -1 would read the last
+    row, v_resp run past the table and 5.5 be truncated."""
+    params = make_params("loc")
+    enc_out = encode_post(params, [4, 5])
+    s = decoder_init(params, enc_out)
+    with pytest.raises(ValueError, match=f"response id {message}"):
+        decoder_step(params, enc_out, s, np.array([bad]))
+
+
 def test_sequence_log_likelihood_matches_stepwise(make_params):
     """Scoring must agree with composing public decoder steps by hand."""
     for scheme in ("glo", "loc", "hyb"):
@@ -497,6 +534,24 @@ def test_checkpoint_roundtrip_preserves_scoring(tmp_path, make_params):
     assert before == after  # bitwise at 64-bit storage
 
 
+# SHA-256 of save_checkpoint(init_params(scheme, TINY, Rng(7)), precision=8),
+# as written before the GRU gates were stacked.
+TINY_CHECKPOINT_SHA256 = {
+    "glo": "0a4dc26627a2e9a63b453f3aa9e4c490e1d1ad2773c46cdf50167450813e4ec6",
+    "loc": "8a0cb2102f8f28838c349e534c56f721ec91b7a25756cc024eab2bea36751bcd",
+    "hyb": "d1f7ea624562c2109f287d6b9fd6b5eac29cacec73c5eabc4f005e0b08fb106e",
+}
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_checkpoint_bytes_are_pinned(scheme, tmp_path):
+    """The stacked gates change neither the tensor names, their order, nor
+    the values init_params draws for each name."""
+    path = tmp_path / "model.nrm"
+    save_checkpoint(init_params(scheme, TINY, Rng(7)), path, precision=8)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TINY_CHECKPOINT_SHA256[scheme]
+
+
 def test_checkpoint_float32_storage(tmp_path, make_params):
     params = make_params("glo", seed=23)
     path = tmp_path / "model32.nrm"
@@ -510,11 +565,16 @@ def test_checkpoint_float32_storage(tmp_path, make_params):
 
 @pytest.mark.parametrize("precision", [4, 8])
 def test_checkpoint_tensors_own_writable_float64(precision, tmp_path, make_params):
+    """Every loaded tensor owns its memory, but a GRU gate: that is a view
+    of its cell's stacked array, which owns its memory."""
     path = tmp_path / "model.nrm"
     save_checkpoint(make_params("hyb", seed=25), path, precision=precision)
     for name, arr in load_checkpoint(path).named_tensors().items():
         assert arr.dtype == np.float64, name
-        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata, name
+        assert arr.flags.c_contiguous and arr.flags.writeable, name
+        cell, _, field = name.rpartition(".")
+        owner = arr.base if cell in ("enc", "enc_g", "dec") and field != "U_h" else arr
+        assert owner.flags.owndata and owner.flags.c_contiguous, name
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path, make_params):

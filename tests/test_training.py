@@ -13,16 +13,17 @@ from replygen.corpus import BOS_ID, EOS_ID, Batch, build_vocab, _pack
 from replygen.model import (
     ContextMemory,
     _context,
-    _decoder_gru,
     _decoder_step,
-    _gru_step_full,
+    _new_params,
     _output_layer,
-    _params_from_tensors,
     _start_state,
     context_memory,
     encode,
+    load_checkpoint,
+    save_checkpoint,
     sequence_log_likelihood,
 )
+from replygen.numerics import clip_global_norm, sigmoid
 from replygen.training import (
     TrainConfig,
     backward,
@@ -36,6 +37,54 @@ from replygen.training import (
 )
 
 from conftest import FIRST_CONTENT, HYB_TENSOR_NAMES, TINY, toy_corpus
+
+
+# --- the per-gate reference cell ---------------------------------------------
+
+
+def _ref_gru_step(cell, x, h_prev):
+    """Reference for model._gru_step: one step gate by gate, each gate's
+    three terms from its own products, as the cell ran before its gates
+    were stacked. Returns (h, cache), cache the step's (x, h_prev, z, r,
+    hbar)."""
+    z = sigmoid(x @ cell.W_z.T + h_prev @ cell.U_z.T + cell.b_z)
+    r = sigmoid(x @ cell.W_r.T + h_prev @ cell.U_r.T + cell.b_r)
+    hbar = np.tanh(x @ cell.W_h.T + (r * h_prev) @ cell.U_h.T + cell.b_h)
+    h = (1.0 - z) * h_prev + z * hbar
+    return h, (x, h_prev, z, r, hbar)
+
+
+def _ref_gru_backward(dcell, cell, cache, dh):
+    """Reference for training._gru_adjoint and _gru_weight_grads: the
+    adjoint of one _ref_gru_step, every weight gradient added into its
+    gate's rows of dcell at every step. Returns (dx, dh_prev)."""
+    x, h_prev, z, r, hbar = cache
+    dz = dh * (hbar - h_prev)
+    dhbar = dh * z
+    dh_prev = dh * (1.0 - z)
+
+    dpre_h = dhbar * (1.0 - hbar * hbar)
+    dcell.W_h[...] += dpre_h.T @ x
+    dcell.U_h[...] += dpre_h.T @ (r * h_prev)
+    dcell.b_h[...] += dpre_h.sum(axis=0)
+    drh = dpre_h @ cell.U_h
+    dr = drh * h_prev
+    dh_prev += drh * r
+
+    dpre_z = dz * z * (1.0 - z)
+    dcell.W_z[...] += dpre_z.T @ x
+    dcell.U_z[...] += dpre_z.T @ h_prev
+    dcell.b_z[...] += dpre_z.sum(axis=0)
+    dh_prev += dpre_z @ cell.U_z
+
+    dpre_r = dr * r * (1.0 - r)
+    dcell.W_r[...] += dpre_r.T @ x
+    dcell.U_r[...] += dpre_r.T @ h_prev
+    dcell.b_r[...] += dpre_r.sum(axis=0)
+    dh_prev += dpre_r @ cell.U_r
+
+    dx = dpre_z @ cell.W_z + dpre_r @ cell.W_r + dpre_h @ cell.W_h
+    return dx, dh_prev
 
 
 # --- loss ----------------------------------------------------------------
@@ -228,6 +277,21 @@ def test_batch_loss_refuses_an_id_outside_the_vocabulary(bad, make_params):
                 fn(params, batch)
 
 
+def test_batch_loss_refuses_a_non_integral_id(make_params):
+    """A non-integral id is refused by its value, not truncated, on either
+    side of a batch."""
+    params = make_params("hyb")
+    good = _pack([[4, 5], [6]], [[BOS_ID, 7, 8, EOS_ID], [BOS_ID, 9, EOS_ID]])
+    post_ids, resp_ids = good.post_ids.astype(float), good.resp_ids.astype(float)
+    post_ids[1, 0], resp_ids[1, 1] = 6.5, 9.5
+    for side, batch, value in (
+            ("post", Batch(post_ids, good.post_mask, good.resp_ids, good.resp_mask), 6.5),
+            ("response", Batch(good.post_ids, good.post_mask, resp_ids, good.resp_mask), 9.5)):
+        for fn in (batch_loss, backward):
+            with pytest.raises(ValueError, match=f"{side} id {value} is not an integer"):
+                fn(params, batch)
+
+
 def test_batch_loss_refuses_more_posts_than_responses(make_params):
     """The packed order of the responses picks the posts, so a post past
     the last response would be dropped unseen."""
@@ -381,7 +445,7 @@ def _carried_run_encoder(cell, E_x, ids, lengths):
     states = np.zeros(ids.shape + h.shape[1:])
     caches = []
     for t in range(ids.shape[1]):
-        h_hat, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+        h_hat, cache = _ref_gru_step(cell, E_x[ids[:, t]], h)
         caches.append(cache)
         m = mask[:, t][:, None]
         states[:, t, :] = m * h_hat
@@ -399,8 +463,7 @@ def _carried_encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
     dcarry = dfinal.copy()
     for t in reversed(range(ids.shape[1])):
         m = mask[:, t][:, None]
-        dx, dh_prev = training._gru_backward(dcell, cell, caches[t],
-                                             (dcarry + dstates[:, t, :]) * m)
+        dx, dh_prev = _ref_gru_backward(dcell, cell, caches[t], (dcarry + dstates[:, t, :]) * m)
         dcarry = dcarry * (1.0 - m) + dh_prev
         np.add.at(dE_x, ids[:, t], dx)
 
@@ -445,7 +508,7 @@ def _all_rows_run_encoder(cell, E_x, ids, lengths):
     h = np.zeros((len(ids), cell.U_z.shape[0]))
     states, caches = [], []
     for t in range(ids.shape[1]):
-        h, cache = _gru_step_full(cell, E_x[ids[:, t]], h)
+        h, cache = _ref_gru_step(cell, E_x[ids[:, t]], h)
         states.append(h)
         caches.append(cache)
     states = np.stack(states, axis=1) * _lengths_mask(ids, lengths)[:, :, None]
@@ -461,16 +524,16 @@ def _all_rows_encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
     dstates[np.arange(len(ids)), lengths - 1] += dfinal
     dh = np.zeros_like(dfinal)
     for t in reversed(range(ids.shape[1])):
-        dx, dh = training._gru_backward(dcell, cell, caches[t], dh + dstates[:, t])
+        dx, dh = _ref_gru_backward(dcell, cell, caches[t], dh + dstates[:, t])
         np.add.at(dE_x, ids[:, t], dx)
 
 
 def _padded_backward(params, batch):
     """Reference for batch_loss and backward: the loops as they ran before
-    the packing. Every encoder and decoder step runs all B rows, in the
-    batch's order, through every position, and the output layer runs over
-    all steps * B rows with the loss weight 0 at padding. Returns (loss,
-    grads)."""
+    the packing and the stacked gates. Every encoder and decoder step runs
+    all B rows, in the batch's order, through every position, with the
+    per-gate reference cell, and the output layer runs over all steps * B
+    rows with the loss weight 0 at padding. Returns (loss, grads)."""
     with mock.patch.object(model, "_run_encoder", _all_rows_run_encoder):
         enc_out, (enc_tape, encg_tape) = model._encode(params, batch.post_ids, batch.post_mask)
     memory = context_memory(params, enc_out)
@@ -483,7 +546,8 @@ def _padded_backward(params, batch):
     s = s0
     for t in range(steps):
         c[t], alpha = _context(params, memory, s)
-        s, _, cache = _decoder_gru(params, c[t], s, batch.resp_ids[:, t])
+        u = np.concatenate([params.E_y[batch.resp_ids[:, t]], c[t] @ params.L.T], axis=1)
+        s, cache = _ref_gru_step(params.dec, u, s)
         s_t[t] = s
         dec_steps.append((cache, alpha))
     target_logp, output = _all_rows_output_loss(params, batch, s_t,
@@ -493,8 +557,7 @@ def _padded_backward(params, batch):
         loss_sum -= float(target_logp[t].sum())
     token_count = float(batch.resp_mask[:, 1:].sum())
 
-    grads = _params_from_tensors(params.scheme, params.dims, {
-        name: np.zeros_like(arr) for name, arr in params.named_tensors().items()})
+    grads = _new_params(params.scheme, params.dims, np.zeros)
     d_emb = params.dims.d_emb
     ds_out, dy_emb, dc_out = _all_rows_output_backward(grads, params, output,
                                                        1.0 / token_count, steps, b)
@@ -506,8 +569,7 @@ def _padded_backward(params, batch):
     ds_carry = np.zeros((b, params.dims.d_h))
     for t in reversed(range(steps)):
         cache, alpha = dec_steps[t]
-        du, ds_prev = training._gru_backward(grads.dec, params.dec, cache,
-                                             ds_carry + ds_out[t])
+        du, ds_prev = _ref_gru_backward(grads.dec, params.dec, cache, ds_carry + ds_out[t])
         dy_emb[t] += du[:, :d_emb]
         dlc[t] = du[:, d_emb:]
         dc = dc_out[t] + dlc[t] @ params.L
@@ -601,6 +663,59 @@ def test_sgd_step_rejects_non_finite_lr(lr, make_params, small_batch):
         sgd_step(params, grads, lr=lr)
 
 
+@pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["no-clip", "clip"])
+def test_sgd_step_is_t_minus_lr_times_the_scaled_gradient(clip_norm, make_params, small_batch):
+    """Every tensor becomes t - lr * g bit for bit without clipping, and
+    t - lr * (g * factor) with it; the factor is clip_global_norm's, and
+    grads are left as they were."""
+    params = make_params("hyb", seed=7)
+    _, grads = backward(params, small_batch)
+    kept = {k: v.copy() for k, v in grads.items()}
+    before = {k: v.copy() for k, v in params.named_tensors().items()}
+    factor = sgd_step(params, grads, 0.3, clip_norm)
+    if clip_norm is None:
+        assert factor == 1.0
+    else:
+        assert factor == clip_global_norm(list(grads.values()), clip_norm)[1] < 1.0
+    for name, arr in params.named_tensors().items():
+        g = grads[name] if clip_norm is None else grads[name] * factor
+        assert arr.tobytes() == (before[name] - 0.3 * g).tobytes(), name
+        assert grads[name].tobytes() == kept[name].tobytes(), name
+
+
+def test_sgd_step_updates_around_an_empty_tensor():
+    """A loc model with d_a = 0 has attention tensors of no entries; the
+    update passes over them and reaches every other tensor."""
+    dims = Dims(d_h=8, d_emb=6, d_a=0, d_L=6, d_r=8, v_post=12, v_resp=12)
+    params = init_params("loc", dims, Rng(2))
+    before = {k: v.copy() for k, v in params.named_tensors().items()}
+    grads = {name: np.ones_like(arr) for name, arr in before.items()}
+    assert params.attn.W_a.size == 0
+    sgd_step(params, grads, lr=0.5)
+    for name, arr in params.named_tensors().items():
+        np.testing.assert_array_equal(arr, before[name] - 0.5, err_msg=name)
+
+
+def test_sgd_step_peak_memory_is_a_block_not_a_tensor():
+    """With clipping on, the norm is a sum of dot products and the update
+    runs through one small buffer: sgd_step allocates less than half the
+    bytes of its largest tensor, W_o."""
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=64, v_post=12, v_resp=8000)
+    params = init_params("glo", dims, Rng(3))
+    grads = {name: np.full(arr.shape, 0.5) for name, arr in params.named_tensors().items()}
+    largest = max(arr.nbytes for arr in params.named_tensors().values())
+    assert largest == params.W_o.nbytes
+    sgd_step(params, grads, 0.1, clip_norm=1.0)  # warm up lazy set-up
+    tracemalloc.start()
+    try:
+        factor = sgd_step(params, grads, 0.1, clip_norm=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor < 1.0
+    assert peak < 0.5 * largest
+
+
 def test_sgd_step_clips_large_gradients(make_params, small_batch):
     params = make_params("glo", seed=9)
     grads = {name: np.ones_like(arr) for name, arr in params.named_tensors().items()}
@@ -610,6 +725,44 @@ def test_sgd_step_clips_large_gradients(make_params, small_batch):
     assert abs(factor - 1.0 / total) < 1e-12
     for name, arr in params.named_tensors().items():
         np.testing.assert_allclose(arr, before[name] - factor, rtol=1e-12)
+
+
+# --- the stacked gates --------------------------------------------------------
+
+
+_STACKS = {"W": ("W_z", "W_r", "W_h"), "U_zr": ("U_z", "U_r"), "b": ("b_z", "b_r", "b_h")}
+
+
+def _assert_gates_view_their_stacks(params):
+    for cell in (params.enc, params.enc_g, params.dec):
+        if cell is None:
+            continue
+        d_h = len(cell.U_h)
+        for stack, gates in _STACKS.items():
+            for k, gate in enumerate(gates):
+                rows = getattr(cell, stack)[k * d_h:(k + 1) * d_h]
+                assert np.shares_memory(getattr(cell, gate), rows), gate
+                np.testing.assert_array_equal(getattr(cell, gate), rows, err_msg=gate)
+
+
+def test_gate_tensors_are_views_of_the_stacked_arrays(tmp_path, small_batch):
+    """Each gate tensor of a GRU cell is a view of its rows of the cell's
+    stacked array, however the parameters were made or updated, and cannot
+    be rebound."""
+    loc, glo = _sources()
+    hyb, _ = init_hybrid_from_pretrained(loc, glo, Rng(5))
+    save_checkpoint(hyb, tmp_path / "hyb.nrm")
+    loaded = load_checkpoint(tmp_path / "hyb.nrm")
+    for params in (loc, glo, hyb, loaded):
+        _assert_gates_view_their_stacks(params)
+    _, grads = backward(hyb, small_batch)
+    before = hyb.dec.W_r.copy()
+    sgd_step(hyb, grads, 0.5, clip_norm=1e-3)
+    _assert_gates_view_their_stacks(hyb)
+    assert not np.array_equal(hyb.dec.W_r, before)
+    for gate in ("W_z", "U_r", "b_h"):
+        with pytest.raises(AttributeError):
+            setattr(hyb.dec, gate, np.zeros_like(getattr(hyb.dec, gate)))
 
 
 # --- hybrid warm start -----------------------------------------------------
