@@ -4,9 +4,12 @@ The encoder reads the post left to right; the decoder emits the response one
 token at a time, conditioned on a context vector. Scheme "glo" uses the final
 encoder state as a fixed context, "loc" attends over the per-token encoder
 states, and "hyb" attends over per-token states each concatenated with the
-final state of a second, separately parameterized encoder. The schemes
-differ only in the ContextMemory that context_memory builds from the
-encoder output; every decoder step reads its context from that memory.
+final state g of a second, separately parameterized encoder. Attention
+weights sum to 1, so hyb's context is [attended states, g]: its memory
+holds the states alone, and g enters the scores as one term per post and
+the context as itself. The schemes differ only in the ContextMemory that
+context_memory builds from the encoder output; every decoder step reads
+its context from that memory.
 
 Conventions used throughout: weight matrices are (d_out, d_in) and applied to
 row-stacked activations as ``x @ W.T``; states are (batch, d_h); everything is
@@ -24,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID
-from .numerics import Rng, log_softmax, sigmoid, softmax_stable
+from .numerics import Rng, log_softmax, softmax_stable
 
 __all__ = [
     "CheckpointFormatError",
@@ -316,15 +319,27 @@ def _gru_step(cell: GruParams, xw: np.ndarray, h_prev: np.ndarray, zr=None, hbar
     xw = x @ W.T + b, (n, 3 d_h). Returns the new state (n, d_h).
 
     The gates z|r (n, 2 d_h) and the candidate hbar (n, d_h) go into zr
-    and hbar when they are given: the tape training's adjoint reads.
+    and hbar when they are given: the tape training's adjoint reads. Each
+    pre-activation is built in its output array and activated there (the
+    sigmoid as numerics.sigmoid's 0.5 (1 + tanh(0.5 x))), and the new
+    state takes one scratch array, with the bits of the composed formulas.
     """
     d_h = h_prev.shape[1]
-    if zr is None:
-        zr = np.empty((len(h_prev), 2 * d_h))
-    zr[...] = sigmoid(xw[:, :2 * d_h] + h_prev @ cell.U_zr.T)
+    zr = np.matmul(h_prev, cell.U_zr.T, out=zr)
+    zr += xw[:, :2 * d_h]
+    zr *= 0.5
+    np.tanh(zr, out=zr)
+    zr += 1.0
+    zr *= 0.5
     z, r = zr[:, :d_h], zr[:, d_h:]
-    hbar = np.tanh(xw[:, 2 * d_h:] + (r * h_prev) @ cell.U_h.T, out=hbar)
-    return (1.0 - z) * h_prev + z * hbar
+    hbar = np.matmul(r * h_prev, cell.U_h.T, out=hbar)
+    hbar += xw[:, 2 * d_h:]
+    np.tanh(hbar, out=hbar)
+    h = np.subtract(1.0, z)
+    h *= h_prev
+    scratch = np.multiply(z, hbar)
+    h += scratch
+    return h
 
 
 def _gru_tape(x: np.ndarray, d_h: int):
@@ -456,13 +471,16 @@ class ContextMemory:
     """What the decoder reads of a batch of encoded posts, for every scheme.
 
     init (B, d_ctx) is the final encoder state, with the second encoder's
-    final state appended under hyb: W_0's input, and glo's context at every
-    step. Under loc and hyb, values (B, T, d_ctx) are the vectors the
-    context averages (the encoder states, each with the second encoder's
-    final state appended under hyb); keys (B, T, d_a) are values @ U_a.T +
-    b_a, the part of every score that does not depend on the decoder state;
-    mask (B, T) is 1 on real tokens. Under glo those three are None. A
-    memory with B == 1 serves any number of decoder rows by broadcasting.
+    final state g appended under hyb: W_0's input. Its columns past the
+    width of values are read straight into every context: all of them
+    under glo, whose context is init at every step, and g under hyb, whose
+    context is [sum_j alpha_j h_j, g]. Under loc and hyb, values (B, T,
+    d_h) are the encoder states the context averages; keys (B, T, d_a) are
+    the part of every score that does not depend on the decoder state,
+    values @ U_a[:, :d_h].T plus one term per row, g @ U_a[:, d_h:].T + b_a
+    under hyb and b_a under loc; mask (B, T) is 1 on real tokens. Under glo
+    those three are None. A memory with B == 1 serves any number of
+    decoder rows by broadcasting.
     """
 
     init: np.ndarray
@@ -476,31 +494,36 @@ def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
     step over them."""
     init, values = enc_out.final, enc_out.states
     if params.scheme == "hyb":
-        g = enc_out.global_final
-        init = np.concatenate([init, g], axis=1)
-        values = np.concatenate(
-            [values, np.broadcast_to(g[:, None, :], values.shape[:2] + g.shape[1:])], axis=2)
+        init = np.concatenate([init, enc_out.global_final], axis=1)
     if params.attn is None:
         return ContextMemory(init)
-    keys = values @ params.attn.U_a.T
-    keys += params.attn.b_a
+    d_h, U_a = values.shape[2], params.attn.U_a
+    keys = values @ U_a[:, :d_h].T
+    keys += (init[:, d_h:] @ U_a[:, d_h:].T + params.attn.b_a)[:, None, :]
     return ContextMemory(init, values, keys, enc_out.mask)
 
 
-def _score_tanh(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
-    """tanh(W_a s + U_a h_j + b_a) for every decoder row and position, (B, T, d_a)."""
-    return np.tanh((s_prev @ params.attn.W_a.T)[:, None, :] + memory.keys)
+def _score_tanh(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, out=None):
+    """tanh(W_a s + U_a h_j + b_a) for every decoder row and position,
+    (B, T, d_a), into out when it is given."""
+    out = np.add((s_prev @ params.attn.W_a.T)[:, None, :], memory.keys, out=out)
+    return np.tanh(out, out=out)
 
 
-def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
-    """Context for each row of s_prev. Returns (c, alpha); alpha is None for glo."""
+def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, ta=None):
+    """Context for each row of s_prev. Returns (c, alpha); alpha is None for
+    glo. Under loc and hyb, the scorer's tanh (_score_tanh) goes into ta
+    when it is given: the tape training's attention adjoint reads."""
     if memory.keys is None:
         return np.broadcast_to(memory.init, (len(s_prev), memory.init.shape[1])), None
-    scores = _score_tanh(params, memory, s_prev) @ params.attn.v_a
+    scores = _score_tanh(params, memory, s_prev, ta) @ params.attn.v_a
     scores = np.where(memory.mask > 0.0, scores, -np.inf)
     alpha = softmax_stable(scores, axis=1)
-    # (B, 1, T) @ (B or 1, T, d_ctx): c_b = sum_j alpha_bj h_j
-    c = (alpha[:, None, :] @ memory.values)[:, 0, :]
+    d_h = memory.values.shape[2]
+    c = np.empty((len(s_prev), memory.init.shape[1]))
+    # (B, 1, T) @ (B or 1, T, d_h): c_b = sum_j alpha_bj h_j, then g under hyb
+    c[:, :d_h] = (alpha[:, None, :] @ memory.values)[:, 0, :]
+    c[:, d_h:] = memory.init[:, d_h:]
     return c, alpha
 
 
@@ -538,30 +561,31 @@ def _decoder_xw(params: ModelParams, y_emb: np.ndarray) -> np.ndarray:
     return xw
 
 
-def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, xw_y: np.ndarray,
-                 lc=None, zr=None, hbar=None):
-    """The decoder GRU of a step, given each row's context c and the rows'
-    _decoder_xw. Returns s_t. L c goes into lc, and the gates into zr and
-    hbar as _gru_step writes them, when they are given: the tape of the
-    backward pass."""
-    lc = np.matmul(c, params.L.T, out=lc)
-    xw = lc @ params.dec.W[:, params.dims.d_emb:].T
+def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, xw_y: np.ndarray):
+    """The decoder GRU of a decoding step, given each row's context c and
+    the rows' _decoder_xw. Returns s_t."""
+    xw = (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
     xw += xw_y
-    return _gru_step(params.dec, xw, s_prev, zr, hbar)
+    return _gru_step(params.dec, xw, s_prev)
+
+
+def _readout(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray):
+    """The readout tanh(W_s s_t + W_y y_emb + W_c c + b_r) of rows of
+    (s_t, y_emb, c): the input of the output layer's W_o product."""
+    return np.tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
 
 
 def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray,
                   out: np.ndarray | None = None):
     """Readout and output softmax for rows of (s_t, y_emb, c); returns
-    (rout, log_probs). Each row depends only on its own inputs, so teacher
-    forcing can run every step of a batch through one call.
+    (rout, log_probs). Each row depends only on its own inputs.
 
     The log-probabilities go into out, a C-contiguous (rows, v_resp) array,
     when it is given. The bias and the log-softmax run on blocks of rows in
     place, so their temporaries stay a block's size however many rows the
     call has.
     """
-    rout = np.tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
+    rout = _readout(params, s_t, y_emb, c)
     logits = np.matmul(rout, params.W_o.T, out=out)
     for start in range(0, len(logits), _SOFTMAX_ROWS):
         block = logits[start:start + _SOFTMAX_ROWS]

@@ -110,23 +110,51 @@ def log_softmax(logits, axis: int = -1, out: np.ndarray | None = None) -> np.nda
     return shifted
 
 
-def _clip_factor(grads, max_norm: float) -> float:
+def _clip_factor(grads, max_norm: float, names=None) -> float:
     """The scale that brings the global L2 norm of gradient arrays down to
     max_norm: max_norm / norm when the norm exceeds max_norm, else 1.0.
 
     The squared norm is a sum of np.vdot(g, g), one dot product per array,
-    so no array-sized temporary is formed.
+    so no array-sized temporary is formed. Only when that sum is not finite
+    are the arrays read again: a ValueError names the first array holding
+    a NaN or an infinity (by names[i], else by its index i) before the
+    caller touches anything, and otherwise the squares overflowed, so the
+    norm is recomputed with each array scaled by its largest magnitude and
+    a finite gradient gets its finite factor.
     """
     if not (math.isfinite(max_norm) and max_norm > 0):
         raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
     total_sq = 0.0
     for g in grads:
-        g = np.asarray(g, dtype=np.float64)
         total_sq += float(np.vdot(g, g))
-    norm = math.sqrt(total_sq)
+    scale = 1.0  # the norm is scale * sqrt(total_sq)
+    if not math.isfinite(total_sq):
+        scale, total_sq = _scaled_square_sum(grads, names)
+    norm = scale * math.sqrt(total_sq)
     if norm <= max_norm or norm == 0.0:
         return 1.0
-    return max_norm / norm
+    return max_norm / scale / math.sqrt(total_sq)
+
+
+def _scaled_square_sum(grads, names) -> tuple[float, float]:
+    """(scale, total) with the global L2 norm of grads equal to
+    scale * sqrt(total): scale is the largest magnitude of any entry, and
+    each array's squares are summed after dividing it by its own largest
+    magnitude, so neither sum can overflow. A ValueError names the first
+    array that holds a non-finite entry."""
+    peaks, sums = [], []
+    for i, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            name = i if names is None else names[i]
+            raise ValueError(f"gradient {name!r} holds a non-finite value")
+        peak = float(np.max(np.abs(g), initial=0.0))
+        if peak > 0.0:
+            unit = g / peak
+            peaks.append(peak)
+            sums.append(float(np.vdot(unit, unit)))
+    scale = max(peaks, default=1.0)
+    return scale, sum(s * (p / scale) ** 2 for p, s in zip(peaks, sums))
 
 
 def clip_global_norm(grads, max_norm: float):

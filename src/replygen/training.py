@@ -5,8 +5,9 @@ The loss is the mean negative log-likelihood per framed response token
 in a batch must have at least one token. Backpropagation through the
 decoder, the attention, and the encoder recurrences is written out
 explicitly; there is no autodiff anywhere. One forward pass records a tape
-(every GRU step's inputs and gates, the attention weights, the
-log-probabilities) that `batch_loss` drops and `backward` reads.
+(every GRU step's inputs and gates, the attention weights and the scorer's
+tanh, the output layer's exponentials) that `batch_loss` drops and
+`backward` reads.
 `grad_check` compares every analytic gradient against central finite
 differences and is the standing proof that the derivation matches the
 forward pass.
@@ -21,20 +22,20 @@ import numpy as np
 
 from .corpus import make_batches
 from .model import (
+    _SOFTMAX_ROWS,
     ContextMemory,
     Dims,
     ModelParams,
     _check_ids,
     _context,
-    _decoder_gru,
     _decoder_xw,
     _encode,
+    _gru_step,
     _gru_tape,
     _mask_lengths,
     _new_params,
-    _output_layer,
     _packing,
-    _score_tanh,
+    _readout,
     _start_state,
     context_memory,
     init_params,
@@ -84,16 +85,19 @@ def _forward(params: ModelParams, batch):
     counts[0] + ... + counts[t - 1] onwards. Under teacher forcing the
     previous tokens are known before the loop, so their part of the
     decoder GRU's input products comes from one product over all rows
-    (_decoder_xw); the L c part depends on the step's attention, so each
-    step forms its own. Likewise the readout and the output softmax feed
-    nothing back into the recurrence, so _output_loss runs them once over
-    all rows after the loop. The targets' log-probabilities go back to the
-    caller's row order before the loss is summed step by step. tape is
-    what the backward pass reads: (counts, input ids, memory, encoder
-    tapes, s_0, decoder _gru_tape, each step's attention weights alpha,
-    c, output cache), where the input ids, c and the decoder tape are
-    packed (the tape's x is the GRU input u = [y_emb, L c]); each encoder
-    tape holds its own order and counts.
+    (_decoder_xw). Under glo each row's context is fixed, so L c and its
+    part of the input products are formed once per batch row and gathered
+    to the packed rows before the loop; under loc and hyb they depend on
+    the step's attention, so each step forms its own. Likewise the readout
+    and the output softmax feed nothing back into the recurrence, so
+    _output_loss runs them once over all rows after the loop. The targets'
+    log-probabilities go back to the caller's row order before the loss is
+    summed step by step. tape is what the backward pass reads: (counts,
+    input ids, memory, encoder tapes, s_0, decoder _gru_tape, each step's
+    attention weights alpha, the scorer's tanh, c, output cache), where
+    the input ids, the tanh, c and the decoder tape are packed (the tape's
+    x is the GRU input u = [y_emb, L c]); each encoder tape holds its own
+    order and counts. Under glo there are no weights and no tanh (None).
     """
     resp_ids = _check_ids(batch.resp_ids, params.dims.v_resp, "response")
     # a response row holds the begin marker, its tokens and the end marker
@@ -114,20 +118,30 @@ def _forward(params: ModelParams, batch):
     inputs, targets = by_step[:-1][live], by_step[1:][live]
     dec_tape = _gru_tape(np.empty((len(targets), d_emb + params.dims.d_L)), params.dims.d_h)
     u, s_prev, zr, hbar = dec_tape
-    y_emb = u[:, :d_emb]
+    y_emb, lc = u[:, :d_emb], u[:, d_emb:]
     y_emb[...] = params.E_y[inputs]
-    xw_y = _decoder_xw(params, y_emb)
+    xw = _decoder_xw(params, y_emb)
+    W_lc = params.dec.W[:, d_emb:]  # the columns of the decoder input's L c
     s_t = np.empty(s_prev.shape)
-    c = np.empty((len(targets), memory.init.shape[1]))
-    alphas = []
+    alphas, ta = [], None
+    if memory.keys is None:
+        row = np.nonzero(live)[1]  # each packed row's row of the memory
+        c = memory.init[row]
+        lc_rows = memory.init @ params.L.T
+        lc[...] = lc_rows[row]
+        xw += (lc_rows @ W_lc.T)[row]
+    else:
+        c = np.empty((len(targets), memory.init.shape[1]))
+        ta = np.empty((len(targets),) + memory.keys.shape[1:])
     s, start = s0, 0
     for n in counts:
         rows = slice(start, start + n)
-        c[rows], alpha = _context(params, _head(memory, n), s[:n])
         s_prev[rows] = s[:n]
-        s = s_t[rows] = _decoder_gru(params, c[rows], s_prev[rows], xw_y[rows],
-                                     u[rows, d_emb:], zr[rows], hbar[rows])
-        alphas.append(alpha)
+        if ta is not None:
+            c[rows], alpha = _context(params, _head(memory, n), s[:n], ta[rows])
+            alphas.append(alpha)
+            xw[rows] += np.matmul(c[rows], params.L.T, out=lc[rows]) @ W_lc.T
+        s = s_t[rows] = _gru_step(params.dec, xw[rows], s_prev[rows], zr[rows], hbar[rows])
         start += n
     target_logp, output = _output_loss(params, s_t, y_emb, c, targets)
 
@@ -138,7 +152,7 @@ def _forward(params: ModelParams, batch):
         loss_sum -= float(row.sum())
 
     token_count = float(len(targets))
-    tape = (counts, inputs, memory, enc_tapes, s0, dec_tape, alphas, c, output)
+    tape = (counts, inputs, memory, enc_tapes, s0, dec_tape, alphas, ta, c, output)
     return loss_sum / token_count, token_count, tape
 
 
@@ -146,13 +160,30 @@ def _output_loss(params: ModelParams, s_t, y_emb, c, targets):
     """The teacher-forced output layer over the packed target rows.
 
     s_t, y_emb and c are (n_real, width), one row per real target; padding
-    rows are never formed. Runs _output_layer in one call and returns
-    (target_logp, cache): each row's target log-probability, and the
-    targets, the inputs, the readout and the (n_real, v_resp)
-    log-probabilities.
+    rows are never formed. The readout and the logits z = rout @ W_o.T +
+    b_o take one product each over all rows. A block of rows at a time,
+    each row is shifted by its maximum m in place, its target's shifted
+    logit z_t - m is read, and the shifted logits are exponentiated in
+    place and summed into s: the one exponential per logit that both the
+    loss and its gradient use. Each target's log-probability is
+    (z_t - m) - log s, the arithmetic of _output_layer's log-softmax, so
+    the loss has its bits. Returns (target_logp, cache): each row's target
+    log-probability, and the targets, the inputs, the readout, the
+    (n_real, v_resp) exponentials and their row sums s.
     """
-    rout, logp = _output_layer(params, s_t, y_emb, c)
-    return logp[np.arange(len(targets)), targets], (targets, (s_t, y_emb, c), rout, logp)
+    rout = _readout(params, s_t, y_emb, c)
+    e = rout @ params.W_o.T
+    target_logp, s = np.empty(len(targets)), np.empty(len(targets))
+    for start in range(0, len(e), _SOFTMAX_ROWS):
+        rows = slice(start, start + _SOFTMAX_ROWS)
+        block = e[rows]
+        block += params.b_o
+        block -= np.max(block, axis=1, keepdims=True)
+        target_logp[rows] = block[np.arange(len(block)), targets[rows]]
+        np.exp(block, out=block)
+        np.sum(block, axis=1, out=s[rows])
+    target_logp -= np.log(s)
+    return target_logp, (targets, (s_t, y_emb, c), rout, e, s)
 
 
 def _output_backward(grads, params, cache, lam: float):
@@ -160,13 +191,13 @@ def _output_backward(grads, params, cache, lam: float):
     every target. Writes the W_o, b_o, W_s, W_y, W_c and b_r gradients into
     the gradient ModelParams grads, from one product each over the packed
     rows, and returns the packed gradients w.r.t. s_t, y_emb and c. The
-    cached log-probabilities become dlogits in place.
+    cached exponentials become dlogits in place, scaled by lam / s: no
+    exponential is taken again.
     """
-    targets, (s_t, y_emb, c), rout, dlogits = cache
-    # softmax cross-entropy: dlogits = lam * (probs - onehot(target))
-    np.exp(dlogits, out=dlogits)
-    dlogits[np.arange(len(targets)), targets] -= 1.0
-    dlogits *= lam
+    targets, (s_t, y_emb, c), rout, dlogits, s = cache
+    # softmax cross-entropy: dlogits = lam * (e / s - onehot(target))
+    dlogits *= (lam / s)[:, None]
+    dlogits[np.arange(len(targets)), targets] -= lam
 
     np.matmul(dlogits.T, rout, out=grads.W_o)
     np.sum(dlogits, axis=0, out=grads.b_o)
@@ -220,9 +251,11 @@ def _gru_weight_grads(dcell, tape, dpre):
     np.sum(dpre, axis=0, out=dcell.b)
 
 
-def _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc):
+def _attention_backward(grads, params, memory, dmemory, alpha, ta, s_prev, dc):
     """Backprop one step of the additive scorer and the weighted sum, given
-    the step's attention weights alpha and decoder state s_prev.
+    the step's attention weights alpha, the scorer's tanh ta as the forward
+    pass taped it, the decoder state s_prev and dc, the gradient w.r.t. the
+    attended columns of the context, sum_j alpha_j h_j.
 
     The gradients w.r.t. the memory's values and keys are accumulated into
     dmemory; _memory_backward maps them to U_a, b_a and the encoder states
@@ -231,7 +264,6 @@ def _attention_backward(grads, params, memory, dmemory, alpha, s_prev, dc):
     w.r.t. s_prev.
     """
     a = params.attn
-    ta = _score_tanh(params, memory, s_prev)
     d_a = ta.shape[2]
 
     # c = sum_j alpha_j h_j
@@ -254,28 +286,32 @@ def _memory_backward(grads, params, memory, dmemory):
     (dstates, dfinal, dglobal_final) w.r.t. the encoder states, the final
     state and the second encoder's final state. dstates is None under glo,
     which reads no state but the final one; dglobal_final is (B, 0) unless
-    the scheme is hyb."""
+    the scheme is hyb. Under hyb, the keys' per-row term g @ U_a[:, d_h:].T
+    gets the keys' gradient summed over positions, one row per post."""
     d_h = params.dims.d_h
     dinit = dmemory.init
     if memory.keys is None:
         return None, dinit, dinit[:, d_h:]
-    dvalues = dmemory.values
+    dvalues, U_a, dU_a = dmemory.values, params.attn.U_a, grads.attn.U_a
     dk = dmemory.keys.reshape(-1, dmemory.keys.shape[2])
-    np.matmul(dk.T, memory.values.reshape(-1, dvalues.shape[2]), out=grads.attn.U_a)
+    np.matmul(dk.T, memory.values.reshape(-1, d_h), out=dU_a[:, :d_h])
     np.sum(dk, axis=0, out=grads.attn.b_a)
-    dvalues += (dk @ params.attn.U_a).reshape(dvalues.shape)
-    return (dvalues[:, :, :d_h], dinit[:, :d_h],
-            dinit[:, d_h:] + dvalues[:, :, d_h:].sum(axis=1))
+    drow = dmemory.keys.sum(axis=1)  # the per-row term's gradient
+    np.matmul(drow.T, memory.init[:, d_h:], out=dU_a[:, d_h:])
+    dinit[:, d_h:] += drow @ U_a[:, d_h:]
+    dvalues += (dk @ U_a[:, :d_h]).reshape(dvalues.shape)
+    return dvalues, dinit[:, :d_h], dinit[:, d_h:]
 
 
-def _encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
-    """Adjoint of model._run_encoder: writes dcell and adds into dE_x,
-    given its tape; dstates is None when no gradient reaches the states.
-    The steps run in reverse over the same live rows as the forward pass,
-    in its packed order: a row leaves the prefix at its last token, so it
-    joins at that step, where its dfinal enters. No state past it is read,
-    so no mask is needed. The weight gradients and the tokens' input
-    gradient, scattered into dE_x, are one product each after the loop."""
+def _encoder_backward(dcell, cell, tape, dstates, dfinal):
+    """Adjoint of model._run_encoder: writes dcell, given its tape, and
+    returns (tokens, dx), the packed token ids and the gradient w.r.t.
+    each one's embedding; dstates is None when no gradient reaches the
+    states. The steps run in reverse over the same live rows as the
+    forward pass, in its packed order: a row leaves the prefix at its last
+    token, so it joins at that step, where its dfinal enters. No state
+    past it is read, so no mask is needed. The weight gradients and the
+    tokens' input gradient are one product each after the loop."""
     order, counts, tokens, gru_tape = tape
     dh = dfinal[order]  # a row holds its dfinal until its last token's step
     if dstates is not None:
@@ -289,42 +325,34 @@ def _encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
         dh[:n] = _gru_adjoint(cell, gru_tape, rows, dh_t, dpre[rows])
         end -= n
     _gru_weight_grads(dcell, gru_tape, dpre)
-    np.add.at(dE_x, tokens, dpre @ cell.W)
+    return tokens, dpre @ cell.W
 
 
-def backward(params: ModelParams, batch):
-    """Loss and its gradient for every tensor; returns (loss, grads dict).
+def _row_sum(ids, dx):
+    """The gradient w.r.t. an embedding table whose rows ids were read, given
+    dx, the gradient w.r.t. each read: (rows, values), the distinct ids in
+    ascending order and, for each, the sum of its dx rows. np.add.at adds
+    them in dx's order, as it would into the full table, so the values
+    have the bits of that table's rows."""
+    rows, at = np.unique(ids, return_inverse=True)
+    values = np.zeros((len(rows), dx.shape[1]))
+    np.add.at(values, at, dx)
+    return rows, values
 
-    Gradient keys match ModelParams.named_tensors(). The loss comes from
-    the same _forward as batch_loss's, so the two are bit-identical.
 
-    The readout and output layer feed nothing back into the recurrence, so
-    _forward runs them once over the packed target rows of all steps, and
-    _output_backward forms their gradients, and the packed gradients they
-    pass to s_t, y_emb and c, from one product each over those rows,
-    before the reverse loop. That loop reads the tape's counts: step t
-    runs the decoder GRU's state path (_gru_adjoint), the L c slice of
-    its input gradient and the attention backward over the counts[t] live
-    rows only, in the order _forward packed them, with the carried
-    gradient of the counts[t + 1] rows of step t + 1 added to its first
-    rows. Padding rows are never formed. Each step writes its decoder
-    pre-activation gradients into one packed array, so the decoder's
-    weight gradients, the y_emb slice of its input gradient and the L
-    gradient are one product each after the loop. The context memory is
-    built once per batch; the loop and the start state add their
-    gradients into views of the first rows of a memory of the same shapes,
-    which _memory_backward, its adjoint, maps back to the encoders once.
-    The gradient arrays start as np.zeros, whose pages are zeroed only as
-    they are first written, and each cell's stacked arrays are among them,
-    so the products _gru_weight_grads writes land in place.
-    """
+def _backward(params: ModelParams, batch):
+    """backward, with the E_x and E_y gradients as _row_sum's (rows,
+    values) pairs: only the rows a batch reads. sgd_step takes them so."""
     loss, token_count, tape = _forward(params, batch)
-    counts, inputs, memory, (enc_tape, encg_tape), s0, dec_tape, alphas, c, output = tape
+    counts, inputs, memory, (enc_tape, encg_tape), s0, dec_tape, alphas, ta, c, output = tape
     grads = _new_params(params.scheme, params.dims, np.zeros)
 
     d_h, d_emb = params.dims.d_h, params.dims.d_emb
     ds_out, dy_emb, dc_out = _output_backward(grads, params, output, 1.0 / token_count)
     W_lc = params.dec.W[:, d_emb:]  # the columns of the decoder input's L c
+    # the context's first d_v columns are attended; the rest are read
+    # straight from the memory's init (all of them under glo, g under hyb)
+    d_v = 0 if memory.values is None else memory.values.shape[2]
     dpre = np.empty((len(c), 3 * d_h))
     dlc = np.empty((len(c), params.dims.d_L))
 
@@ -335,24 +363,31 @@ def backward(params: ModelParams, batch):
 
     ds_carry = np.zeros((0, d_h))
     end = len(c)
-    for n, alpha in zip(reversed(counts), reversed(alphas)):
+    for t in reversed(range(len(counts))):
+        n = counts[t]
         rows = slice(end - n, end)
         ds = ds_out[rows]
         ds[:len(ds_carry)] += ds_carry
         ds_carry = _gru_adjoint(params.dec, dec_tape, rows, ds, dpre[rows])
-        np.matmul(dpre[rows], W_lc, out=dlc[rows])
-        dc = dc_out[rows] + dlc[rows] @ params.L
-        if memory.keys is None:
-            dmemory.init[:n] += dc
-        else:
-            s_prev = dec_tape[1][rows]
-            ds_carry += _attention_backward(grads, params, _head(memory, n),
-                                            _head(dmemory, n), alpha, s_prev, dc)
+        if memory.keys is not None:
+            np.matmul(dpre[rows], W_lc, out=dlc[rows])
+            dc = dc_out[rows, :d_v] + dlc[rows] @ params.L[:, :d_v]
+            ds_carry += _attention_backward(grads, params, _head(memory, n), _head(dmemory, n),
+                                            alphas[t], ta[rows], dec_tape[1][rows], dc)
+        end -= n
+    # nothing of the columns read from init reaches the state path, so
+    # their gradient takes one product over all rows after the loop
+    if memory.keys is None:
+        np.matmul(dpre, W_lc, out=dlc)
+    dc_init = dc_out[:, d_v:] + dlc @ params.L[:, d_v:]
+    end = len(c)
+    for n in reversed(counts):
+        dmemory.init[:n, d_v:] += dc_init[end - n:end]
         end -= n
     _gru_weight_grads(grads.dec, dec_tape, dpre)
     dy_emb += dpre @ params.dec.W[:, :d_emb]
     np.matmul(dlc.T, c, out=grads.L)
-    np.add.at(grads.E_y, inputs, dy_emb)
+    grads.E_y = _row_sum(inputs, dy_emb)
 
     # start state s_0 = tanh(W_0 c_0); every row is live at step 0
     da0 = ds_carry * (1.0 - s0 ** 2)
@@ -360,11 +395,58 @@ def backward(params: ModelParams, batch):
     dmemory.init += da0 @ params.W_0
 
     dstates, dfinal, dglobal_final = _memory_backward(grads, params, memory, dmemory)
-    _encoder_backward(grads.enc, grads.E_x, params.enc, enc_tape, dstates, dfinal)
+    tokens, dx = _encoder_backward(grads.enc, params.enc, enc_tape, dstates, dfinal)
     if params.scheme == "hyb":
-        _encoder_backward(grads.enc_g, grads.E_x, params.enc_g, encg_tape, None,
-                          dglobal_final)
+        tokens_g, dx_g = _encoder_backward(grads.enc_g, params.enc_g, encg_tape, None,
+                                           dglobal_final)
+        tokens, dx = np.concatenate([tokens, tokens_g]), np.concatenate([dx, dx_g])
+    grads.E_x = _row_sum(tokens, dx)
     return loss, grads.named_tensors()
+
+
+def backward(params: ModelParams, batch):
+    """Loss and its gradient for every tensor; returns (loss, grads dict).
+
+    Gradient keys match ModelParams.named_tensors(), each a dense array of
+    its tensor's shape. The loss comes from the same _forward as
+    batch_loss's, so the two are bit-identical.
+
+    The readout and output layer feed nothing back into the recurrence, so
+    _forward runs them once over the packed target rows of all steps, and
+    _output_backward forms their gradients, and the packed gradients they
+    pass to s_t, y_emb and c, from one product each over those rows,
+    before the reverse loop. That loop reads the tape's counts: step t
+    runs the decoder GRU's state path (_gru_adjoint) and, under loc and
+    hyb, the L c slice of its input gradient and the attention backward
+    (reading the taped tanh) over the counts[t] live rows only, in the
+    order _forward packed them, with the carried gradient of the
+    counts[t + 1] rows of step t + 1 added to its first rows. Padding rows
+    are never formed. Each step writes its decoder pre-activation
+    gradients into one packed array, so the decoder's weight gradients,
+    the y_emb slice of its input gradient and the L gradient are one
+    product each after the loop; so is, under glo, the L c slice, and for
+    every scheme the gradient w.r.t. the context columns read straight
+    from the memory's init (glo's whole context, hyb's g), which no step's
+    state path reads. The context memory is built once per batch; the loop
+    and the start state add their gradients into views of the first rows
+    of a memory of the same shapes, which _memory_backward, its adjoint,
+    maps back to the encoders once. The gradient arrays start as np.zeros,
+    whose pages are zeroed only as they are first written, and each cell's
+    stacked arrays are among them, so the products _gru_weight_grads
+    writes land in place.
+
+    The embeddings' gradients are formed on the rows the batch reads only,
+    as (rows, values) pairs (_row_sum), which train hands to sgd_step as
+    they are; this function writes each pair into a zero table of its
+    tensor's shape, with the bits of np.add.at into that table.
+    """
+    loss, grads = _backward(params, batch)
+    tensors = params.named_tensors()
+    for name in ("E_x", "E_y"):
+        rows, values = grads[name]
+        grads[name] = np.zeros(tensors[name].shape)
+        grads[name][rows] = values
+    return loss, grads
 
 
 def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4):
@@ -423,24 +505,37 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
 
     Every tensor t becomes t - lr * (g * factor). factor is clip_norm over
     the global L2 norm of grads where that norm exceeds clip_norm, and 1.0
-    otherwise or without clipping (g * 1.0 is g). The update runs block by
-    block through one small reused buffer, so it allocates no tensor-sized
+    otherwise or without clipping (g * 1.0 is g). A gradient is a dense
+    array of its tensor's shape, or a (rows, values) pair, as _backward
+    gives the embeddings': the gradient is values on the distinct rows
+    `rows` and 0 elsewhere, and the norm and the update read and write
+    those rows only. Each row gets the bits of the dense update at the
+    returned factor; the norm's sum of squares runs over those rows, so
+    the factor can differ from a dense table's in its last bit. With
+    clipping on,
+    a gradient holding a NaN or an infinity raises ValueError naming its
+    tensor before any tensor is touched. The update runs block by block
+    through one small reused buffer, so it allocates no tensor-sized
     temporary, and grads are left as they are.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
     tensors = params.named_tensors()
-    glist = [grads[n] for n in tensors]
-    factor = 1.0 if clip_norm is None else _clip_factor(glist, clip_norm)
+    pairs = [grads[n] if isinstance(grads[n], tuple) else (None, grads[n]) for n in tensors]
+    for name, (rows, _) in zip(tensors, pairs):
+        if rows is not None and len(np.unique(rows)) != len(rows):
+            raise ValueError(f"gradient {name!r} lists a row twice")
+    factor = (1.0 if clip_norm is None
+              else _clip_factor([g for _, g in pairs], clip_norm, list(tensors)))
     buf = np.empty(_UPDATE_BLOCK)
-    for t, g in zip(tensors.values(), glist):
+    for t, (rows, g) in zip(tensors.values(), pairs):
         step = max(1, _UPDATE_BLOCK // max(1, t[:1].size))  # rows per block
-        for i in range(0, len(t), step):
-            dst = t[i:i + step]
-            block = buf[:dst.size].reshape(dst.shape)
-            np.multiply(g[i:i + step], factor, out=block)
+        for i in range(0, len(g), step):
+            src = g[i:i + step]
+            block = buf[:src.size].reshape(src.shape)
+            np.multiply(src, factor, out=block)
             block *= lr
-            dst -= block
+            t[slice(i, i + step) if rows is None else rows[i:i + step]] -= block
     return factor
 
 
@@ -500,6 +595,8 @@ def train(params: ModelParams, pairs, vocabs, config: TrainConfig, rng: Rng,
 
     The reported numbers are the running training loss of each epoch
     (per-token NLL, weighted by batch token counts) and its exponential.
+    Each batch's gradients come from _backward, the embeddings' on their
+    read rows only, and go to sgd_step through this module's attribute.
     Each history row is also written to log_stream as a tab-separated line
     when one is given.
     """
@@ -512,7 +609,7 @@ def train(params: ModelParams, pairs, vocabs, config: TrainConfig, rng: Rng,
         total_nll = 0.0
         total_tokens = 0.0
         for batch_index, batch in enumerate(batches):
-            loss, grads = backward(params, batch)
+            loss, grads = _backward(params, batch)
             if not math.isfinite(loss):
                 norms = ", ".join(f"{name}={float(np.linalg.norm(arr)):.3e}"
                                   for name, arr in params.named_tensors().items())

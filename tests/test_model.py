@@ -14,6 +14,7 @@ from replygen.model import (
     EncodedPost,
     ModelParams,
     _decoder_step,
+    _gru_step,
     context_memory,
     context_vector,
     decoder_init,
@@ -26,6 +27,7 @@ from replygen.model import (
     save_checkpoint,
     sequence_log_likelihood,
 )
+from replygen.numerics import sigmoid
 
 from conftest import HYB_TENSOR_NAMES, TINY, random_post, tensor_names
 
@@ -175,6 +177,30 @@ def test_gru_step_zero_update_gate_keeps_state():
     h = np.linspace(-1, 1, TINY.d_h).reshape(1, -1)
     x = np.zeros((1, TINY.d_emb))
     np.testing.assert_array_equal(gru_step(params.enc, x, h), h)
+
+
+@pytest.mark.parametrize("rows", [8, 32, 500])
+def test_gru_step_in_place_has_the_bits_of_the_composed_formula(rows):
+    """_gru_step builds each pre-activation in its output array; the gates,
+    the candidate and the new state keep the bits of the composed
+    expressions, with the sigmoid as numerics.sigmoid."""
+    dims = Dims(d_h=32, d_emb=16, d_a=8, d_L=8, d_r=8, v_post=12, v_resp=12)
+    cell = init_params("glo", dims, Rng(5), low=-0.5, high=0.5).enc
+    gen = np.random.default_rng(rows)
+    xw = gen.standard_normal((rows, 3 * dims.d_h))
+    h_prev = gen.uniform(-1.0, 1.0, (rows, dims.d_h))
+    zr, hbar = np.empty((rows, 2 * dims.d_h)), np.empty((rows, dims.d_h))
+    h = _gru_step(cell, xw, h_prev, zr, hbar)
+
+    d_h = dims.d_h
+    zr_ref = sigmoid(xw[:, :2 * d_h] + h_prev @ cell.U_zr.T)
+    z, r = zr_ref[:, :d_h], zr_ref[:, d_h:]
+    hbar_ref = np.tanh(xw[:, 2 * d_h:] + (r * h_prev) @ cell.U_h.T)
+    h_ref = (1.0 - z) * h_prev + z * hbar_ref
+    assert zr.tobytes() == zr_ref.tobytes()
+    assert hbar.tobytes() == hbar_ref.tobytes()
+    assert h.tobytes() == h_ref.tobytes()
+    assert _gru_step(cell, xw, h_prev).tobytes() == h_ref.tobytes()
 
 
 # --- encoding ------------------------------------------------------------

@@ -180,3 +180,19 @@ def test_clip_rejects_nonpositive_max_norm():
 def test_clip_rejects_non_finite_max_norm(max_norm):
     with pytest.raises(ValueError, match="max_norm must be positive and finite"):
         clip_global_norm([np.zeros(2)], max_norm)
+
+
+def test_clip_overflowing_squares_get_the_finite_factor():
+    """Two entries of 1e300 overflow the sum of squares, not the norm: the
+    factor is max_norm over the norm 1e300 * sqrt(2), not 0."""
+    g = [np.zeros(3), np.array([[1e300, 0.0], [0.0, 1e300]])]
+    out, factor = clip_global_norm(g, 1.0)
+    assert factor == pytest.approx(1.0 / (math.sqrt(2.0) * 1e300), rel=1e-15)
+    np.testing.assert_allclose(out[1], np.eye(2) / math.sqrt(2.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clip_names_the_array_that_holds_a_non_finite_value(bad):
+    g = [np.ones(2), np.array([1.0, bad]), np.full(2, math.nan)]
+    with pytest.raises(ValueError, match="gradient 1 holds a non-finite value"):
+        clip_global_norm(g, 1.0)

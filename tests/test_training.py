@@ -119,24 +119,30 @@ def test_batch_loss_matches_per_row_scoring(rows):
 def _all_rows_output_loss(params, batch, s_t, y_emb, c):
     """Reference for training._output_loss: the output layer over all
     steps * B rows, padding included, as it ran before the packing, with
-    the target log-probabilities masked to 0 at padding."""
+    the target log-probabilities masked to 0 at padding. The loss is read
+    from _output_layer's log-softmax; the exponentials of the shifted
+    logits and their row sums are kept for the gradient."""
     steps, b = s_t.shape[:2]
     rows = tuple(x.reshape(steps * b, -1) for x in (s_t, y_emb, c))
     rout, logp = _output_layer(params, *rows)
     logp = logp.reshape(steps, b, -1)
     target_logp = logp[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T]
     target_logp *= batch.resp_mask[:, 1:].T
-    return target_logp, {"batch": batch, "rows": rows, "rout": rout, "logp": logp}
+    logits = rout @ params.W_o.T + params.b_o
+    e = np.exp(logits - logits.max(axis=1, keepdims=True)).reshape(steps, b, -1)
+    return target_logp, {"batch": batch, "rows": rows, "rout": rout, "e": e,
+                          "s": e.sum(axis=2)}
 
 
 def _all_rows_output_backward(grads, params, cache, lam, steps, b):
     """Reference for training._output_backward over all steps * B rows:
-    dlogits weighted by lam times the target mask."""
+    dlogits = w * (e / s - onehot(target)), with w the loss weight lam
+    times the target mask, formed as e * (w / s) - w."""
     batch, rout = cache["batch"], cache["rout"]
     s_t, y_emb, c = cache["rows"]
-    dlogits = np.exp(cache["logp"], out=cache["logp"])
-    dlogits[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T] -= 1.0
-    dlogits *= (lam * batch.resp_mask[:, 1:].T)[:, :, None]
+    w = lam * batch.resp_mask[:, 1:].T
+    dlogits = cache["e"] * (w / cache["s"])[:, :, None]
+    dlogits[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T] -= w
     dlogits = dlogits.reshape(steps * b, -1)
     grads.W_o += dlogits.T @ rout
     grads.b_o += dlogits.sum(axis=0)
@@ -353,6 +359,31 @@ def test_backward_unused_embedding_rows_get_zero_grad(make_params, small_batch):
     assert (grads["E_y"][0] == 0.0).all()
 
 
+def _table_sum(ids, dx):
+    """Reference for training._row_sum: np.add.at into a zero table of rows
+    0 .. max(ids), given as the pair of all its rows."""
+    table = np.zeros((ids.max() + 1, dx.shape[1]))
+    np.add.at(table, ids, dx)
+    return np.arange(len(table)), table
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_backward_embedding_grads_are_add_at_into_the_table(scheme, make_params):
+    """The public backward's E_x and E_y gradients, formed on the rows a
+    batch reads and written into a zero table, have the bits of np.add.at
+    into the whole table."""
+    params = make_params(scheme, seed=16, low=-0.5, high=0.5)
+    batch = _edge_batch(STAIR_ROWS)
+    _, grads = backward(params, batch)
+    with mock.patch.object(training, "_row_sum", _table_sum):
+        _, ref = backward(params, batch)
+    for name in ("E_x", "E_y"):
+        assert grads[name].shape == params.named_tensors()[name].shape
+        assert grads[name].tobytes() == ref[name].tobytes(), name
+    rows, _ = training._backward(params, batch)[1]["E_y"]
+    assert rows.tolist() == sorted(set(batch.resp_ids[:, :-1][batch.resp_mask[:, 1:] > 0].tolist()))
+
+
 # --- finite differences ---------------------------------------------------
 
 
@@ -453,19 +484,24 @@ def _carried_run_encoder(cell, E_x, ids, lengths):
     return states, h, (ids, lengths, caches)
 
 
-def _carried_encoder_backward(dcell, dE_x, cell, tape, dstates, dfinal):
+def _carried_encoder_backward(dcell, cell, tape, dstates, dfinal):
     """Reference for training._encoder_backward: the adjoint of the carried
-    pass, which passed the final state's gradient through padded steps."""
+    pass, which passed the final state's gradient through padded steps.
+    Returns every position's (ids, dx), last position first; dx is 0 at
+    padding."""
     ids, lengths, caches = tape
     mask = _lengths_mask(ids, lengths)
     if dstates is None:
         dstates = np.zeros(ids.shape + dfinal.shape[1:])
     dcarry = dfinal.copy()
+    tokens, dxs = [], []
     for t in reversed(range(ids.shape[1])):
         m = mask[:, t][:, None]
         dx, dh_prev = _ref_gru_backward(dcell, cell, caches[t], (dcarry + dstates[:, t, :]) * m)
         dcarry = dcarry * (1.0 - m) + dh_prev
-        np.add.at(dE_x, ids[:, t], dx)
+        tokens.append(ids[:, t])
+        dxs.append(dx)
+    return np.concatenate(tokens), np.concatenate(dxs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -545,11 +581,12 @@ def _padded_backward(params, batch):
     dec_steps = []
     s = s0
     for t in range(steps):
-        c[t], alpha = _context(params, memory, s)
+        ta = None if memory.keys is None else np.empty((b,) + memory.keys.shape[1:])
+        c[t], alpha = _context(params, memory, s, ta)
         u = np.concatenate([params.E_y[batch.resp_ids[:, t]], c[t] @ params.L.T], axis=1)
         s, cache = _ref_gru_step(params.dec, u, s)
         s_t[t] = s
-        dec_steps.append((cache, alpha))
+        dec_steps.append((cache, alpha, ta))
     target_logp, output = _all_rows_output_loss(params, batch, s_t,
                                                 params.E_y[batch.resp_ids[:, :-1].T], c)
     loss_sum = 0.0
@@ -566,18 +603,18 @@ def _padded_backward(params, batch):
     if memory.keys is not None:
         dmemory.values = np.zeros_like(memory.values)
         dmemory.keys = np.zeros_like(memory.keys)
+    d_v = 0 if memory.values is None else memory.values.shape[2]  # attended columns
     ds_carry = np.zeros((b, params.dims.d_h))
     for t in reversed(range(steps)):
-        cache, alpha = dec_steps[t]
+        cache, alpha, ta = dec_steps[t]
         du, ds_prev = _ref_gru_backward(grads.dec, params.dec, cache, ds_carry + ds_out[t])
         dy_emb[t] += du[:, :d_emb]
         dlc[t] = du[:, d_emb:]
         dc = dc_out[t] + dlc[t] @ params.L
-        if memory.keys is None:
-            dmemory.init += dc
-        else:
-            ds_prev += training._attention_backward(grads, params, memory, dmemory, alpha,
-                                                    cache[1], dc)
+        dmemory.init[:, d_v:] += dc[:, d_v:]
+        if memory.keys is not None:
+            ds_prev += training._attention_backward(grads, params, memory, dmemory, alpha, ta,
+                                                    cache[1], dc[:, :d_v])
         ds_carry = ds_prev
     grads.L += dlc.reshape(steps * b, -1).T @ c.reshape(steps * b, -1)
     np.add.at(grads.E_y, batch.resp_ids[:, :-1].T.reshape(-1), dy_emb.reshape(steps * b, d_emb))
@@ -681,6 +718,71 @@ def test_sgd_step_is_t_minus_lr_times_the_scaled_gradient(clip_norm, make_params
         g = grads[name] if clip_norm is None else grads[name] * factor
         assert arr.tobytes() == (before[name] - 0.3 * g).tobytes(), name
         assert grads[name].tobytes() == kept[name].tobytes(), name
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1e-3], ids=["no-clip", "clip"])
+def test_sgd_step_on_row_pairs_is_the_dense_update(clip_norm, make_params):
+    """sgd_step given the embeddings' (rows, values) pairs, as train gives
+    them, makes bitwise the dense update t - lr * (g * factor) of the
+    gradients backward returns, untouched rows included. Its factor sums
+    the touched rows' squares only, so it equals the dense one up to
+    rounding."""
+    batch = _edge_batch(STAIR_ROWS)
+    params = make_params("hyb", seed=17)
+    _, pairs = training._backward(params, batch)
+    _, grads = backward(params, batch)
+    assert isinstance(pairs["E_x"], tuple) and isinstance(pairs["E_y"], tuple)
+    before = {k: v.copy() for k, v in params.named_tensors().items()}
+    factor = sgd_step(params, pairs, 0.3, clip_norm)
+    if clip_norm is None:
+        assert factor == 1.0
+    else:
+        assert factor == pytest.approx(clip_global_norm(list(grads.values()), clip_norm)[1],
+                                       rel=1e-15, abs=0)
+        assert factor < 1.0
+    for name, arr in params.named_tensors().items():
+        assert arr.tobytes() == (before[name] - 0.3 * (grads[name] * factor)).tobytes(), name
+
+
+def test_sgd_step_refuses_a_row_pair_that_lists_a_row_twice(make_params):
+    params = make_params("glo")
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors().items()}
+    grads["E_y"] = (np.array([4, 6, 4]), np.ones((3, TINY.d_emb)))
+    before = params.E_y.copy()
+    with pytest.raises(ValueError, match="gradient 'E_y' lists a row twice"):
+        sgd_step(params, grads, 0.1)
+    np.testing.assert_array_equal(params.E_y, before)
+
+
+def test_sgd_step_clips_a_gradient_whose_squares_overflow(make_params):
+    """Two W_o entries of 1e300: the sum of squares overflows, the norm does
+    not, and the step is the clipped one, not a dropped one."""
+    params = make_params("glo", seed=9)
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors().items()}
+    grads["W_o"][4, 0] = grads["W_o"][5, 1] = 1e300
+    before = params.W_o.copy()
+    factor = sgd_step(params, grads, 0.5, clip_norm=1.0)
+    assert factor == pytest.approx(1.0 / (math.sqrt(2.0) * 1e300), rel=1e-15)
+    expected = before.copy()
+    expected[4, 0] -= 0.5 * (1e300 * factor)
+    expected[5, 1] -= 0.5 * (1e300 * factor)
+    np.testing.assert_array_equal(params.W_o, expected)
+    assert not np.array_equal(params.W_o, before)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "row-pair"])
+def test_sgd_step_refuses_a_non_finite_gradient_before_any_update(sparse, make_params):
+    params = make_params("hyb", seed=9)
+    grads = {name: np.full(arr.shape, 0.25) for name, arr in params.named_tensors().items()}
+    grads["attn.v_a"][3] = math.nan
+    if sparse:
+        grads["E_x"] = (np.array([2, 7]), np.full((2, TINY.d_emb), math.inf))
+    before = {k: v.copy() for k, v in params.named_tensors().items()}
+    bad = "E_x" if sparse else "attn.v_a"
+    with pytest.raises(ValueError, match=f"gradient '{bad}' holds a non-finite value"):
+        sgd_step(params, grads, 0.1, clip_norm=1.0)
+    for name, arr in params.named_tensors().items():
+        assert arr.tobytes() == before[name].tobytes(), name
 
 
 def test_sgd_step_updates_around_an_empty_tensor():
