@@ -329,6 +329,8 @@ def _cmd_generate(args, cfg, multi=False):
     params = load_checkpoint(ckpt_path)
     _check_vocab_sizes(params, post_vocab, resp_vocab)
 
+    # a search over no posts refuses a model with nothing to emit before --out opens
+    beam_search_posts(params, [], beam, max_len, suppress_unk)
     chunk = max(1, _CHUNK_ROWS // beam)
     stream, owned = _out_stream(out_path)
     try:

@@ -12,7 +12,9 @@ pays the end-marker log-probability from its final state.
 Scores carry no length normalization, and finished hypotheses compete with
 unfinished ones inside each top-k cut. Ties anywhere are broken toward the
 lexicographically smaller id sequence. The pad and begin markers are never
-emitted; suppress_unk additionally bans the unknown token.
+emitted; suppress_unk additionally bans the unknown token. A response
+vocabulary that leaves no token to emit (the four reserved ids alone, under
+suppress_unk) is refused with a ValueError before any decoding.
 
 beam_search_posts runs the searches of several posts together, and
 beam_search is its one-post case. Each post gets the hypotheses of its solo
@@ -29,8 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (ModelParams, _context, _decoder_gru, _decoder_step, _decoder_xw,
-                    _output_layer, _start_state, context_memory, encode_post)
+from .model import (ModelParams, _context, _decoder_step, _start_state, context_memory,
+                    encode_post)
 
 __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response",
            "first_token_best", "exhaustive_oracle"]
@@ -38,8 +40,15 @@ __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response"
 _ENUMERATION_GUARD = 1_000_000
 
 
-def _banned_ids(suppress_unk: bool) -> list:
-    return [PAD_ID, BOS_ID, UNK_ID] if suppress_unk else [PAD_ID, BOS_ID]
+def _banned_ids(v_resp: int, suppress_unk: bool) -> list:
+    """The ids no decoder emits: the padding and begin markers, and <unk>
+    under suppress_unk. A ValueError when they and the end marker leave no
+    id to start a response with."""
+    banned = [PAD_ID, BOS_ID, UNK_ID] if suppress_unk else [PAD_ID, BOS_ID]
+    if v_resp <= sum(i < v_resp for i in (EOS_ID, *banned)):
+        raise ValueError(f"no response token can be emitted: the {v_resp} ids of the response "
+                         f"vocabulary are all markers{' or <unk>' if suppress_unk else ''}")
+    return banned
 
 
 def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
@@ -50,12 +59,12 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
+    banned = _banned_ids(params.dims.v_resp, suppress_unk)
     if max_len == 0:
         return [], 0.0
     memory = context_memory(params, encode_post(params, post_ids))
     s = _start_state(params, memory)
     y_prev = np.array([BOS_ID])
-    banned = _banned_ids(suppress_unk)
     tokens: list[int] = []
     score = 0.0
     for pos in range(1, max_len + 1):
@@ -135,46 +144,32 @@ class _PostBeam:
         return [(list(tokens), score) for score, tokens in self.finished]
 
 
-def _joined_step(params: ModelParams, memories: list, widths: list, s_prev: np.ndarray,
-                 y_prev: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One decoder step over the stacked live rows of several posts, widths[i]
-    consecutive rows reading memories[i]. The log-probabilities go into out;
-    returns s_t.
-
-    Each post's context reads its own memory, unpadded: padding the memories
-    to a common length would change the products over positions. The
-    decoder GRU and the output layer then run once over every row.
-    """
-    slices = np.split(s_prev, np.cumsum(widths)[:-1])
-    c = np.concatenate([_context(params, m, s)[0] for m, s in zip(memories, slices)])
-    y_emb = params.E_y[y_prev]
-    s_t = _decoder_gru(params, c, s_prev, _decoder_xw(params, y_emb))
-    _output_layer(params, s_t, y_emb, c, out=out)
-    return s_t
-
-
 def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
                       max_len: int = 30, suppress_unk: bool = False) -> list:
     """beam_search for each of several posts (id sequences), run together.
     Returns one hypothesis list per post, in input order.
 
     Each post keeps its own hypotheses, top-k cut and finished pool; the
-    posts share only the products of a step. A post's encoder, start state
-    and first step (one row) run alone, as in a solo search. From the second
-    step on, the live rows of every unfinished post are stacked, and the
-    decoder GRU and output layer run once over them, into one (rows, v_resp)
-    buffer reused across steps and grown only when the row count does.
+    posts share only the products of a step. Every step forms each post's
+    context on that post's rows against its own memory, unpadded: padding
+    the memories to a common length would change the products over
+    positions. A post's encoder, start state and first step (one row) run
+    alone, as in a solo search. From the second step on, the live rows of
+    every unfinished post are stacked, and one _decoder_step, given their
+    contexts, runs the decoder GRU and output layer once over them, into
+    one (rows, v_resp) buffer reused across steps and grown only when the
+    row count does.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
+    v_resp = params.dims.v_resp
+    banned = _banned_ids(v_resp, suppress_unk)
     if max_len == 0 or not posts:
         return [[([], 0.0)] for _ in posts]
     memories = [context_memory(params, encode_post(params, ids)) for ids in posts]
     beams = [_PostBeam() for _ in posts]
-    v_resp = params.dims.v_resp
-    banned = _banned_ids(suppress_unk)
     buf = np.empty((0, v_resp))
 
     active = list(range(len(posts)))  # posts with live hypotheses, in input order
@@ -187,15 +182,17 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
         if len(buf) < rows:
             buf = np.empty((rows, v_resp))
         logp = buf[:rows]
+        slices = np.split(states, np.cumsum(widths)[:-1])
+        c = np.concatenate([_context(params, memories[p], s)[0]
+                            for p, s in zip(active, slices)])
         if pos == 1:
             # A one-row product takes other BLAS kernels than the same row
             # among many, so each post's first step runs alone.
             states_new = np.concatenate([
-                _joined_step(params, [memories[p]], [1], states[i:i + 1], prev[i:i + 1],
-                             logp[i:i + 1]) for i, p in enumerate(active)])
+                _decoder_step(params, None, states[i:i + 1], prev[i:i + 1],
+                              out=logp[i:i + 1], c=c[i:i + 1])[0] for i in range(rows)])
         else:
-            states_new = _joined_step(params, [memories[p] for p in active], widths,
-                                      states, prev, logp)
+            states_new = _decoder_step(params, None, states, prev, out=logp, c=c)[0]
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -264,13 +261,13 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1 for enumeration, got {max_len}")
     v_resp = params.dims.v_resp
+    banned = _banned_ids(v_resp, suppress_unk)
     if v_resp ** max_len > _ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration space {v_resp}^{max_len} exceeds the "
             f"{_ENUMERATION_GUARD} guard")
     memory = context_memory(params, encode_post(params, post_ids))
-    alphabet = [i for i in range(v_resp) if i not in _banned_ids(suppress_unk)
-                and i != EOS_ID]
+    alphabet = [i for i in range(v_resp) if i not in banned and i != EOS_ID]
     best: list = [None]
 
     def walk(state, y_prev, tokens, score):

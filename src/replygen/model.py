@@ -19,6 +19,7 @@ float64 in memory.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -352,50 +353,51 @@ def _gru_tape(x: np.ndarray, d_h: int):
 
 
 def _packing(lengths):
-    """The packed order of rows of the given lengths: (order, counts, live).
+    """The packed layout of rows of the given lengths: (order, steps, live).
 
     order is the rows in a stable order of descending length, so the rows
-    longer than t are its first counts[t] entries; counts runs to the
-    longest length, and a step t of a recurrence over the rows in that
-    order runs the prefix of counts[t] rows only (the packed sequences of
-    PyTorch's pack_padded_sequence). live (steps, B) is True where a row,
-    in that order, has step t: x[live] of a (steps, B, ...) array x lists
-    step 0's rows, then step 1's, and so on, the step-major packed layout.
+    longer than t are a prefix of it, and a step t of a recurrence over the
+    rows in that order runs that prefix only (the packed sequences of
+    PyTorch's pack_padded_sequence). steps has one entry (n, rows) per step
+    up to the longest length: n is the step's live-row count, and rows is
+    the step's slice of the packed arrays. live (steps, B) is True where a
+    row, in that order, has step t: x[live] of a (steps, B, ...) array x
+    lists step 0's rows, then step 1's, and so on, the step-major packed
+    layout whose slices steps gives.
     """
     order = np.argsort(-lengths, kind="stable")
     live = lengths[order] > np.arange(lengths.max(initial=0))[:, None]
-    return order, np.count_nonzero(live, axis=1).tolist(), live
+    counts = np.count_nonzero(live, axis=1).tolist()
+    steps = [(n, slice(end - n, end)) for n, end in zip(counts, itertools.accumulate(counts))]
+    return order, steps, live
 
 
 def _run_encoder(cell, E_x, ids, lengths):
     """Left-to-right pass over the rows' tokens, packed: the rows are taken
-    in _packing's order, and step t runs the counts[t] rows whose post is
-    longer than t only. The input products of every token come from one
+    in _packing's order, and each step runs its live rows only, the posts
+    longer than it. The input products of every token come from one
     product before the loop. Returns (states, final, tape): states
     (B, T, d_h) in the caller's row order, exactly 0 at padded positions;
-    each row's state at its length; and the (order, counts, token ids,
+    each row's state at its length; and the (order, steps, token ids,
     _gru_tape) that backprop reads, the ids and the GRU tape packed
     step-major."""
-    order, counts, live = _packing(lengths)
+    order, steps, live = _packing(lengths)
     b, t_post = ids.shape
     d_h = cell.U_h.shape[0]
-    tokens = ids[order, :len(counts)].T[live]
+    tokens = ids[order, :len(steps)].T[live]
     tape = _gru_tape(E_x[tokens], d_h)
     x, h_prev, zr, hbar = tape
     xw = x @ cell.W.T
     xw += cell.b
     h = np.zeros((b, d_h))
     packed = np.zeros((t_post, b, d_h))  # time-major, rows in the packed order
-    start = 0
-    for t, n in enumerate(counts):
-        rows = slice(start, start + n)
+    for t, (n, rows) in enumerate(steps):
         h_prev[rows] = h[:n]
         h = _gru_step(cell, xw[rows], h_prev[rows], zr[rows], hbar[rows])
         packed[t, :n] = h
-        start += n
     states = np.empty((b, t_post, d_h))
     states[order] = packed.transpose(1, 0, 2)
-    return states, states[np.arange(b), lengths - 1], (order, counts, tokens, tape)
+    return states, states[np.arange(b), lengths - 1], (order, steps, tokens, tape)
 
 
 def _check_ids(ids, v: int, side: str) -> np.ndarray:
@@ -503,20 +505,15 @@ def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
     return ContextMemory(init, values, keys, enc_out.mask)
 
 
-def _score_tanh(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, out=None):
-    """tanh(W_a s + U_a h_j + b_a) for every decoder row and position,
-    (B, T, d_a), into out when it is given."""
-    out = np.add((s_prev @ params.attn.W_a.T)[:, None, :], memory.keys, out=out)
-    return np.tanh(out, out=out)
-
-
 def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, ta=None):
     """Context for each row of s_prev. Returns (c, alpha); alpha is None for
-    glo. Under loc and hyb, the scorer's tanh (_score_tanh) goes into ta
-    when it is given: the tape training's attention adjoint reads."""
+    glo. Under loc and hyb, the scorer's tanh(W_a s + U_a h_j + b_a) for
+    every row and position, (B, T, d_a), goes into ta when it is given: the
+    tape training's attention adjoint reads."""
     if memory.keys is None:
         return np.broadcast_to(memory.init, (len(s_prev), memory.init.shape[1])), None
-    scores = _score_tanh(params, memory, s_prev, ta) @ params.attn.v_a
+    ta = np.add((s_prev @ params.attn.W_a.T)[:, None, :], memory.keys, out=ta)
+    scores = np.tanh(ta, out=ta) @ params.attn.v_a
     scores = np.where(memory.mask > 0.0, scores, -np.inf)
     alpha = softmax_stable(scores, axis=1)
     d_h = memory.values.shape[2]
@@ -561,14 +558,6 @@ def _decoder_xw(params: ModelParams, y_emb: np.ndarray) -> np.ndarray:
     return xw
 
 
-def _decoder_gru(params: ModelParams, c: np.ndarray, s_prev: np.ndarray, xw_y: np.ndarray):
-    """The decoder GRU of a decoding step, given each row's context c and
-    the rows' _decoder_xw. Returns s_t."""
-    xw = (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
-    xw += xw_y
-    return _gru_step(params.dec, xw, s_prev)
-
-
 def _readout(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray):
     """The readout tanh(W_s s_t + W_y y_emb + W_c c + b_r) of rows of
     (s_t, y_emb, c): the input of the output layer's W_o product."""
@@ -594,15 +583,22 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
     return rout, logits
 
 
-def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev):
-    """One decoder step: the context, the decoder GRU, then the output
-    layer. memory may hold one post broadcast over every row of s_prev.
-    Returns (s_t, log_probs, alpha); alpha is the step's attention weights,
-    None under glo."""
-    c, alpha = _context(params, memory, s_prev)
+def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev,
+                  out: np.ndarray | None = None, c: np.ndarray | None = None):
+    """The decoding step every decoder runs: the context, the decoder GRU,
+    then the output layer. memory may hold one post broadcast over every
+    row of s_prev; when the caller passes each row's context c, memory is
+    not read. The log-probabilities go into out when it is given. Returns
+    (s_t, log_probs, alpha); alpha is the step's attention weights, None
+    under glo or when c is given."""
+    alpha = None
+    if c is None:
+        c, alpha = _context(params, memory, s_prev)
     y_emb = params.E_y[y_prev]
-    s_t = _decoder_gru(params, c, s_prev, _decoder_xw(params, y_emb))
-    return s_t, _output_layer(params, s_t, y_emb, c)[1], alpha
+    xw = (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
+    xw += _decoder_xw(params, y_emb)
+    s_t = _gru_step(params.dec, xw, s_prev)
+    return s_t, _output_layer(params, s_t, y_emb, c, out=out)[1], alpha
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,

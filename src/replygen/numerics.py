@@ -143,11 +143,9 @@ def _scaled_square_sum(grads, names) -> tuple[float, float]:
     each array's squares are summed after dividing it by its own largest
     magnitude, so neither sum can overflow. A ValueError names the first
     array that holds a non-finite entry."""
+    _refuse_non_finite(grads, names)
     peaks, sums = [], []
-    for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
-            name = i if names is None else names[i]
-            raise ValueError(f"gradient {name!r} holds a non-finite value")
+    for g in grads:
         peak = float(np.max(np.abs(g), initial=0.0))
         if peak > 0.0:
             unit = g / peak
@@ -155,6 +153,15 @@ def _scaled_square_sum(grads, names) -> tuple[float, float]:
             sums.append(float(np.vdot(unit, unit)))
     scale = max(peaks, default=1.0)
     return scale, sum(s * (p / scale) ** 2 for p, s in zip(peaks, sums))
+
+
+def _refuse_non_finite(grads, names=None) -> None:
+    """A ValueError naming the first gradient array that holds a NaN or an
+    infinity, by names[i], else by its index i."""
+    for i, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            name = i if names is None else names[i]
+            raise ValueError(f"gradient {name!r} holds a non-finite value")
 
 
 def clip_global_norm(grads, max_norm: float):

@@ -40,7 +40,7 @@ from .model import (
     context_memory,
     init_params,
 )
-from .numerics import Rng, _clip_factor
+from .numerics import Rng, _clip_factor, _refuse_non_finite
 
 __all__ = [
     "TrainConfig",
@@ -75,29 +75,30 @@ def _forward(params: ModelParams, batch):
 
     The recurrences are packed. The rows are taken once in _packing's order
     of their target counts (response length less the begin marker), so the
-    rows with a target at step t are the prefix of counts[t] rows, and the
-    loop runs the context and the decoder GRU of step t over those rows
-    only, against views of the context memory's first counts[t] rows. It
-    ends at the last step with a live row. The encoders get the posts in
-    the same order and pack them by post length themselves.
+    rows with a target at a step are a prefix of that order, and the loop
+    runs the context and the decoder GRU of each of _packing's steps over
+    that step's n live rows only, against views of the context memory's
+    first n rows. It ends at the last step with a live row. The encoders
+    get the posts in the same order and pack them by post length
+    themselves.
 
-    Every per-target array is packed step-major: step t's rows are
-    counts[0] + ... + counts[t - 1] onwards. Under teacher forcing the
-    previous tokens are known before the loop, so their part of the
-    decoder GRU's input products comes from one product over all rows
-    (_decoder_xw). Under glo each row's context is fixed, so L c and its
-    part of the input products are formed once per batch row and gathered
-    to the packed rows before the loop; under loc and hyb they depend on
-    the step's attention, so each step forms its own. Likewise the readout
-    and the output softmax feed nothing back into the recurrence, so
-    _output_loss runs them once over all rows after the loop. The targets'
-    log-probabilities go back to the caller's row order before the loss is
-    summed step by step. tape is what the backward pass reads: (counts,
-    input ids, memory, encoder tapes, s_0, decoder _gru_tape, each step's
-    attention weights alpha, the scorer's tanh, c, output cache), where
-    the input ids, the tanh, c and the decoder tape are packed (the tape's
-    x is the GRU input u = [y_emb, L c]); each encoder tape holds its own
-    order and counts. Under glo there are no weights and no tanh (None).
+    Every per-target array is packed step-major, and each step reads and
+    writes its own slice of them. Under teacher forcing the previous
+    tokens are known before the loop, so their part of the decoder GRU's
+    input products comes from one product over all rows (_decoder_xw).
+    Under glo each row's context is fixed, so L c and its part of the
+    input products are formed once per batch row and gathered to the
+    packed rows before the loop; under loc and hyb they depend on the
+    step's attention, so each step forms its own. Likewise the readout and
+    the output softmax feed nothing back into the recurrence, so
+    _output_loss runs them once over all rows after the loop, and the loss
+    is the sum of the packed targets' log-probabilities. tape is what the
+    backward pass reads: (steps, input ids, memory, encoder tapes, s_0,
+    decoder _gru_tape, each step's attention weights alpha, the scorer's
+    tanh, c, output cache), where the input ids, the tanh, c and the
+    decoder tape are packed (the tape's x is the GRU input u = [y_emb,
+    L c]); each encoder tape holds its own order and steps. Under glo
+    there are no weights and no tanh (None).
     """
     resp_ids = _check_ids(batch.resp_ids, params.dims.v_resp, "response")
     # a response row holds the begin marker, its tokens and the end marker
@@ -108,13 +109,13 @@ def _forward(params: ModelParams, batch):
     if len(batch.post_ids) != b:
         raise ValueError(f"a batch needs one post per response, got {len(batch.post_ids)} "
                          f"posts and {b} responses")
-    order, counts, live = _packing(lengths - 1)
+    order, steps, live = _packing(lengths - 1)
     enc_out, enc_tapes = _encode(params, batch.post_ids, batch.post_mask, order)
     memory = context_memory(params, enc_out)
     s0 = _start_state(params, memory)
 
-    steps, d_emb = len(counts), params.dims.d_emb
-    by_step = resp_ids[order, :steps + 1].T
+    d_emb = params.dims.d_emb
+    by_step = resp_ids[order, :len(steps) + 1].T
     inputs, targets = by_step[:-1][live], by_step[1:][live]
     dec_tape = _gru_tape(np.empty((len(targets), d_emb + params.dims.d_L)), params.dims.d_h)
     u, s_prev, zr, hbar = dec_tape
@@ -133,27 +134,19 @@ def _forward(params: ModelParams, batch):
     else:
         c = np.empty((len(targets), memory.init.shape[1]))
         ta = np.empty((len(targets),) + memory.keys.shape[1:])
-    s, start = s0, 0
-    for n in counts:
-        rows = slice(start, start + n)
+    s = s0
+    for n, rows in steps:
         s_prev[rows] = s[:n]
         if ta is not None:
             c[rows], alpha = _context(params, _head(memory, n), s[:n], ta[rows])
             alphas.append(alpha)
             xw[rows] += np.matmul(c[rows], params.L.T, out=lc[rows]) @ W_lc.T
         s = s_t[rows] = _gru_step(params.dec, xw[rows], s_prev[rows], zr[rows], hbar[rows])
-        start += n
     target_logp, output = _output_loss(params, s_t, y_emb, c, targets)
 
-    by_row = np.zeros((steps, b))
-    by_row[live] = target_logp
-    loss_sum = 0.0
-    for row in by_row[:, np.argsort(order)]:  # caller order, summed step by step
-        loss_sum -= float(row.sum())
-
     token_count = float(len(targets))
-    tape = (counts, inputs, memory, enc_tapes, s0, dec_tape, alphas, ta, c, output)
-    return loss_sum / token_count, token_count, tape
+    tape = (steps, inputs, memory, enc_tapes, s0, dec_tape, alphas, ta, c, output)
+    return -float(target_logp.sum()) / token_count, token_count, tape
 
 
 def _output_loss(params: ModelParams, s_t, y_emb, c, targets):
@@ -307,23 +300,19 @@ def _encoder_backward(dcell, cell, tape, dstates, dfinal):
     """Adjoint of model._run_encoder: writes dcell, given its tape, and
     returns (tokens, dx), the packed token ids and the gradient w.r.t.
     each one's embedding; dstates is None when no gradient reaches the
-    states. The steps run in reverse over the same live rows as the
-    forward pass, in its packed order: a row leaves the prefix at its last
+    states. The tape's steps run in reverse, each over its slice of the
+    packed rows, as in the forward pass: a row leaves the prefix at its last
     token, so it joins at that step, where its dfinal enters. No state
     past it is read, so no mask is needed. The weight gradients and the
     tokens' input gradient are one product each after the loop."""
-    order, counts, tokens, gru_tape = tape
+    order, steps, tokens, gru_tape = tape
     dh = dfinal[order]  # a row holds its dfinal until its last token's step
     if dstates is not None:
         dstates = dstates[order]
     dpre = np.empty((len(tokens), 3 * cell.U_h.shape[0]))
-    end = len(tokens)
-    for t in reversed(range(len(counts))):
-        n = counts[t]
-        rows = slice(end - n, end)
+    for t, (n, rows) in reversed(list(enumerate(steps))):
         dh_t = dh[:n] if dstates is None else dh[:n] + dstates[:n, t]
         dh[:n] = _gru_adjoint(cell, gru_tape, rows, dh_t, dpre[rows])
-        end -= n
     _gru_weight_grads(dcell, gru_tape, dpre)
     return tokens, dpre @ cell.W
 
@@ -344,7 +333,7 @@ def _backward(params: ModelParams, batch):
     """backward, with the E_x and E_y gradients as _row_sum's (rows,
     values) pairs: only the rows a batch reads. sgd_step takes them so."""
     loss, token_count, tape = _forward(params, batch)
-    counts, inputs, memory, (enc_tape, encg_tape), s0, dec_tape, alphas, ta, c, output = tape
+    steps, inputs, memory, (enc_tape, encg_tape), s0, dec_tape, alphas, ta, c, output = tape
     grads = _new_params(params.scheme, params.dims, np.zeros)
 
     d_h, d_emb = params.dims.d_h, params.dims.d_emb
@@ -362,10 +351,7 @@ def _backward(params: ModelParams, batch):
         dmemory.keys = np.zeros(memory.keys.shape)
 
     ds_carry = np.zeros((0, d_h))
-    end = len(c)
-    for t in reversed(range(len(counts))):
-        n = counts[t]
-        rows = slice(end - n, end)
+    for t, (n, rows) in reversed(list(enumerate(steps))):
         ds = ds_out[rows]
         ds[:len(ds_carry)] += ds_carry
         ds_carry = _gru_adjoint(params.dec, dec_tape, rows, ds, dpre[rows])
@@ -374,16 +360,13 @@ def _backward(params: ModelParams, batch):
             dc = dc_out[rows, :d_v] + dlc[rows] @ params.L[:, :d_v]
             ds_carry += _attention_backward(grads, params, _head(memory, n), _head(dmemory, n),
                                             alphas[t], ta[rows], dec_tape[1][rows], dc)
-        end -= n
     # nothing of the columns read from init reaches the state path, so
     # their gradient takes one product over all rows after the loop
     if memory.keys is None:
         np.matmul(dpre, W_lc, out=dlc)
     dc_init = dc_out[:, d_v:] + dlc @ params.L[:, d_v:]
-    end = len(c)
-    for n in reversed(counts):
-        dmemory.init[:n, d_v:] += dc_init[end - n:end]
-        end -= n
+    for n, rows in reversed(steps):  # reverse step order: a forward one moves last bits
+        dmemory.init[:n, d_v:] += dc_init[rows]
     _gru_weight_grads(grads.dec, dec_tape, dpre)
     dy_emb += dpre @ params.dec.W[:, :d_emb]
     np.matmul(dlc.T, c, out=grads.L)
@@ -414,26 +397,25 @@ def backward(params: ModelParams, batch):
     The readout and output layer feed nothing back into the recurrence, so
     _forward runs them once over the packed target rows of all steps, and
     _output_backward forms their gradients, and the packed gradients they
-    pass to s_t, y_emb and c, from one product each over those rows,
-    before the reverse loop. That loop reads the tape's counts: step t
-    runs the decoder GRU's state path (_gru_adjoint) and, under loc and
-    hyb, the L c slice of its input gradient and the attention backward
-    (reading the taped tanh) over the counts[t] live rows only, in the
-    order _forward packed them, with the carried gradient of the
-    counts[t + 1] rows of step t + 1 added to its first rows. Padding rows
-    are never formed. Each step writes its decoder pre-activation
-    gradients into one packed array, so the decoder's weight gradients,
-    the y_emb slice of its input gradient and the L gradient are one
-    product each after the loop; so is, under glo, the L c slice, and for
-    every scheme the gradient w.r.t. the context columns read straight
+    pass to s_t, y_emb and c, from one product each over those rows, before
+    the reverse loop. That loop walks the tape's steps in reverse: each runs
+    the decoder GRU's state path (_gru_adjoint) and, under loc and hyb, the
+    L c slice of its input gradient and the attention backward (reading the
+    taped tanh) over its n live rows only, its slice of the packed arrays,
+    with the carried gradient of the next step's rows added to its first
+    rows. Padding rows are never formed. Each step writes its decoder
+    pre-activation gradients into one packed array, so the decoder's weight
+    gradients, the y_emb slice of its input gradient and the L gradient are
+    one product each after the loop; so is, under glo, the L c slice, and
+    for every scheme the gradient w.r.t. the context columns read straight
     from the memory's init (glo's whole context, hyb's g), which no step's
     state path reads. The context memory is built once per batch; the loop
-    and the start state add their gradients into views of the first rows
-    of a memory of the same shapes, which _memory_backward, its adjoint,
-    maps back to the encoders once. The gradient arrays start as np.zeros,
-    whose pages are zeroed only as they are first written, and each cell's
-    stacked arrays are among them, so the products _gru_weight_grads
-    writes land in place.
+    and the start state add their gradients into views of the first rows of
+    a memory of the same shapes, which _memory_backward, its adjoint, maps
+    back to the encoders once. The gradient arrays start as np.zeros, whose
+    pages are zeroed only as they are first written, and each cell's stacked
+    arrays are among them, so the products _gru_weight_grads writes land in
+    place.
 
     The embeddings' gradients are formed on the rows the batch reads only,
     as (rows, values) pairs (_row_sum), which train hands to sgd_step as
@@ -508,15 +490,15 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     otherwise or without clipping (g * 1.0 is g). A gradient is a dense
     array of its tensor's shape, or a (rows, values) pair, as _backward
     gives the embeddings': the gradient is values on the distinct rows
-    `rows` and 0 elsewhere, and the norm and the update read and write
-    those rows only. Each row gets the bits of the dense update at the
-    returned factor; the norm's sum of squares runs over those rows, so
-    the factor can differ from a dense table's in its last bit. With
-    clipping on,
-    a gradient holding a NaN or an infinity raises ValueError naming its
-    tensor before any tensor is touched. The update runs block by block
-    through one small reused buffer, so it allocates no tensor-sized
-    temporary, and grads are left as they are.
+    `rows` and 0 elsewhere, and the norm and the update read and write those
+    rows only. Each row gets the bits of the dense update at the returned
+    factor; the norm's sum of squares runs over those rows, so the factor
+    can differ from a dense table's in its last bit. A gradient holding a
+    NaN or an infinity raises ValueError naming its tensor before any tensor
+    is touched: with clipping on, the norm's sum of squares finds it, and
+    without clipping each gradient is checked before the update. The update
+    runs block by block through one small reused buffer, so it allocates no
+    tensor-sized temporary, and grads are left as they are.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
@@ -525,8 +507,11 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     for name, (rows, _) in zip(tensors, pairs):
         if rows is not None and len(np.unique(rows)) != len(rows):
             raise ValueError(f"gradient {name!r} lists a row twice")
-    factor = (1.0 if clip_norm is None
-              else _clip_factor([g for _, g in pairs], clip_norm, list(tensors)))
+    if clip_norm is None:
+        _refuse_non_finite([g for _, g in pairs], list(tensors))
+        factor = 1.0
+    else:
+        factor = _clip_factor([g for _, g in pairs], clip_norm, list(tensors))
     buf = np.empty(_UPDATE_BLOCK)
     for t, (rows, g) in zip(tensors.values(), pairs):
         step = max(1, _UPDATE_BLOCK // max(1, t[:1].size))  # rows per block

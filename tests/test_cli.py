@@ -370,6 +370,35 @@ def test_generate_posts_file_equals_per_post_search_at_full_width(scheme, tmp_pa
     assert out == expected
 
 
+def test_generate_with_no_emittable_response_token_is_one_error_line(tmp_path, capsys):
+    """A response vocabulary of the reserved tokens alone, under
+    --suppress-unk, leaves no token to emit: generate and multi-generate
+    print one error line and leave an --out file as it was. Without the
+    flag they decode <unk> runs."""
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=7, v_resp=4)
+    save_checkpoint(init_params("loc", dims, Rng(3)), tmp_path / "model.ckpt")
+    Vocabulary.from_tokens("post", ["a", "b", "c"]).save(tmp_path / "post.vocab")
+    Vocabulary.from_tokens("response", []).save(tmp_path / "resp.vocab")
+    args = ["--checkpoint", str(tmp_path / "model.ckpt"),
+            "--post-vocab", str(tmp_path / "post.vocab"),
+            "--resp-vocab", str(tmp_path / "resp.vocab"),
+            "--post", "a b", "--beam", "3", "--max-len", "2", "--quiet"]
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n", encoding="utf-8")
+    for cmd in ("generate", "multi-generate"):
+        for out_args in ((), ("--out", str(kept))):
+            rc, out, err = run(capsys, cmd, *args, "--suppress-unk", *out_args)
+            assert rc == 1 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error: no response token can be emitted")
+        assert kept.read_text(encoding="utf-8") == "earlier output\n"
+        rc, out, err = run(capsys, cmd, *args)
+        assert rc == 0, err
+        assert out and all(line.split("\t")[2].split()[0] == "<unk>"
+                           for line in out.splitlines())
+
+
 def test_multi_generate_distinct_first_words(workdir, capsys):
     ckpt, args, _ = train_tiny(workdir, capsys)
     rc, out, err = run(capsys, "multi-generate", "--checkpoint", str(ckpt),

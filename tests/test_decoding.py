@@ -366,3 +366,28 @@ def test_oracle_beats_or_ties_every_beam_hypothesis(toy_model):
     _, o_score = exhaustive_oracle(params, post, max_len=3)
     for _, score in beam_search(params, post, beam_size=12, max_len=3):
         assert o_score >= score - 1e-12
+
+
+# --- every decoder -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("decode", [greedy_decode, beam_search, multi_response,
+                                    exhaustive_oracle], ids=lambda f: f.__name__)
+def test_a_response_vocabulary_of_markers_alone_is_refused_up_front(decode):
+    """With the four reserved ids as the whole response vocabulary, as
+    build-vocab writes it when every response token is a reserved spelling,
+    suppress_unk leaves only the end marker, which no response may start
+    with: every decoder raises the same ValueError. Without suppress_unk,
+    <unk> is emittable, and each decodes <unk> runs that re-score to their
+    scores."""
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=12, v_resp=4)
+    for scheme in ("glo", "loc", "hyb"):
+        params = init_params(scheme, dims, Rng(3))
+        with pytest.raises(ValueError, match="no response token can be emitted"):
+            decode(params, [4, 5], max_len=2, suppress_unk=True)
+        result = decode(params, [4, 5], max_len=2)
+        hyps = result if isinstance(result, list) else [result]
+        assert hyps, scheme
+        for tokens, score in hyps:
+            assert tokens and set(tokens) == {UNK_ID}, scheme
+            assert abs(score - rescore(params, [4, 5], tokens)) < 1e-12, scheme

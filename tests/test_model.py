@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from replygen import Dims, Rng
 from replygen.corpus import BOS_ID, EOS_ID, PAD_ID
@@ -15,6 +17,7 @@ from replygen.model import (
     ModelParams,
     _decoder_step,
     _gru_step,
+    _packing,
     context_memory,
     context_vector,
     decoder_init,
@@ -316,6 +319,37 @@ def test_encode_refuses_a_mask_that_is_not_0_1_and_left_aligned(mask, make_param
     neither blends a fractional entry nor carries a state over a hole."""
     with pytest.raises(ValueError, match="post_mask must be 1 on each post's tokens"):
         encode(make_params("loc"), np.array([[4, 5, 6]]), np.array(mask, dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.integers(1, 9), min_size=1, max_size=12),
+                 st.builds(lambda n, length: [length] * n, st.integers(1, 12),
+                           st.integers(1, 9))))
+@example([1])
+@example([4, 4, 4])
+def test_packing_steps_tile_the_packed_rows(lengths):
+    """_packing's steps tile the packed step-major rows in order, one step
+    per position of the longest row, with live-row counts that never grow,
+    and step t's slice of ids[order].T[live] holds token t of exactly the
+    rows longer than t, in the packed order's prefix."""
+    lengths = np.array(lengths)
+    order, steps, live = _packing(lengths)
+    assert len(steps) == lengths.max()
+    counts = [n for n, _ in steps]
+    assert counts == sorted(counts, reverse=True)
+    end = 0
+    for n, rows in steps:
+        assert (rows.start, rows.stop, rows.step) == (end, end + n, None)
+        end += n
+    assert end == lengths.sum()
+    t_max = int(lengths.max())
+    ids = np.arange(len(lengths) * t_max).reshape(len(lengths), t_max)  # row * t_max + t
+    packed = ids[order].T[live]
+    for t, (n, rows) in enumerate(steps):
+        row, pos = np.divmod(packed[rows], t_max)
+        assert (pos == t).all()
+        np.testing.assert_array_equal(row, order[:n])
+        assert sorted(row) == np.flatnonzero(lengths > t).tolist()
 
 
 # --- attention and context -----------------------------------------------

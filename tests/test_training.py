@@ -772,6 +772,7 @@ def test_sgd_step_clips_a_gradient_whose_squares_overflow(make_params):
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "row-pair"])
 def test_sgd_step_refuses_a_non_finite_gradient_before_any_update(sparse, make_params):
+    """With clipping on or off, a NaN or an infinity stops the step."""
     params = make_params("hyb", seed=9)
     grads = {name: np.full(arr.shape, 0.25) for name, arr in params.named_tensors().items()}
     grads["attn.v_a"][3] = math.nan
@@ -779,10 +780,11 @@ def test_sgd_step_refuses_a_non_finite_gradient_before_any_update(sparse, make_p
         grads["E_x"] = (np.array([2, 7]), np.full((2, TINY.d_emb), math.inf))
     before = {k: v.copy() for k, v in params.named_tensors().items()}
     bad = "E_x" if sparse else "attn.v_a"
-    with pytest.raises(ValueError, match=f"gradient '{bad}' holds a non-finite value"):
-        sgd_step(params, grads, 0.1, clip_norm=1.0)
-    for name, arr in params.named_tensors().items():
-        assert arr.tobytes() == before[name].tobytes(), name
+    for clip_norm in (1.0, None):
+        with pytest.raises(ValueError, match=f"gradient '{bad}' holds a non-finite value"):
+            sgd_step(params, grads, 0.1, clip_norm=clip_norm)
+        for name, arr in params.named_tensors().items():
+            assert arr.tobytes() == before[name].tobytes(), (clip_norm, name)
 
 
 def test_sgd_step_updates_around_an_empty_tensor():
