@@ -254,6 +254,7 @@ def _cmd_train(args, cfg):
     if init_loc is not None:
         params, provenance = init_hybrid_from_pretrained(
             load_checkpoint(init_loc), load_checkpoint(init_glo), rng)
+        _check_vocab_sizes(params, *vocabs)
         tally = {}
         for origin in provenance.values():
             tally[origin] = tally.get(origin, 0) + 1
@@ -460,9 +461,8 @@ def _cmd_friedman(args, cfg):
 
 
 def _cmd_inspect(args, cfg):
-    import numpy as np
-
     from .model import load_checkpoint
+    from .numerics import _global_norm
 
     path = _require_file(_get(args, cfg, "checkpoint"), "checkpoint")
     params = load_checkpoint(path)
@@ -473,11 +473,8 @@ def _cmd_inspect(args, cfg):
     total = 0
     for name, arr in params.named_tensors().items():
         shape = "x".join(str(s) for s in arr.shape)
-        # a sum of squares overflows past about 1e154: scale such tensors down
-        top = float(np.abs(arr).max(initial=0.0))
-        scale = top if top > 1e100 else 1.0
-        norm = scale * float(np.linalg.norm(arr / scale))
-        print(f"tensor\t{name}\t{shape}\t{norm:.6e}")
+        scale, root = _global_norm([arr])
+        print(f"tensor\t{name}\t{shape}\t{scale * root:.6e}")
         total += arr.size
     print(f"parameters\t{total}")
     return 0

@@ -257,22 +257,18 @@ def build_vocab(pairs, side: str, cap: int = 40000):
     if side not in ("post", "response"):
         raise ValueError(f"side must be 'post' or 'response', got {side!r}")
 
-    freq: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
+    freq: dict[str, int] = {}  # in first-seen order, which the stable sort keeps for ties
     total = 0
     for pair in pairs:
         for token in (pair.post if side == "post" else pair.response):
             total += 1
-            if token not in freq:
-                first_seen[token] = len(first_seen)
-                freq[token] = 0
-            freq[token] += 1
+            freq[token] = freq.get(token, 0) + 1
     if total == 0:
         raise CorpusFormatError(f"cannot build a vocabulary from an empty {side} corpus")
 
     for token in RESERVED_TOKENS:
         freq.pop(token, None)
-    ranked = sorted(freq, key=lambda t: (-freq[t], first_seen[t]))
+    ranked = sorted(freq, key=lambda t: -freq[t])
     kept = ranked[:cap]
     coverage = sum(freq[t] for t in kept) / total
     return Vocabulary.from_tokens(side, kept), coverage

@@ -322,7 +322,7 @@ def _gru_step(cell: GruParams, xw: np.ndarray, h_prev: np.ndarray, zr=None, hbar
     The gates z|r (n, 2 d_h) and the candidate hbar (n, d_h) go into zr
     and hbar when they are given: the tape training's adjoint reads. Each
     pre-activation is built in its output array and activated there (the
-    sigmoid as numerics.sigmoid's 0.5 (1 + tanh(0.5 x))), and the new
+    sigmoid as 0.5 (1 + tanh(0.5 x)), which cannot overflow), and the new
     state takes one scratch array, with the bits of the composed formulas.
     """
     d_h = h_prev.shape[1]

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Rng",
-    "sigmoid",
     "softmax_stable",
     "log_softmax",
     "clip_global_norm",
@@ -76,12 +75,6 @@ class Rng:
             seq[i], seq[j] = seq[j], seq[i]
 
 
-def sigmoid(x):
-    """Elementwise logistic function, overflow-safe via the tanh identity."""
-    x = np.asarray(x)
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def softmax_stable(logits, axis: int = -1) -> np.ndarray:
     """Softmax computed with max-subtraction so large logits cannot overflow.
 
@@ -110,58 +103,50 @@ def log_softmax(logits, axis: int = -1, out: np.ndarray | None = None) -> np.nda
     return shifted
 
 
-def _clip_factor(grads, max_norm: float, names=None) -> float:
-    """The scale that brings the global L2 norm of gradient arrays down to
-    max_norm: max_norm / norm when the norm exceeds max_norm, else 1.0.
+def _global_norm(arrays, names=None) -> tuple[float, float]:
+    """(scale, root), the global L2 norm of the arrays being scale * root.
 
-    The squared norm is a sum of np.vdot(g, g), one dot product per array,
-    so no array-sized temporary is formed. Only when that sum is not finite
-    are the arrays read again: a ValueError names the first array holding
-    a NaN or an infinity (by names[i], else by its index i) before the
-    caller touches anything, and otherwise the squares overflowed, so the
-    norm is recomputed with each array scaled by its largest magnitude and
-    a finite gradient gets its finite factor.
+    The squared norm is a sum of np.vdot(a, a), one dot product per array,
+    so no array-sized temporary is formed, and then scale is 1.0. Only when
+    that sum is not finite are the arrays read again: a ValueError names the
+    first array holding a NaN or an infinity (by names[i], else by its index
+    i), and otherwise the squares overflowed, so scale is the largest
+    magnitude of any entry and each array's squares are summed after
+    dividing it by its own largest magnitude, where neither sum can
+    overflow.
     """
-    if not (math.isfinite(max_norm) and max_norm > 0):
-        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
-    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     total_sq = 0.0
-    for g in grads:
-        total_sq += float(np.vdot(g, g))
-    scale = 1.0  # the norm is scale * sqrt(total_sq)
-    if not math.isfinite(total_sq):
-        scale, total_sq = _scaled_square_sum(grads, names)
-    norm = scale * math.sqrt(total_sq)
-    if norm <= max_norm or norm == 0.0:
-        return 1.0
-    return max_norm / scale / math.sqrt(total_sq)
-
-
-def _scaled_square_sum(grads, names) -> tuple[float, float]:
-    """(scale, total) with the global L2 norm of grads equal to
-    scale * sqrt(total): scale is the largest magnitude of any entry, and
-    each array's squares are summed after dividing it by its own largest
-    magnitude, so neither sum can overflow. A ValueError names the first
-    array that holds a non-finite entry."""
-    _refuse_non_finite(grads, names)
+    for a in arrays:
+        total_sq += float(np.vdot(a, a))
+    if math.isfinite(total_sq):
+        return 1.0, math.sqrt(total_sq)
     peaks, sums = [], []
-    for g in grads:
-        peak = float(np.max(np.abs(g), initial=0.0))
-        if peak > 0.0:
-            unit = g / peak
-            peaks.append(peak)
-            sums.append(float(np.vdot(unit, unit)))
-    scale = max(peaks, default=1.0)
-    return scale, sum(s * (p / scale) ** 2 for p, s in zip(peaks, sums))
-
-
-def _refuse_non_finite(grads, names=None) -> None:
-    """A ValueError naming the first gradient array that holds a NaN or an
-    infinity, by names[i], else by its index i."""
-    for i, g in enumerate(grads):
-        if not np.isfinite(g).all():
+    for i, a in enumerate(arrays):
+        peak = float(np.max(np.abs(a), initial=0.0))
+        if not math.isfinite(peak):  # np.max passes a NaN through
             name = i if names is None else names[i]
             raise ValueError(f"gradient {name!r} holds a non-finite value")
+        if peak > 0.0:
+            unit = a / peak
+            peaks.append(peak)
+            sums.append(float(np.vdot(unit, unit)))
+    scale = max(peaks)
+    return scale, math.sqrt(sum(s * (p / scale) ** 2 for p, s in zip(peaks, sums)))
+
+
+def _clip_factor(grads, max_norm: float | None, names=None) -> float:
+    """The scale that brings the global L2 norm of gradient arrays down to
+    max_norm: max_norm / norm when the norm exceeds max_norm, else 1.0.
+    With max_norm None the factor is 1.0, and the gradients are only
+    checked: a non-finite one raises _global_norm's ValueError either way.
+    """
+    if max_norm is not None and not (math.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be positive and finite, got {max_norm}")
+    scale, root = _global_norm(grads, names)
+    if max_norm is None or scale * root <= max_norm:
+        return 1.0
+    return max_norm / scale / root
 
 
 def clip_global_norm(grads, max_norm: float):

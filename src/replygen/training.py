@@ -40,7 +40,7 @@ from .model import (
     context_memory,
     init_params,
 )
-from .numerics import Rng, _clip_factor, _refuse_non_finite
+from .numerics import Rng, _clip_factor
 
 __all__ = [
     "TrainConfig",
@@ -493,25 +493,32 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     `rows` and 0 elsewhere, and the norm and the update read and write those
     rows only. Each row gets the bits of the dense update at the returned
     factor; the norm's sum of squares runs over those rows, so the factor
-    can differ from a dense table's in its last bit. A gradient holding a
-    NaN or an infinity raises ValueError naming its tensor before any tensor
-    is touched: with clipping on, the norm's sum of squares finds it, and
-    without clipping each gradient is checked before the update. The update
-    runs block by block through one small reused buffer, so it allocates no
-    tensor-sized temporary, and grads are left as they are.
+    can differ from a dense table's in its last bit. That sum is taken with
+    or without clipping. A ValueError names the tensor, before any tensor is
+    touched, when its gradient holds a NaN or an infinity, when a dense
+    gradient is not of the tensor's shape, or when a pair's rows are not
+    distinct integers in [0, len(t)) or its values are not of shape
+    (len(rows),) + t.shape[1:]. The update runs block by block through one
+    small reused buffer, so it allocates no tensor-sized temporary, and
+    grads are left as they are.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
     tensors = params.named_tensors()
     pairs = [grads[n] if isinstance(grads[n], tuple) else (None, grads[n]) for n in tensors]
-    for name, (rows, _) in zip(tensors, pairs):
-        if rows is not None and len(np.unique(rows)) != len(rows):
-            raise ValueError(f"gradient {name!r} lists a row twice")
-    if clip_norm is None:
-        _refuse_non_finite([g for _, g in pairs], list(tensors))
-        factor = 1.0
-    else:
-        factor = _clip_factor([g for _, g in pairs], clip_norm, list(tensors))
+    for (name, t), (rows, g) in zip(tensors.items(), pairs):
+        shape = t.shape
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu" or \
+                    (rows.size and (rows.min() < 0 or rows.max() >= len(t))):
+                raise ValueError(f"gradient {name!r} rows must be integers in [0, {len(t)})")
+            if len(np.unique(rows)) != len(rows):
+                raise ValueError(f"gradient {name!r} lists a row twice")
+            shape = (len(rows),) + shape[1:]
+        if np.shape(g) != shape:
+            raise ValueError(f"gradient {name!r} has shape {np.shape(g)}, not {shape}")
+    factor = _clip_factor([g for _, g in pairs], clip_norm, list(tensors))
     buf = np.empty(_UPDATE_BLOCK)
     for t, (rows, g) in zip(tensors.values(), pairs):
         step = max(1, _UPDATE_BLOCK // max(1, t[:1].size))  # rows per block

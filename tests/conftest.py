@@ -29,6 +29,12 @@ HYB_TENSOR_NAMES = [
 ]
 
 
+def sigmoid(x):
+    """The logistic function in the tanh form the GRU gates use, a reference
+    for the model's in-place gates."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def tensor_names(scheme):
     """The pinned tensor names of a scheme, in order."""
     absent = {"glo": ("enc_g.", "attn."), "loc": ("enc_g.",), "hyb": ()}[scheme]

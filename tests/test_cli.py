@@ -296,6 +296,30 @@ def test_warm_start_training(workdir, capsys):
     assert table(out)["scheme"][0][0] == "hyb"
 
 
+@pytest.mark.parametrize("source", ["clean.tsv", "raw.tsv"], ids=["smaller", "larger"])
+def test_warm_start_refuses_vocabularies_the_sources_do_not_have(source, workdir, capsys):
+    """Vocabulary files of other sizes than the source checkpoints' tables
+    are refused before --log is opened or training starts."""
+    loc_ckpt, args, _ = train_tiny(workdir, capsys, scheme="loc")
+    glo_ckpt, _, _ = train_tiny(workdir, capsys, scheme="glo")
+    for side in ("post", "response"):
+        rc, _, err = run(capsys, "build-vocab", "--pairs", str(workdir / source),
+                         "--side", side, "--out", str(workdir / f"other-{side}.vocab"),
+                         *(("--cap", "4") if source == "clean.tsv" else ()), "--quiet")
+        assert rc == 0, err
+    out_path, log_path = workdir / "warm.ckpt", workdir / "warm.log"
+    rc, out, err = run(capsys, "train", *args[:2],
+                       "--post-vocab", str(workdir / "other-post.vocab"),
+                       "--resp-vocab", str(workdir / "other-response.vocab"),
+                       "--init-from-loc", str(loc_ckpt), "--init-from-glo", str(glo_ckpt),
+                       "--out", str(out_path), "--log", str(log_path), "--quiet")
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: vocabulary sizes")
+    assert not out_path.exists() and not log_path.exists()
+
+
 def test_warm_start_flag_pairing_enforced(workdir, capsys):
     ckpt, args, _ = train_tiny(workdir, capsys, scheme="loc")
     rc, _, err = run(capsys, "train", *args, "--init-from-loc", str(ckpt),

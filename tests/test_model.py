@@ -30,9 +30,8 @@ from replygen.model import (
     save_checkpoint,
     sequence_log_likelihood,
 )
-from replygen.numerics import sigmoid
 
-from conftest import HYB_TENSOR_NAMES, TINY, random_post, tensor_names
+from conftest import HYB_TENSOR_NAMES, TINY, random_post, sigmoid, tensor_names
 
 
 # --- parameter construction ----------------------------------------------
@@ -186,7 +185,7 @@ def test_gru_step_zero_update_gate_keeps_state():
 def test_gru_step_in_place_has_the_bits_of_the_composed_formula(rows):
     """_gru_step builds each pre-activation in its output array; the gates,
     the candidate and the new state keep the bits of the composed
-    expressions, with the sigmoid as numerics.sigmoid."""
+    expressions, with the sigmoid as conftest.sigmoid."""
     dims = Dims(d_h=32, d_emb=16, d_a=8, d_L=8, d_r=8, v_post=12, v_resp=12)
     cell = init_params("glo", dims, Rng(5), low=-0.5, high=0.5).enc
     gen = np.random.default_rng(rows)

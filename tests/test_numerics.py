@@ -9,7 +9,6 @@ from replygen.numerics import (
     Rng,
     clip_global_norm,
     log_softmax,
-    sigmoid,
     softmax_stable,
 )
 
@@ -89,17 +88,6 @@ def test_rng_shuffle_deterministic():
 
 
 # --- elementwise and reductions -----------------------------------------
-
-
-def test_sigmoid_matches_definition():
-    # the overflow-safe form rounds a couple of ulps away from the naive one
-    x = np.linspace(-8, 8, 33)
-    np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-13)
-
-
-def test_sigmoid_extreme_inputs_do_not_overflow():
-    out = sigmoid(np.array([-1e4, 1e4]))
-    assert out[0] == 0.0 and out[1] == 1.0
 
 
 def test_softmax_rows_sum_to_one():

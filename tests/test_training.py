@@ -23,7 +23,7 @@ from replygen.model import (
     save_checkpoint,
     sequence_log_likelihood,
 )
-from replygen.numerics import clip_global_norm, sigmoid
+from replygen.numerics import clip_global_norm
 from replygen.training import (
     TrainConfig,
     backward,
@@ -36,7 +36,7 @@ from replygen.training import (
     train,
 )
 
-from conftest import FIRST_CONTENT, HYB_TENSOR_NAMES, TINY, toy_corpus
+from conftest import FIRST_CONTENT, HYB_TENSOR_NAMES, TINY, sigmoid, toy_corpus
 
 
 # --- the per-gate reference cell ---------------------------------------------
@@ -770,6 +770,43 @@ def test_sgd_step_clips_a_gradient_whose_squares_overflow(make_params):
     assert not np.array_equal(params.W_o, before)
 
 
+def test_sgd_step_without_clipping_applies_a_gradient_whose_squares_overflow(make_params):
+    """Unclipped, two W_o entries of 1e300 are finite: the step applies them
+    unscaled, with factor 1.0."""
+    params = make_params("glo", seed=9)
+    grads = {name: np.zeros_like(arr) for name, arr in params.named_tensors().items()}
+    grads["W_o"][4, 0] = grads["W_o"][5, 1] = 1e300
+    expected = params.W_o - 0.5 * grads["W_o"]
+    assert sgd_step(params, grads, 0.5) == 1.0
+    np.testing.assert_array_equal(params.W_o, expected)
+
+
+_WRONG_SHAPES = {
+    "dense-broadcast": ("W_o", np.ones((1, TINY.d_r)), "has shape"),
+    "negative-row": ("E_y", (np.array([-1]), np.ones((1, TINY.d_emb))), "rows must be"),
+    "row-past-the-end": ("E_y", (np.array([TINY.v_resp]), np.ones((1, TINY.d_emb))),
+                         "rows must be"),
+    "float-rows": ("E_y", (np.array([3.0]), np.ones((1, TINY.d_emb))), "rows must be"),
+    "one-values-row": ("E_y", (np.array([3, 5]), np.ones((1, TINY.d_emb))), "has shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_SHAPES))
+def test_sgd_step_refuses_a_gradient_of_the_wrong_shape_before_any_update(case, make_params):
+    """A dense gradient not of its tensor's shape, or a row pair whose rows
+    leave the table or whose values do not have one row per listed row, is
+    refused by name rather than broadcast or wrapped."""
+    name, grad, message = _WRONG_SHAPES[case]
+    params = make_params("glo", seed=9)
+    grads = {n: np.full(arr.shape, 0.25) for n, arr in params.named_tensors().items()}
+    grads[name] = grad
+    before = {k: v.copy() for k, v in params.named_tensors().items()}
+    with pytest.raises(ValueError, match=f"gradient '{name}' {message}"):
+        sgd_step(params, grads, 0.1)
+    for n, arr in params.named_tensors().items():
+        assert arr.tobytes() == before[n].tobytes(), n
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "row-pair"])
 def test_sgd_step_refuses_a_non_finite_gradient_before_any_update(sparse, make_params):
     """With clipping on or off, a NaN or an infinity stops the step."""
@@ -800,24 +837,25 @@ def test_sgd_step_updates_around_an_empty_tensor():
         np.testing.assert_array_equal(arr, before[name] - 0.5, err_msg=name)
 
 
-def test_sgd_step_peak_memory_is_a_block_not_a_tensor():
-    """With clipping on, the norm is a sum of dot products and the update
-    runs through one small buffer: sgd_step allocates less than half the
-    bytes of its largest tensor, W_o."""
+@pytest.mark.parametrize("clip_norm", [1.0, None], ids=["clip", "no-clip"])
+def test_sgd_step_peak_memory_is_a_block_not_a_tensor(clip_norm):
+    """With clipping on or off, the norm is a sum of dot products and the
+    update runs through one small buffer: sgd_step allocates less than a
+    tenth of the bytes of its largest tensor, W_o."""
     dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=64, v_post=12, v_resp=8000)
     params = init_params("glo", dims, Rng(3))
     grads = {name: np.full(arr.shape, 0.5) for name, arr in params.named_tensors().items()}
     largest = max(arr.nbytes for arr in params.named_tensors().values())
     assert largest == params.W_o.nbytes
-    sgd_step(params, grads, 0.1, clip_norm=1.0)  # warm up lazy set-up
+    sgd_step(params, grads, 0.1, clip_norm=clip_norm)  # warm up lazy set-up
     tracemalloc.start()
     try:
-        factor = sgd_step(params, grads, 0.1, clip_norm=1.0)
+        factor = sgd_step(params, grads, 0.1, clip_norm=clip_norm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert factor < 1.0
-    assert peak < 0.5 * largest
+    assert factor < 1.0 if clip_norm else factor == 1.0
+    assert peak < 0.1 * largest
 
 
 def test_sgd_step_clips_large_gradients(make_params, small_batch):
