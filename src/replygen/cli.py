@@ -27,6 +27,7 @@ has imported numpy before calling ``main`` keeps its thread counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -198,6 +199,17 @@ def _check_vocab_sizes(params, post_vocab, resp_vocab):
             f"checkpoint ({params.dims.v_post}, {params.dims.v_resp})")
 
 
+# Each Dims width field and the flag (or config key) that sets it.
+_DIM_FLAGS = {"d_h": "d-h", "d_emb": "d-emb", "d_a": "d-a", "d_L": "d-l", "d_r": "d-r"}
+
+
+def _widths(args, cfg, defaults=(None,) * len(_DIM_FLAGS)):
+    """Each _DIM_FLAGS width field's setting, or its entry of defaults (in
+    _DIM_FLAGS order) where none is given."""
+    return {field: _get(args, cfg, flag, default, int, minimum=1)
+            for (field, flag), default in zip(_DIM_FLAGS.items(), defaults)}
+
+
 def _usable_pairs(pairs, command):
     """Pairs with a nonempty post and response; logs how many were dropped."""
     usable = [p for p in pairs if p.post and p.response]
@@ -255,21 +267,18 @@ def _cmd_train(args, cfg):
         params, provenance = init_hybrid_from_pretrained(
             load_checkpoint(init_loc), load_checkpoint(init_glo), rng)
         _check_vocab_sizes(params, *vocabs)
+        for field, width in _widths(args, cfg).items():
+            if width is not None and width != getattr(params.dims, field):
+                raise CliError(f"{_DIM_FLAGS[field]} {width} disagrees with the source "
+                               f"checkpoints' {field} {getattr(params.dims, field)}")
         tally = {}
         for origin in provenance.values():
             tally[origin] = tally.get(origin, 0) + 1
         logger.info("train: warm-start tensors %s",
                     ", ".join(f"{k}={v}" for k, v in sorted(tally.items())))
     else:
-        dims = Dims(
-            d_h=_get(args, cfg, "d-h", 64, int, minimum=1),
-            d_emb=_get(args, cfg, "d-emb", 32, int, minimum=1),
-            d_a=_get(args, cfg, "d-a", 64, int, minimum=1),
-            d_L=_get(args, cfg, "d-l", 32, int, minimum=1),
-            d_r=_get(args, cfg, "d-r", 64, int, minimum=1),
-            v_post=len(vocabs[0]),
-            v_resp=len(vocabs[1]),
-        )
+        dims = Dims(**_widths(args, cfg, (64, 32, 64, 32, 64)),
+                    v_post=len(vocabs[0]), v_resp=len(vocabs[1]))
         params = init_params(scheme, dims, rng)
 
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -397,15 +406,7 @@ def _cmd_grad_check(args, cfg):
     scheme = _get(args, cfg, "scheme", "all", choices=("glo", "loc", "hyb", "all"))
     schemes = ("glo", "loc", "hyb") if scheme == "all" else (scheme,)
     vocab_size = _get(args, cfg, "vocab-size", 12, int, minimum=5)
-    dims = Dims(
-        d_h=_get(args, cfg, "d-h", 8, int, minimum=1),
-        d_emb=_get(args, cfg, "d-emb", 6, int, minimum=1),
-        d_a=_get(args, cfg, "d-a", 8, int, minimum=1),
-        d_L=_get(args, cfg, "d-l", 6, int, minimum=1),
-        d_r=_get(args, cfg, "d-r", 8, int, minimum=1),
-        v_post=vocab_size,
-        v_resp=vocab_size,
-    )
+    dims = Dims(**_widths(args, cfg, (8, 6, 8, 6, 8)), v_post=vocab_size, v_resp=vocab_size)
     batch = _get(args, cfg, "batch", 3, int, minimum=1)
     eps = _get(args, cfg, "eps", 1e-5, float)
     tol = _get(args, cfg, "tol", 1e-4, float)
@@ -466,10 +467,9 @@ def _cmd_inspect(args, cfg):
 
     path = _require_file(_get(args, cfg, "checkpoint"), "checkpoint")
     params = load_checkpoint(path)
-    d = params.dims
     print(f"scheme\t{params.scheme}")
-    for key in ("d_h", "d_emb", "d_a", "d_L", "d_r", "v_post", "v_resp"):
-        print(f"{key}\t{getattr(d, key)}")
+    for key, value in dataclasses.asdict(params.dims).items():
+        print(f"{key}\t{value}")
     total = 0
     for name, arr in params.named_tensors().items():
         shape = "x".join(str(s) for s in arr.shape)
@@ -480,6 +480,7 @@ def _cmd_inspect(args, cfg):
     return 0
 
 
+_WIDTH_FLAGS = " ".join(_DIM_FLAGS.values())
 _GENERATE_FLAGS = "checkpoint post-vocab resp-vocab post posts-file beam max-len suppress-unk out"
 
 # Every subcommand: handler, help line and flag names. A flag's type, range,
@@ -492,7 +493,7 @@ _COMMANDS = {
                     "pairs side out cap"),
     "train": (_cmd_train, "train a model",
               "pairs post-vocab resp-vocab scheme out log epochs lr batch-size clip-norm "
-              "max-response-len precision d-h d-emb d-a d-l d-r init-from-loc init-from-glo"),
+              f"max-response-len precision {_WIDTH_FLAGS} init-from-loc init-from-glo"),
     "generate": (lambda a, c: _cmd_generate(a, c, multi=False),
                  "ranked beam-search responses", _GENERATE_FLAGS),
     "multi-generate": (lambda a, c: _cmd_generate(a, c, multi=True),
@@ -500,7 +501,7 @@ _COMMANDS = {
     "perplexity": (_cmd_perplexity, "evaluate mean NLL / perplexity on a pair file",
                    "checkpoint pairs post-vocab resp-vocab batch-size max-response-len"),
     "grad-check": (_cmd_grad_check, "finite-difference check of the analytic gradients",
-                   "scheme vocab-size batch eps tol d-h d-emb d-a d-l d-r"),
+                   f"scheme vocab-size batch eps tol {_WIDTH_FLAGS}"),
     "kappa": (_cmd_kappa, "Fleiss' kappa over an annotation CSV", "annotations"),
     "friedman": (_cmd_friedman, "Friedman rank test over a score-matrix CSV", "scores"),
     "inspect-checkpoint": (_cmd_inspect, "print checkpoint dims and tensor table",

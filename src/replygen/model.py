@@ -650,11 +650,14 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
 # --- checkpoint I/O ---------------------------------------------------------
 #
 # Layout (all integers little-endian):
-#   magic "NRMC" | version u32 | scheme u8 | precision u8 (4 or 8)
-#   | d_h d_emb d_a d_L v_post v_resp as 6 x u32 | tensor count u32
+#   _HEADER: magic "NRMC" | version u32 | scheme u8 | precision u8 (4 or 8)
+#     | the _STORED_DIMS sizes as 6 x u32 | tensor count u32
 #   | per tensor: name length u16, utf-8 name, ndim u8, each dim u32,
 #     raw IEEE-754 little-endian row-major payload.
 # The readout width d_r is not stored; it is recovered from W_s at load.
+
+_HEADER = "<4sIBB6II"
+_STORED_DIMS = ("d_h", "d_emb", "d_a", "d_L", "v_post", "v_resp")
 
 
 class _Reader:
@@ -693,41 +696,27 @@ class _Reader:
                 f"{self.path}: file shrank while being read, at offset {self.off + got}")
         self.off += got
 
-    def take(self, n: int, what: str) -> bytes:
-        buf = bytearray(n)
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """The next struct.calcsize(fmt) bytes, unpacked by fmt."""
+        buf = bytearray(struct.calcsize(fmt))
         self.read_into(memoryview(buf), what)
-        return bytes(buf)
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+        return struct.unpack(fmt, buf)
 
 
 def save_checkpoint(params: ModelParams, path, precision: int = 8) -> None:
     """Write all tensors to a self-describing binary file."""
     if precision not in (4, 8):
         raise ValueError(f"precision must be 4 or 8 bytes per value, got {precision}")
-    d = params.dims
     dtype = "<f4" if precision == 4 else "<f8"
     tensors = params.named_tensors()
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<BB", _SCHEME_TO_CODE[params.scheme], precision))
-        fh.write(struct.pack("<6I", d.d_h, d.d_emb, d.d_a, d.d_L, d.v_post, d.v_resp))
-        fh.write(struct.pack("<I", len(tensors)))
+        fh.write(struct.pack(_HEADER, _MAGIC, _VERSION, _SCHEME_TO_CODE[params.scheme],
+                             precision, *(getattr(params.dims, f) for f in _STORED_DIMS),
+                             len(tensors)))
         for name, arr in tensors.items():
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
+            fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
+                                 len(encoded), encoded, arr.ndim, *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
@@ -748,42 +737,32 @@ def load_checkpoint(path) -> ModelParams:
 
 def _read_checkpoint(rd: _Reader) -> ModelParams:
     path = rd.path
-    magic = rd.take(4, "magic")
+    magic, version, scheme_code, precision, *sizes, count = rd.unpack(_HEADER, "header")
     if magic != _MAGIC:
         raise CheckpointFormatError(
             f"{path}: bad magic {magic!r} at offset 0, expected {_MAGIC!r}")
-    version = rd.u32("version")
     if version != _VERSION:
         raise CheckpointFormatError(
             f"{path}: unsupported version {version} at offset 4, expected {_VERSION}")
-    scheme_code = rd.u8("scheme code")
     if scheme_code not in _CODE_TO_SCHEME:
         raise CheckpointFormatError(
             f"{path}: unknown scheme code {scheme_code} at offset 8")
     scheme = _CODE_TO_SCHEME[scheme_code]
-    precision = rd.u8("precision")
     if precision not in (4, 8):
         raise CheckpointFormatError(
             f"{path}: bad precision {precision} at offset 9, expected 4 or 8")
-    d_h = rd.u32("d_h")
-    d_emb = rd.u32("d_emb")
-    d_a = rd.u32("d_a")
-    d_L = rd.u32("d_L")
-    v_post = rd.u32("v_post")
-    v_resp = rd.u32("v_resp")
-    count = rd.u32("tensor count")
 
     shapes: dict[str, tuple] = {}   # each tensor's shape, as its record gives it
     payloads: dict[str, int] = {}   # and its payload's offset
     for _ in range(count):
         name_off = rd.off
-        name_len = rd.u16("tensor name length")
-        name = rd.take(name_len, "tensor name").decode("utf-8", errors="replace")
+        (name_len,) = rd.unpack("<H", "tensor name length")
+        raw, ndim = rd.unpack(f"<{name_len}sB", "tensor name and ndim")
+        name = raw.decode("utf-8", errors="replace")
         if name in shapes:
             raise CheckpointFormatError(
                 f"{path}: duplicate tensor {name!r} at offset {name_off}")
-        ndim = rd.u8(f"ndim of {name}")
-        shapes[name] = tuple(rd.u32(f"dim {i} of {name}") for i in range(ndim))
+        shapes[name] = rd.unpack(f"<{ndim}I", f"dims of {name}")
         payloads[name] = rd.off
         rd.skip(math.prod(shapes[name]) * precision, f"payload of {name}")
     if rd.off != rd.size:
@@ -795,9 +774,7 @@ def _read_checkpoint(rd: _Reader) -> ModelParams:
         raise CheckpointFormatError(f"{path}: missing tensor 'W_s'")
     if len(shapes["W_s"]) != 2:
         raise CheckpointFormatError(f"{path}: tensor 'W_s' must be 2-d")
-    d_r = shapes["W_s"][0]
-    dims = Dims(d_h=d_h, d_emb=d_emb, d_a=d_a, d_L=d_L, d_r=d_r,
-                v_post=v_post, v_resp=v_resp)
+    dims = Dims(d_r=shapes["W_s"][0], **dict(zip(_STORED_DIMS, sizes)))
 
     expected = _expected_shapes(scheme, dims)
     missing = sorted(set(expected) - set(shapes))

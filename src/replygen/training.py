@@ -24,7 +24,6 @@ from .corpus import make_batches
 from .model import (
     _SOFTMAX_ROWS,
     ContextMemory,
-    Dims,
     ModelParams,
     _check_ids,
     _context,
@@ -531,16 +530,16 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     return factor
 
 
-def init_hybrid_from_pretrained(loc_params: ModelParams, glo_params: ModelParams,
-                                rng: Rng, low: float = -0.1, high: float = 0.1):
+def init_hybrid_from_pretrained(loc_params: ModelParams, glo_params: ModelParams, rng: Rng):
     """Warm-start a hybrid model from separately trained loc and glo models.
 
     The attention model contributes the input/output embeddings, the local
     encoder, the decoder, the readout, and the attention scorer's W_a, v_a,
     b_a; the glo model contributes its encoder as the second (global-summary)
     encoder, which from then on reads the attention model's embeddings. A
-    tensor whose shape differs from its source's is freshly initialized:
-    L, W_0, W_c and attn.U_a, whose width doubles with the context.
+    tensor whose shape differs from its source's keeps the value that
+    init_params("hyb", loc_params.dims, rng) draws for it: L, W_0, W_c and
+    attn.U_a, whose width doubles with the context.
 
     Returns (params, provenance) where provenance maps each tensor name to
     "loc", "glo", or "fresh".
@@ -556,9 +555,7 @@ def init_hybrid_from_pretrained(loc_params: ModelParams, glo_params: ModelParams
                 f"source models disagree on {field_name}: "
                 f"{getattr(ld, field_name)} vs {getattr(gd, field_name)}")
 
-    dims = Dims(d_h=ld.d_h, d_emb=ld.d_emb, d_a=ld.d_a, d_L=ld.d_L,
-                d_r=ld.d_r, v_post=ld.v_post, v_resp=ld.v_resp)
-    params = init_params("hyb", dims, rng, low, high)
+    params = init_params("hyb", ld, rng)
     sources = {"loc": loc_params.named_tensors(), "glo": glo_params.named_tensors()}
     provenance: dict[str, str] = {}
     for name, arr in params.named_tensors().items():
@@ -590,10 +587,16 @@ def train(params: ModelParams, pairs, vocabs, config: TrainConfig, rng: Rng,
     Each batch's gradients come from _backward, the embeddings' on their
     read rows only, and go to sgd_step through this module's attribute.
     Each history row is also written to log_stream as a tab-separated line
-    when one is given.
+    when one is given. A config.lr or config.clip_norm that sgd_step would
+    refuse is refused here, by its field's name, before any batch.
     """
     if not pairs:
         raise ValueError("cannot train on an empty pair list")
+    if not (math.isfinite(config.lr) and config.lr >= 0.0):
+        raise ValueError(f"lr must be finite and nonnegative, got {config.lr}")
+    if config.clip_norm is not None and not (math.isfinite(config.clip_norm)
+                                             and config.clip_norm > 0):
+        raise ValueError(f"clip_norm must be positive and finite, got {config.clip_norm}")
     history = []
     for epoch in range(1, config.epochs + 1):
         batches = make_batches(pairs, vocabs, config.batch_size, rng,

@@ -1,16 +1,18 @@
 """End-to-end subcommand tests driving replygen.cli.main in-process."""
 
+import dataclasses
 import logging
 import os
+import struct
 import warnings
 
 import pytest
 
 from replygen import Dims, Rng
-from replygen.cli import main
+from replygen.cli import _DIM_FLAGS, main
 from replygen.corpus import EOS_ID, Vocabulary, encode
 from replygen.decoding import beam_search, beam_search_posts
-from replygen.model import save_checkpoint
+from replygen.model import _HEADER, _STORED_DIMS, save_checkpoint
 from replygen.training import init_params
 
 
@@ -318,6 +320,56 @@ def test_warm_start_refuses_vocabularies_the_sources_do_not_have(source, workdir
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: vocabulary sizes")
     assert not out_path.exists() and not log_path.exists()
+
+
+def _warm_start_args(workdir, capsys):
+    """Corpus arguments plus loc and glo sources of train_tiny's widths."""
+    loc_ckpt, args, _ = train_tiny(workdir, capsys, scheme="loc")
+    glo_ckpt, _, _ = train_tiny(workdir, capsys, scheme="glo")
+    return args + ["--init-from-loc", str(loc_ckpt), "--init-from-glo", str(glo_ckpt),
+                   "--epochs", "1", "--batch-size", "4", "--quiet"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_warm_start_refuses_a_width_that_disagrees_with_the_sources(source, workdir, capsys):
+    """A width flag or config key is checked against the hybrid the sources
+    make, before --out or --log is written."""
+    args = _warm_start_args(workdir, capsys)
+    if source == "flag":
+        extra, message = ["--d-h", "99"], "d-h 99 disagrees with the source checkpoints' d_h 8"
+    else:
+        cfg = workdir / "widths.cfg"
+        cfg.write_text("d-emb = 6\nd-r = 12\n", encoding="utf-8")
+        extra, message = ["--config", str(cfg)], \
+            "d-r 12 disagrees with the source checkpoints' d_r 8"
+    out_path, log_path = workdir / "warm.ckpt", workdir / "warm.log"
+    rc, out, err = run(capsys, "train", *args, *extra,
+                       "--out", str(out_path), "--log", str(log_path))
+    assert (rc, out, err.splitlines()) == (1, "", [f"error: {message}"])
+    assert not out_path.exists() and not log_path.exists()
+
+
+def test_warm_start_accepts_widths_equal_to_the_sources(workdir, capsys):
+    args = _warm_start_args(workdir, capsys)
+    out_path = workdir / "warm.ckpt"
+    rc, _, err = run(capsys, "train", *args, "--out", str(out_path),
+                     "--d-h", "8", "--d-emb", "6", "--d-a", "8", "--d-l", "6", "--d-r", "8")
+    assert rc == 0, err
+    rc, out, _ = run(capsys, "inspect-checkpoint", "--checkpoint", str(out_path), "--quiet")
+    rows = table(out)
+    assert rows["scheme"] == [["hyb"]] and rows["d_h"] == [["8"]] and rows["d_r"] == [["8"]]
+
+
+def test_width_flags_and_stored_sizes_cover_dims():
+    """A field added to Dims fails here until the width flags (all but the
+    vocabulary sizes, which come from the vocabularies) and the checkpoint
+    header (all but d_r, which W_s's shape gives) each declare it."""
+    fields = [f.name for f in dataclasses.fields(Dims)]
+    assert list(_DIM_FLAGS) == [f for f in fields if f not in ("v_post", "v_resp")]
+    assert list(_STORED_DIMS) == [f for f in fields if f != "d_r"]
+    # magic, version, scheme code, precision, the stored sizes, tensor count
+    assert len(struct.unpack(_HEADER, bytes(struct.calcsize(_HEADER)))) == \
+        4 + len(_STORED_DIMS) + 1
 
 
 def test_warm_start_flag_pairing_enforced(workdir, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -669,6 +670,92 @@ def test_checkpoint_truncation_names_offsets(tmp_path, make_params):
     path.write_bytes(data[:44] + b"\xff\xff\xff\xff" + data[48:])
     with pytest.raises(CheckpointFormatError,
                        match=r"truncated at offset 52: needed \d+ bytes for payload of E_x"):
+        load_checkpoint(path)
+
+
+def _record_at(data: bytes, name: str) -> int:
+    """Offset of the record of tensor `name`: its u16 name length."""
+    key = struct.pack("<H", len(name)) + name.encode()
+    assert data.count(key) == 1, name
+    return data.find(key)
+
+
+def _rename(data: bytes, name: str, new: str) -> bytes:
+    off = _record_at(data, name) + 2
+    assert len(new) == len(name)
+    return data[:off] + new.encode() + data[off + len(name):]
+
+
+def _patch(data: bytes, fmt: str, off: int, *values) -> bytes:
+    return data[:off] + struct.pack(fmt, *values) + data[off + struct.calcsize(fmt):]
+
+
+_COUNT_OFF = 34  # tensor count u32, after magic, version, scheme, precision, 6 sizes
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _patch(d, "<I", 4, 2), r"unsupported version 2 at offset 4, expected 1"),
+    (lambda d: _patch(d, "<B", 8, 7), r"unknown scheme code 7 at offset 8"),
+    (lambda d: _patch(d, "<B", 9, 3), r"bad precision 3 at offset 9, expected 4 or 8"),
+    (lambda d: _rename(d, "W_s", "W_t"), r"missing tensor 'W_s'"),
+])
+def test_checkpoint_header_and_table_errors_name_their_field(edit, message, tmp_path,
+                                                            make_params):
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointFormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_duplicate_tensor_at_its_record(tmp_path, make_params):
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    data = path.read_bytes()
+    path.write_bytes(_rename(data, "E_y", "E_x"))
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"duplicate tensor 'E_x' at offset {_record_at(data, 'E_y')}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_and_unexpected_tensors(tmp_path, make_params):
+    """A record dropped from the end, or one added after it, with the
+    tensor count kept in step so the table itself reads cleanly."""
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    data = path.read_bytes()
+    count = struct.unpack_from("<I", data, _COUNT_OFF)[0]
+    last = _record_at(data, "b_o")
+    path.write_bytes(_patch(data[:last], "<I", _COUNT_OFF, count - 1))
+    with pytest.raises(CheckpointFormatError, match=r"missing tensor\(s\) b_o$"):
+        load_checkpoint(path)
+    extra = _rename(data[last:], "b_o", "b_x")
+    path.write_bytes(_patch(data, "<I", _COUNT_OFF, count + 1) + extra)
+    with pytest.raises(CheckpointFormatError, match=r"unexpected tensor\(s\) b_x$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_wrong_shape(tmp_path, make_params):
+    """E_x stored as (d_emb, v_post): the payload size still fits."""
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    dims = _record_at(path.read_bytes(), "E_x") + 2 + 3 + 1
+    path.write_bytes(_patch(path.read_bytes(), "<2I", dims, TINY.d_emb, TINY.v_post))
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"tensor 'E_x' has shape \({TINY.d_emb}, {TINY.v_post}\), "
+                             rf"expected \({TINY.v_post}, {TINY.d_emb}\)$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_w_s_that_is_not_2d(tmp_path, make_params):
+    """W_s stored as (d_r, d_h, 1): one more dim, the same payload."""
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    data = path.read_bytes()
+    ndim = _record_at(data, "W_s") + 2 + 3
+    path.write_bytes(data[:ndim] + struct.pack("<B3I", 3, TINY.d_r, TINY.d_h, 1)
+                     + data[ndim + 1 + 8:])
+    with pytest.raises(CheckpointFormatError, match=r"tensor 'W_s' must be 2-d$"):
         load_checkpoint(path)
 
 

@@ -1033,6 +1033,21 @@ def test_train_rejects_empty_corpus():
         train(init_params("glo", dims, Rng(0)), [], vocabs, TrainConfig(), Rng(0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.nan), ("lr", -0.1), ("clip_norm", 0.0), ("clip_norm", math.inf)])
+def test_train_refuses_lr_and_clip_norm_before_any_batch(field, value):
+    pairs, vocabs, dims = _toy_setup()
+    params = init_params("glo", dims, Rng(0))
+    before = {name: arr.copy() for name, arr in params.named_tensors().items()}
+    config = TrainConfig(epochs=1, **{field: value})
+    with mock.patch.object(training, "_backward", side_effect=AssertionError("ran")) as bwd, \
+            pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}$"):
+        train(params, pairs, vocabs, config, Rng(0))
+    assert bwd.call_count == 0
+    for name, arr in params.named_tensors().items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+
 def test_corpus_perplexity_consistent_with_batch_loss():
     pairs, vocabs, dims = _toy_setup()
     params = init_params("hyb", dims, Rng(6))
