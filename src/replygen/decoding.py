@@ -21,8 +21,9 @@ beam_search is its one-post case. Each post gets the hypotheses of its solo
 search, in the same order. Its scores are bit-identical to the solo search's
 wherever every post keeps more live rows than the BLAS threshold: below a
 small row count, a row's product bits depend on how many rows share the
-product (numpy 2.4 with OpenBLAS on one thread: 1 row at 8000 columns, at
-most 4 at 256 or 768, at most 9 at 128). Below it, scores may differ in the
+product (numpy 2.4 with OpenBLAS on one thread: 1 row at 8000 columns, the
+W_o product in the layout W_o is stored in, at most 4 at 256 or 768, at
+most 9 at 128). Below it, scores may differ in the
 last bits, and only a tie within that roundoff could reorder hypotheses.
 """
 

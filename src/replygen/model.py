@@ -13,7 +13,10 @@ its context from that memory.
 
 Conventions used throughout: weight matrices are (d_out, d_in) and applied to
 row-stacked activations as ``x @ W.T``; states are (batch, d_h); everything is
-float64 in memory.
+float64 in memory. Every tensor is C-contiguous but one: W_o is stored as its
+transpose, a C-contiguous (d_r, v_resp) array, and ModelParams.W_o is that
+array's transposed view, so ``x @ W_o.T`` hands BLAS a contiguous operand.
+Routines that walk a tensor's memory reach it through numerics._c_order.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID
-from .numerics import Rng, log_softmax, softmax_stable
+from .numerics import Rng, _c_order, log_softmax, softmax_stable
 
 __all__ = [
     "CheckpointFormatError",
@@ -139,7 +142,9 @@ class ModelParams:
     when the scheme does not use them. ``L`` projects the context vector into
     the decoder input; W_0 maps the initial context to the decoder start
     state; W_s/W_y/W_c/b_r form the pre-softmax readout and W_o/b_o the
-    output layer.
+    output layer. W_o (v_resp, d_r) is the transposed view of a
+    C-contiguous (d_r, v_resp) array, the layout of its products
+    (_new_params); its name, shape and values are those of the tensor.
     """
 
     scheme: str
@@ -223,7 +228,8 @@ def _new_params(scheme: str, dims: Dims, new=np.empty) -> ModelParams:
     """A ModelParams of new arrays, new(shape) each, in the shapes
     _expected_shapes declares. A GRU cell's stacked arrays are new arrays
     and its gate tensors views of them, so writing the named tensors
-    writes the stacks."""
+    writes the stacks. W_o is new((d_r, v_resp)).T: every product reads
+    it as W_o.T, which is then C-contiguous."""
     shapes = _expected_shapes(scheme, dims)
 
     def gru(cell):
@@ -235,13 +241,14 @@ def _new_params(scheme: str, dims: Dims, new=np.empty) -> ModelParams:
 
     attn = (AttentionParams(*(new(shapes[f"attn.{f.name}"]) for f in fields(AttentionParams)))
             if "attn.W_a" in shapes else None)
-    top = {name: new(shape) for name, shape in shapes.items() if "." not in name}
+    top = {name: new(shape[::-1]).T if name == "W_o" else new(shape)
+           for name, shape in shapes.items() if "." not in name}
     return ModelParams(scheme, dims, enc=gru("enc"), enc_g=gru("enc_g"), dec=gru("dec"),
                        attn=attn, **top)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15   # splitmix64's counter increment
-_INIT_CHUNK = 1 << 14          # entries filled per pass, bounding every temporary
+_INIT_CHUNK = 1 << 14          # entries filled per pass (at least a row), bounding every temporary
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -263,17 +270,26 @@ def _fnv1a64(text: str) -> int:
 
 
 def _fill_uniform(out: np.ndarray, base: np.uint64, low: float, high: float) -> None:
-    """Write entry i of out (row-major) as low + (high - low) * u_i, where u_i
-    is the top 53 bits of mix64(base + (i + 1) * 0x9E3779B97F4A7C15) over 2**53."""
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _INIT_CHUNK):
-        stop = min(start + _INIT_CHUNK, flat.size)
-        z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    """Write entry i of out as low + (high - low) * u_i, where u_i is the top
+    53 bits of mix64(base + (i + 1) * 0x9E3779B97F4A7C15) over 2**53, and i
+    numbers out's entries row-major in its logical shape, whatever its
+    layout. The entries are written in memory order, rows of _c_order(out)
+    a block at a time, each entry from its own i: in W_o's storage, the
+    transpose, entry (a, b) is W_o's (b, a), whose i is b * d_r + a."""
+    mem = _c_order(out)
+    grid = mem.reshape(len(mem), mem[:1].size)  # a 1-d tensor as one column
+    rows, cols = grid.shape
+    # i of grid[a, b] is a * step_a + b * step_b
+    step_a, step_b = (cols, 1) if mem is out else (1, rows)
+    col_i = np.arange(cols, dtype=np.uint64) * np.uint64(step_b) + np.uint64(1)
+    block = max(1, _INIT_CHUNK // max(1, cols))
+    for start in range(0, rows, block):
+        u = grid[start:start + block]
+        z = col_i + np.arange(start, start + len(u), dtype=np.uint64)[:, None] * np.uint64(step_a)
         z *= np.uint64(_GOLDEN)
         z += base
         _mix64(z)
         z >>= 11
-        u = flat[start:stop]
         np.multiply(z, 2.0**-53, out=u)
         u *= high - low
         u += low
@@ -658,6 +674,16 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
 
 _HEADER = "<4sIBB6II"
 _STORED_DIMS = ("d_h", "d_emb", "d_a", "d_L", "v_post", "v_resp")
+# Entries per block of a payload that is converted on its way to or from
+# the file: W_o's, whose memory is its transpose, and any at precision 4.
+_IO_BLOCK = 1 << 15
+
+
+def _row_blocks(arr: np.ndarray) -> list:
+    """arr's consecutive row blocks, views of at most _IO_BLOCK entries
+    each, or of one row where a row holds more."""
+    step = max(1, _IO_BLOCK // max(1, arr[:1].size))
+    return [arr[i:i + step] for i in range(0, len(arr), step)]
 
 
 class _Reader:
@@ -704,7 +730,13 @@ class _Reader:
 
 
 def save_checkpoint(params: ModelParams, path, precision: int = 8) -> None:
-    """Write all tensors to a self-describing binary file."""
+    """Write all tensors to a self-describing binary file.
+
+    A C-contiguous tensor saved at 8-byte precision is written straight
+    from its memory. Every other payload, W_o's (whose memory holds its
+    transpose) and every tensor's at 4-byte precision, is converted and
+    written a row block at a time, so saving holds no tensor-sized copy.
+    """
     if precision not in (4, 8):
         raise ValueError(f"precision must be 4 or 8 bytes per value, got {precision}")
     dtype = "<f4" if precision == 4 else "<f8"
@@ -717,7 +749,11 @@ def save_checkpoint(params: ModelParams, path, precision: int = 8) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
                                  len(encoded), encoded, arr.ndim, *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            if arr.dtype == dtype and arr.flags.c_contiguous:
+                fh.write(arr)
+            else:
+                for block in _row_blocks(arr):
+                    fh.write(np.ascontiguousarray(block, dtype=dtype))
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -727,9 +763,11 @@ def load_checkpoint(path) -> ModelParams:
     the problem. The whole file must be consumed; trailing bytes are an
     error, and so is a NaN or infinite value in any tensor. Tensors stored
     at 4-byte precision come back as float64. The tensor records are
-    checked first, then each payload is read straight into its array of a
-    new ModelParams (through a float32 staging array at 4-byte precision),
-    so loading holds little more than the model itself.
+    checked first, then each payload is read into its array of a new
+    ModelParams: straight into a C-contiguous array at 8-byte precision,
+    and otherwise (W_o, whose memory holds its transpose, and every tensor
+    at 4-byte precision) a row block at a time through a block-sized
+    staging array. So loading holds little more than the model itself.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(_Reader(fh, path))
@@ -793,14 +831,17 @@ def _read_checkpoint(rd: _Reader) -> ModelParams:
     for name, arr in params.named_tensors().items():
         payload_off = payloads[name]
         rd.seek(payload_off)
-        raw = arr if arr.dtype == dtype else np.empty(arr.shape, dtype=dtype)
-        rd.read_into(memoryview(raw.reshape(-1)).cast("B"), f"payload of {name}")
-        # checked before the cast, which a signaling NaN would trip
-        if not np.isfinite(raw).all():
-            first = int(np.flatnonzero(~np.isfinite(raw))[0])
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} holds a non-finite value at offset "
-                f"{payload_off + first * precision} (payload at offset {payload_off})")
-        if raw is not arr:
-            arr[...] = raw
+        whole = arr.dtype == dtype and arr.flags.c_contiguous
+        for block in [arr] if whole else _row_blocks(arr):
+            raw = block if whole else np.empty(block.shape, dtype=dtype)
+            block_off = rd.off
+            rd.read_into(memoryview(raw.reshape(-1)).cast("B"), f"payload of {name}")
+            # checked before the cast, which a signaling NaN would trip
+            if not np.isfinite(raw).all():
+                first = int(np.flatnonzero(~np.isfinite(raw))[0])
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r} holds a non-finite value at offset "
+                    f"{block_off + first * precision} (payload at offset {payload_off})")
+            if raw is not block:
+                block[...] = raw
     return params

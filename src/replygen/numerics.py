@@ -103,11 +103,21 @@ def log_softmax(logits, axis: int = -1, out: np.ndarray | None = None) -> np.nda
     return shifted
 
 
+def _c_order(arr: np.ndarray) -> np.ndarray:
+    """arr, or arr.T where that is C-contiguous and arr is not: the view
+    whose row-major walk is arr's memory order. Every routine that walks a
+    tensor's memory goes through it, so a tensor stored as its transpose
+    (model.ModelParams.W_o) is read and written in place, not copied.
+    """
+    return arr.T if arr.flags.f_contiguous and not arr.flags.c_contiguous else arr
+
+
 def _global_norm(arrays, names=None) -> tuple[float, float]:
     """(scale, root), the global L2 norm of the arrays being scale * root.
 
-    The squared norm is a sum of np.vdot(a, a), one dot product per array,
-    so no array-sized temporary is formed, and then scale is 1.0. Only when
+    The squared norm is a sum of np.vdot(a, a), one dot product per array
+    over its memory order (_c_order), so no array-sized temporary is
+    formed, and then scale is 1.0. Only when
     that sum is not finite are the arrays read again: a ValueError names the
     first array holding a NaN or an infinity (by names[i], else by its index
     i), and otherwise the squares overflowed, so scale is the largest
@@ -115,7 +125,7 @@ def _global_norm(arrays, names=None) -> tuple[float, float]:
     dividing it by its own largest magnitude, where neither sum can
     overflow.
     """
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    arrays = [_c_order(np.asarray(a, dtype=np.float64)) for a in arrays]
     total_sq = 0.0
     for a in arrays:
         total_sq += float(np.vdot(a, a))

@@ -39,7 +39,7 @@ from .model import (
     context_memory,
     init_params,
 )
-from .numerics import Rng, _clip_factor
+from .numerics import Rng, _c_order, _clip_factor
 
 __all__ = [
     "TrainConfig",
@@ -191,7 +191,7 @@ def _output_backward(grads, params, cache, lam: float):
     dlogits *= (lam / s)[:, None]
     dlogits[np.arange(len(targets)), targets] -= lam
 
-    np.matmul(dlogits.T, rout, out=grads.W_o)
+    np.matmul(rout.T, dlogits, out=grads.W_o.T)  # W_o's storage, C-contiguous
     np.sum(dlogits, axis=0, out=grads.b_o)
     da = (dlogits @ params.W_o) * (1.0 - rout ** 2)
     for x, dw in ((s_t, grads.W_s), (y_emb, grads.W_y), (c, grads.W_c)):
@@ -451,8 +451,10 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4)
     report: dict[str, float] = {}
     ok = True
     for name, arr in params.named_tensors().items():
-        flat = arr.reshape(-1)
-        g = grads[name].reshape(-1)
+        g = grads[name]
+        if _c_order(arr) is not arr:  # walk the tensor's memory, W_o's transpose
+            arr, g = arr.T, g.T
+        flat, g = arr.reshape(-1), g.reshape(-1)  # flat is a view: writing it perturbs arr
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
@@ -498,8 +500,9 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     gradient is not of the tensor's shape, or when a pair's rows are not
     distinct integers in [0, len(t)) or its values are not of shape
     (len(rows),) + t.shape[1:]. The update runs block by block through one
-    small reused buffer, so it allocates no tensor-sized temporary, and
-    grads are left as they are.
+    small reused buffer, a dense gradient's in its tensor's memory order
+    (_c_order: W_o's is its transpose), so it allocates no tensor-sized
+    temporary, and grads are left as they are.
     """
     if not (math.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"learning rate must be finite and nonnegative, got {lr}")
@@ -520,6 +523,8 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     factor = _clip_factor([g for _, g in pairs], clip_norm, list(tensors))
     buf = np.empty(_UPDATE_BLOCK)
     for t, (rows, g) in zip(tensors.values(), pairs):
+        if rows is None and _c_order(t) is not t:  # walk the tensor's memory, W_o's transpose
+            t, g = t.T, g.T
         step = max(1, _UPDATE_BLOCK // max(1, t[:1].size))  # rows per block
         for i in range(0, len(g), step):
             src = g[i:i + step]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replygen import Dims, Rng
+from replygen import Dims, Rng, model
 from replygen.corpus import BOS_ID, EOS_ID, PAD_ID
 from replygen.model import (
     CheckpointFormatError,
@@ -625,15 +625,17 @@ def test_checkpoint_float32_storage(tmp_path, make_params):
 
 @pytest.mark.parametrize("precision", [4, 8])
 def test_checkpoint_tensors_own_writable_float64(precision, tmp_path, make_params):
-    """Every loaded tensor owns its memory, but a GRU gate: that is a view
-    of its cell's stacked array, which owns its memory."""
+    """Every loaded tensor owns its memory, but a GRU gate and W_o: a gate
+    is a view of its cell's stacked array, and W_o the transposed view of a
+    C-contiguous (d_r, v_resp) array, each of which owns its memory."""
     path = tmp_path / "model.nrm"
     save_checkpoint(make_params("hyb", seed=25), path, precision=precision)
     for name, arr in load_checkpoint(path).named_tensors().items():
         assert arr.dtype == np.float64, name
-        assert arr.flags.c_contiguous and arr.flags.writeable, name
+        assert (arr.flags.c_contiguous or name == "W_o") and arr.flags.writeable, name
         cell, _, field = name.rpartition(".")
-        owner = arr.base if cell in ("enc", "enc_g", "dec") and field != "U_h" else arr
+        gate = cell in ("enc", "enc_g", "dec") and field != "U_h"
+        owner = arr.base if gate or name == "W_o" else arr
         assert owner.flags.owndata and owner.flags.c_contiguous, name
 
 
@@ -802,6 +804,63 @@ def test_checkpoint_rejects_non_finite_tensor(value, precision, tmp_path, make_p
                        match=f"'W_s' holds a non-finite value at offset {offset} "
                              rf"\(payload at offset {payload}\)"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("io_block", [None, 3 * TINY.d_r], ids=["one-block", "3-row-blocks"])
+@pytest.mark.parametrize("value, precision", [(np.nan, 8), (-np.inf, 4)])
+def test_checkpoint_reports_a_non_finite_w_o_entry_at_its_offset(value, precision, io_block,
+                                                                  tmp_path, make_params,
+                                                                  monkeypatch):
+    """W_o is written and read in row blocks of its logical (v_resp, d_r)
+    shape: entry (5, 3) sits at its row-major place in the payload, and the
+    loader names that byte, in its block or across blocks of 3 rows."""
+    if io_block is not None:
+        monkeypatch.setattr(model, "_IO_BLOCK", io_block)
+    params = make_params("glo", seed=24)
+    params.W_o[5, 3] = value
+    path = tmp_path / "model.nrm"
+    save_checkpoint(params, path, precision=precision)
+    data = path.read_bytes()
+    payload = _record_at(data, "W_o") + 2 + len("W_o") + 1 + 2 * 4
+    offset = payload + (5 * TINY.d_r + 3) * precision
+    assert data[offset:offset + precision] == np.array([value], f"<f{precision}").tobytes()
+    with pytest.raises(CheckpointFormatError,
+                       match=f"'W_o' holds a non-finite value at offset {offset} "
+                             rf"\(payload at offset {payload}\)$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_truncated_in_w_o_names_its_payload(tmp_path, make_params):
+    path = tmp_path / "model.nrm"
+    save_checkpoint(make_params("glo"), path)
+    data = path.read_bytes()
+    payload = _record_at(data, "W_o") + 2 + len("W_o") + 1 + 2 * 4
+    n = TINY.v_resp * TINY.d_r * 8
+    path.write_bytes(data[:payload + n - 5])
+    with pytest.raises(CheckpointFormatError, match=rf"truncated at offset {payload}: "
+                       rf"needed {n} bytes for payload of W_o, had {n - 5}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("precision", [4, 8])
+def test_checkpoint_save_holds_no_tensor_sized_copy(precision, tmp_path):
+    """A C-contiguous tensor at 8-byte precision is written from its own
+    memory, and W_o's transposed storage and every float32 payload in row
+    blocks: save_checkpoint allocates less than a tenth of W_o's bytes."""
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=64, v_post=12, v_resp=8000)
+    params = init_params("loc", dims, Rng(4))
+    path = tmp_path / "model.nrm"
+    save_checkpoint(params, path, precision=precision)  # warm up lazy set-up
+    tracemalloc.start()
+    try:
+        save_checkpoint(params, path, precision=precision)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * params.W_o.nbytes
+    loaded = load_checkpoint(path).named_tensors()
+    for name, arr in params.named_tensors().items():
+        np.testing.assert_array_equal(loaded[name], arr.astype(f"<f{precision}"), err_msg=name)
 
 
 def test_checkpoint_rejects_signaling_nan_without_a_warning(tmp_path, make_params):

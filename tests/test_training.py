@@ -837,14 +837,21 @@ def test_sgd_step_updates_around_an_empty_tensor():
         np.testing.assert_array_equal(arr, before[name] - 0.5, err_msg=name)
 
 
+@pytest.mark.parametrize("layout", ["c-order", "backward"])
 @pytest.mark.parametrize("clip_norm", [1.0, None], ids=["clip", "no-clip"])
-def test_sgd_step_peak_memory_is_a_block_not_a_tensor(clip_norm):
+def test_sgd_step_peak_memory_is_a_block_not_a_tensor(clip_norm, layout):
     """With clipping on or off, the norm is a sum of dot products and the
     update runs through one small buffer: sgd_step allocates less than a
-    tenth of the bytes of its largest tensor, W_o."""
+    tenth of the bytes of its largest tensor, W_o. The gradients are dense
+    C-order arrays, or in the layout _backward gives them, W_o's stored
+    as its transpose."""
     dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=64, v_post=12, v_resp=8000)
     params = init_params("glo", dims, Rng(3))
-    grads = {name: np.full(arr.shape, 0.5) for name, arr in params.named_tensors().items()}
+    if layout == "c-order":
+        grads = {name: np.full(arr.shape, 0.5) for name, arr in params.named_tensors().items()}
+    else:
+        grads = _new_params("glo", dims, lambda shape: np.full(shape, 0.5)).named_tensors()
+        assert grads["W_o"].T.flags.c_contiguous
     largest = max(arr.nbytes for arr in params.named_tensors().values())
     assert largest == params.W_o.nbytes
     sgd_step(params, grads, 0.1, clip_norm=clip_norm)  # warm up lazy set-up
@@ -856,6 +863,24 @@ def test_sgd_step_peak_memory_is_a_block_not_a_tensor(clip_norm):
         tracemalloc.stop()
     assert factor < 1.0 if clip_norm else factor == 1.0
     assert peak < 0.1 * largest
+
+
+@pytest.mark.parametrize("scheme", ["glo", "hyb"])
+def test_w_o_is_stored_as_its_transpose_wherever_params_come_from(scheme, tmp_path, make_params,
+                                                                   small_batch):
+    """W_o.T, the operand of every W_o product, is C-contiguous in params
+    from init_params, load_checkpoint and init_hybrid_from_pretrained, and
+    in the gradients _backward returns."""
+    sources = {s: make_params(s, seed=31) for s in ("loc", "glo")}
+    params = (init_hybrid_from_pretrained(sources["loc"], sources["glo"], Rng(5))[0]
+              if scheme == "hyb" else sources["glo"])
+    path = tmp_path / "model.nrm"
+    save_checkpoint(params, path)
+    _, grads = training._backward(params, small_batch)
+    for source, w_o in (("params", params.W_o), ("load_checkpoint", load_checkpoint(path).W_o),
+                        ("_backward", grads["W_o"])):
+        assert w_o.shape == (TINY.v_resp, TINY.d_r), source
+        assert w_o.T.flags.c_contiguous, source
 
 
 def test_sgd_step_clips_large_gradients(make_params, small_batch):
