@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID
-from .numerics import Rng, _c_order, log_softmax, softmax_stable
+from .numerics import Rng, _c_order, _row_slices, log_softmax, softmax_stable
 
 __all__ = [
     "CheckpointFormatError",
@@ -282,10 +282,10 @@ def _fill_uniform(out: np.ndarray, base: np.uint64, low: float, high: float) -> 
     # i of grid[a, b] is a * step_a + b * step_b
     step_a, step_b = (cols, 1) if mem is out else (1, rows)
     col_i = np.arange(cols, dtype=np.uint64) * np.uint64(step_b) + np.uint64(1)
-    block = max(1, _INIT_CHUNK // max(1, cols))
-    for start in range(0, rows, block):
-        u = grid[start:start + block]
-        z = col_i + np.arange(start, start + len(u), dtype=np.uint64)[:, None] * np.uint64(step_a)
+    for block in _row_slices(grid, _INIT_CHUNK):
+        u = grid[block]
+        z = col_i + np.arange(block.start, block.start + len(u),
+                              dtype=np.uint64)[:, None] * np.uint64(step_a)
         z *= np.uint64(_GOLDEN)
         z += base
         _mix64(z)
@@ -674,16 +674,8 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
 
 _HEADER = "<4sIBB6II"
 _STORED_DIMS = ("d_h", "d_emb", "d_a", "d_L", "v_post", "v_resp")
-# Entries per block of a payload that is converted on its way to or from
-# the file: W_o's, whose memory is its transpose, and any at precision 4.
+# Entries per row block in which a payload is written and read
 _IO_BLOCK = 1 << 15
-
-
-def _row_blocks(arr: np.ndarray) -> list:
-    """arr's consecutive row blocks, views of at most _IO_BLOCK entries
-    each, or of one row where a row holds more."""
-    step = max(1, _IO_BLOCK // max(1, arr[:1].size))
-    return [arr[i:i + step] for i in range(0, len(arr), step)]
 
 
 class _Reader:
@@ -732,10 +724,11 @@ class _Reader:
 def save_checkpoint(params: ModelParams, path, precision: int = 8) -> None:
     """Write all tensors to a self-describing binary file.
 
-    A C-contiguous tensor saved at 8-byte precision is written straight
-    from its memory. Every other payload, W_o's (whose memory holds its
-    transpose) and every tensor's at 4-byte precision, is converted and
-    written a row block at a time, so saving holds no tensor-sized copy.
+    Each payload is written a row block at a time, each block from its
+    own memory where that is C-contiguous at the stored precision and
+    through a block-sized copy otherwise (W_o, whose memory holds its
+    transpose, and every tensor at 4-byte precision), so saving holds no
+    tensor-sized copy.
     """
     if precision not in (4, 8):
         raise ValueError(f"precision must be 4 or 8 bytes per value, got {precision}")
@@ -749,11 +742,8 @@ def save_checkpoint(params: ModelParams, path, precision: int = 8) -> None:
             encoded = name.encode("utf-8")
             fh.write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I",
                                  len(encoded), encoded, arr.ndim, *arr.shape))
-            if arr.dtype == dtype and arr.flags.c_contiguous:
-                fh.write(arr)
-            else:
-                for block in _row_blocks(arr):
-                    fh.write(np.ascontiguousarray(block, dtype=dtype))
+            for rows in _row_slices(arr, _IO_BLOCK):
+                fh.write(np.ascontiguousarray(arr[rows], dtype=dtype))
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -764,10 +754,11 @@ def load_checkpoint(path) -> ModelParams:
     error, and so is a NaN or infinite value in any tensor. Tensors stored
     at 4-byte precision come back as float64. The tensor records are
     checked first, then each payload is read into its array of a new
-    ModelParams: straight into a C-contiguous array at 8-byte precision,
-    and otherwise (W_o, whose memory holds its transpose, and every tensor
-    at 4-byte precision) a row block at a time through a block-sized
-    staging array. So loading holds little more than the model itself.
+    ModelParams a row block at a time: straight into the block where that
+    is C-contiguous at the stored precision, and otherwise (W_o, whose
+    memory holds its transpose, and every tensor at 4-byte precision)
+    through a block-sized staging array. So loading holds little more than
+    the model itself.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(_Reader(fh, path))
@@ -831,9 +822,10 @@ def _read_checkpoint(rd: _Reader) -> ModelParams:
     for name, arr in params.named_tensors().items():
         payload_off = payloads[name]
         rd.seek(payload_off)
-        whole = arr.dtype == dtype and arr.flags.c_contiguous
-        for block in [arr] if whole else _row_blocks(arr):
-            raw = block if whole else np.empty(block.shape, dtype=dtype)
+        for rows in _row_slices(arr, _IO_BLOCK):
+            block = arr[rows]
+            direct = block.dtype == dtype and block.flags.c_contiguous
+            raw = block if direct else np.empty(block.shape, dtype=dtype)
             block_off = rd.off
             rd.read_into(memoryview(raw.reshape(-1)).cast("B"), f"payload of {name}")
             # checked before the cast, which a signaling NaN would trip

@@ -112,6 +112,14 @@ def _c_order(arr: np.ndarray) -> np.ndarray:
     return arr.T if arr.flags.f_contiguous and not arr.flags.c_contiguous else arr
 
 
+def _row_slices(arr: np.ndarray, entries: int) -> list[slice]:
+    """Slices of arr's consecutive row blocks, each of at most `entries`
+    entries, or of one row where a row holds more. Every routine that walks
+    a tensor a block at a time takes its rows from here."""
+    step = max(1, entries // max(1, arr[:1].size))
+    return [slice(i, i + step) for i in range(0, len(arr), step)]
+
+
 def _global_norm(arrays, names=None) -> tuple[float, float]:
     """(scale, root), the global L2 norm of the arrays being scale * root.
 

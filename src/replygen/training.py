@@ -39,7 +39,7 @@ from .model import (
     context_memory,
     init_params,
 )
-from .numerics import Rng, _c_order, _clip_factor
+from .numerics import Rng, _c_order, _clip_factor, _row_slices
 
 __all__ = [
     "TrainConfig",
@@ -451,12 +451,10 @@ def grad_check(params: ModelParams, batch, eps: float = 1e-5, tol: float = 1e-4)
     report: dict[str, float] = {}
     ok = True
     for name, arr in params.named_tensors().items():
-        g = grads[name]
-        if _c_order(arr) is not arr:  # walk the tensor's memory, W_o's transpose
-            arr, g = arr.T, g.T
-        flat, g = arr.reshape(-1), g.reshape(-1)  # flat is a view: writing it perturbs arr
+        flat = arr.flat  # writing flat[i] writes arr, whatever its layout
+        g = grads[name].flat
         worst = 0.0
-        for i in range(flat.size):
+        for i in range(arr.size):
             orig = flat[i]
 
             def f(x):
@@ -525,13 +523,12 @@ def sgd_step(params: ModelParams, grads: dict, lr: float,
     for t, (rows, g) in zip(tensors.values(), pairs):
         if rows is None and _c_order(t) is not t:  # walk the tensor's memory, W_o's transpose
             t, g = t.T, g.T
-        step = max(1, _UPDATE_BLOCK // max(1, t[:1].size))  # rows per block
-        for i in range(0, len(g), step):
-            src = g[i:i + step]
+        for block_rows in _row_slices(g, _UPDATE_BLOCK):
+            src = g[block_rows]
             block = buf[:src.size].reshape(src.shape)
             np.multiply(src, factor, out=block)
             block *= lr
-            t[slice(i, i + step) if rows is None else rows[i:i + step]] -= block
+            t[block_rows if rows is None else rows[block_rows]] -= block
     return factor
 
 
