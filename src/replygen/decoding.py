@@ -21,10 +21,14 @@ beam_search is its one-post case. Each post gets the hypotheses of its solo
 search, in the same order. Its scores are bit-identical to the solo search's
 wherever every post keeps more live rows than the BLAS threshold: below a
 small row count, a row's product bits depend on how many rows share the
-product (numpy 2.4 with OpenBLAS on one thread: 1 row at 8000 columns, the
-W_o product in the layout W_o is stored in, at most 4 at 256 or 768, at
-most 9 at 128). Below it, scores may differ in the
-last bits, and only a tie within that roundoff could reorder hypotheses.
+product. With numpy 2.4 and OpenBLAS on one thread, at the benchmark's
+dims, that is 1 row at W_o's 8000 columns (in the layout W_o is stored in)
+and at the decoder input's 768, at most 2 at U_zr's 512, at most 4 at the
+256 columns of U_h, W_s, W_y and W_c, and at most 9 at the 128 columns of
+L. A step forms the context's products with L, the decoder input's L c
+columns and W_c under loc and hyb only; glo's memory forms them once per
+post. Below the threshold, scores may differ in the last bits, and only a
+tie within that roundoff could reorder hypotheses.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (ModelParams, _context, _decoder_step, _start_state, context_memory,
-                    encode_post)
+from .model import (ContextMemory, ModelParams, _context, _decoder_step, _memory_rows,
+                    _start_state, context_memory, encode_post)
 
 __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response",
            "first_token_best", "exhaustive_oracle"]
@@ -118,7 +122,9 @@ class _PostBeam:
         v_resp = logp.shape[1]
         logp += self.scores[:, None]
         flat = logp.ravel()
-        tau = _kth_largest(logp[np.argmax(self.scores)], beam_size)
+        # the live scores are kept in descending order, ties included, so
+        # row 0 is the best live row
+        tau = _kth_largest(logp[0], beam_size)
         surv = np.flatnonzero(flat >= tau if tau > -np.inf else flat > -np.inf)
         vals = flat[surv]
         kth = _kth_largest(vals, beam_size)
@@ -151,15 +157,18 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
     Returns one hypothesis list per post, in input order.
 
     Each post keeps its own hypotheses, top-k cut and finished pool; the
-    posts share only the products of a step. Every step forms each post's
-    context on that post's rows against its own memory, unpadded: padding
-    the memories to a common length would change the products over
-    positions. A post's encoder, start state and first step (one row) run
-    alone, as in a solo search. From the second step on, the live rows of
-    every unfinished post are stacked, and one _decoder_step, given their
-    contexts, runs the decoder GRU and output layer once over them, into
-    one (rows, v_resp) buffer reused across steps and grown only when the
-    row count does.
+    posts share only the products of a step. A post's encoder, memory,
+    start state and first step (one row) run alone, as in a solo search.
+    From the second step on, the live rows of every unfinished post are
+    stacked, and one _decoder_step runs the decoder GRU and output layer
+    once over them, into one (rows, v_resp) buffer reused across steps and
+    grown only when the row count does. Under glo each post's context
+    products are formed once, in its memory: a solo search broadcasts its
+    post's row of them, and a joined step gathers each live row's post's
+    row. Under loc and hyb every step forms each post's context on that
+    post's rows against its own memory, unpadded (padding the memories to
+    a common length would change the products over positions), and the
+    step forms the context's products once over all rows.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -170,6 +179,14 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
     if max_len == 0 or not posts:
         return [[([], 0.0)] for _ in posts]
     memories = [context_memory(params, encode_post(params, ids)) for ids in posts]
+    glo = params.attn is None
+    if glo:
+        # every post's context products, formed once in its memory: a solo
+        # step broadcasts its post's row, a joined one gathers each live
+        # row's post's row
+        joined = memories[0] if len(posts) == 1 else ContextMemory(**{
+            name: np.concatenate([getattr(m, name) for m in memories])
+            for name in ("init", "lc", "xw_lc", "read_c")})
     beams = [_PostBeam() for _ in posts]
     buf = np.empty((0, v_resp))
 
@@ -183,16 +200,20 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
         if len(buf) < rows:
             buf = np.empty((rows, v_resp))
         logp = buf[:rows]
-        slices = np.split(states, np.cumsum(widths)[:-1])
-        c = np.concatenate([_context(params, memories[p], s)[0]
-                            for p, s in zip(active, slices)])
         if pos == 1:
             # A one-row product takes other BLAS kernels than the same row
             # among many, so each post's first step runs alone.
             states_new = np.concatenate([
-                _decoder_step(params, None, states[i:i + 1], prev[i:i + 1],
-                              out=logp[i:i + 1], c=c[i:i + 1])[0] for i in range(rows)])
+                _decoder_step(params, memories[i], states[i:i + 1], prev[i:i + 1],
+                              out=logp[i:i + 1])[0] for i in range(rows)])
+        elif glo:
+            memory = (joined if len(posts) == 1
+                      else _memory_rows(joined, np.repeat(active, widths)))
+            states_new = _decoder_step(params, memory, states, prev, out=logp)[0]
         else:
+            slices = np.split(states, np.cumsum(widths)[:-1])
+            c = np.concatenate([_context(params, memories[p], s)[0]
+                                for p, s in zip(active, slices)])
             states_new = _decoder_step(params, None, states, prev, out=logp, c=c)[0]
         logp[:, banned] = -np.inf
         if pos == 1:

@@ -9,7 +9,8 @@ weights sum to 1, so hyb's context is [attended states, g]: its memory
 holds the states alone, and g enters the scores as one term per post and
 the context as itself. The schemes differ only in the ContextMemory that
 context_memory builds from the encoder output; every decoder step reads
-its context from that memory.
+its context from that memory, or under glo, whose context is fixed, the
+context's products.
 
 Conventions used throughout: weight matrices are (d_out, d_in) and applied to
 row-stacked activations as ``x @ W.T``; states are (batch, d_h); everything is
@@ -497,24 +498,45 @@ class ContextMemory:
     the part of every score that does not depend on the decoder state,
     values @ U_a[:, :d_h].T plus one term per row, g @ U_a[:, d_h:].T + b_a
     under hyb and b_a under loc; mask (B, T) is 1 on real tokens. Under glo
-    those three are None. A memory with B == 1 serves any number of
-    decoder rows by broadcasting.
+    those three are None.
+
+    Under glo the context is fixed, so the products of it that a decoder
+    step reads are formed here once: lc (B, d_L) is init @ L.T, the
+    projected context in the decoder input; xw_lc (B, 3 d_h) is lc @
+    dec.W[:, d_emb:].T, its part of the decoder GRU's input products; and
+    read_c (B, d_r) is init @ W_c.T, the readout's context term. Under loc
+    and hyb the context changes every step, and those three are None.
+
+    A memory with B == 1 serves any number of decoder rows by broadcasting.
     """
 
     init: np.ndarray
     values: np.ndarray | None = None
     keys: np.ndarray | None = None
     mask: np.ndarray | None = None
+    lc: np.ndarray | None = None
+    xw_lc: np.ndarray | None = None
+    read_c: np.ndarray | None = None
+
+
+def _memory_rows(memory: ContextMemory, rows) -> ContextMemory:
+    """The given rows of a context memory: views for a slice, a gather for
+    an index array."""
+    return ContextMemory(**{f.name: None if (a := getattr(memory, f.name)) is None else a[rows]
+                            for f in fields(ContextMemory)})
 
 
 def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
     """Build the context memory of encoded posts once, for every decoder
-    step over them."""
+    step over them: under glo, the context's products; under loc and hyb,
+    the attention's keys."""
     init, values = enc_out.final, enc_out.states
     if params.scheme == "hyb":
         init = np.concatenate([init, enc_out.global_final], axis=1)
     if params.attn is None:
-        return ContextMemory(init)
+        lc = init @ params.L.T
+        return ContextMemory(init, lc=lc, xw_lc=lc @ params.dec.W[:, params.dims.d_emb:].T,
+                             read_c=init @ params.W_c.T)
     d_h, U_a = values.shape[2], params.attn.U_a
     keys = values @ U_a[:, :d_h].T
     keys += (init[:, d_h:] @ U_a[:, d_h:].T + params.attn.b_a)[:, None, :]
@@ -574,23 +596,27 @@ def _decoder_xw(params: ModelParams, y_emb: np.ndarray) -> np.ndarray:
     return xw
 
 
-def _readout(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray):
+def _readout(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, read_c: np.ndarray):
     """The readout tanh(W_s s_t + W_y y_emb + W_c c + b_r) of rows of
-    (s_t, y_emb, c): the input of the output layer's W_o product."""
-    return np.tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + c @ params.W_c.T + params.b_r)
+    (s_t, y_emb), given their context term read_c = c @ W_c.T, one row
+    per row or one row for all: the input of the output layer's W_o
+    product."""
+    return np.tanh(s_t @ params.W_s.T + y_emb @ params.W_y.T + read_c + params.b_r)
 
 
 def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray,
-                  out: np.ndarray | None = None):
+                  out: np.ndarray | None = None, read_c: np.ndarray | None = None):
     """Readout and output softmax for rows of (s_t, y_emb, c); returns
-    (rout, log_probs). Each row depends only on its own inputs.
+    (rout, log_probs). Each row depends only on its own inputs. The
+    readout's context term read_c = c @ W_c.T is formed from c unless it
+    is given, when c is not read.
 
     The log-probabilities go into out, a C-contiguous (rows, v_resp) array,
     when it is given. The bias and the log-softmax run on blocks of rows in
     place, so their temporaries stay a block's size however many rows the
     call has.
     """
-    rout = _readout(params, s_t, y_emb, c)
+    rout = _readout(params, s_t, y_emb, c @ params.W_c.T if read_c is None else read_c)
     logits = np.matmul(rout, params.W_o.T, out=out)
     for start in range(0, len(logits), _SOFTMAX_ROWS):
         block = logits[start:start + _SOFTMAX_ROWS]
@@ -601,20 +627,30 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
 
 def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev,
                   out: np.ndarray | None = None, c: np.ndarray | None = None):
-    """The decoding step every decoder runs: the context, the decoder GRU,
-    then the output layer. memory may hold one post broadcast over every
-    row of s_prev; when the caller passes each row's context c, memory is
-    not read. The log-probabilities go into out when it is given. Returns
-    (s_t, log_probs, alpha); alpha is the step's attention weights, None
-    under glo or when c is given."""
-    alpha = None
-    if c is None:
-        c, alpha = _context(params, memory, s_prev)
+    """The decoding step every decoder runs: the context's terms, the
+    decoder GRU, then the output layer. The context enters the GRU's input
+    products through L and the readout through W_c.
+
+    When the caller passes each row's context c, memory is not read, and
+    each term is one product over all rows. Otherwise memory holds one
+    post broadcast over every row of s_prev, or one row per row: under glo
+    the step reads both terms from its products and forms no context and
+    no product with L, dec.W's L c columns or W_c; under loc and hyb it
+    forms the context from it first. The log-probabilities go into out
+    when it is given. Returns (s_t, log_probs, alpha); alpha is the step's
+    attention weights, None under glo or when c is given."""
+    alpha = read_c = None
+    if c is None and memory.xw_lc is not None:
+        xw_c, read_c = memory.xw_lc, memory.read_c
+    else:
+        if c is None:
+            c, alpha = _context(params, memory, s_prev)
+        xw_c = (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
     y_emb = params.E_y[y_prev]
-    xw = (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
-    xw += _decoder_xw(params, y_emb)
+    xw = _decoder_xw(params, y_emb)
+    xw += xw_c
     s_t = _gru_step(params.dec, xw, s_prev)
-    return s_t, _output_layer(params, s_t, y_emb, c, out=out)[1], alpha
+    return s_t, _output_layer(params, s_t, y_emb, c, out=out, read_c=read_c)[1], alpha
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,

@@ -32,6 +32,7 @@ from .model import (
     _gru_step,
     _gru_tape,
     _mask_lengths,
+    _memory_rows,
     _new_params,
     _packing,
     _readout,
@@ -63,12 +64,6 @@ class TrainConfig:
     max_response_len: int | None = 30
 
 
-def _head(memory: ContextMemory, n: int) -> ContextMemory:
-    """The first n rows of a context memory, as views."""
-    return ContextMemory(*(None if a is None else a[:n]
-                           for a in (memory.init, memory.values, memory.keys, memory.mask)))
-
-
 def _forward(params: ModelParams, batch):
     """Shared forward pass. Returns (loss, token_count, tape).
 
@@ -86,9 +81,10 @@ def _forward(params: ModelParams, batch):
     tokens are known before the loop, so their part of the decoder GRU's
     input products comes from one product over all rows (_decoder_xw).
     Under glo each row's context is fixed, so L c and its part of the
-    input products are formed once per batch row and gathered to the
-    packed rows before the loop; under loc and hyb they depend on the
-    step's attention, so each step forms its own. Likewise the readout and
+    input products come from the context memory, which forms them once
+    per batch row, and are gathered to the packed rows before the loop;
+    under loc and hyb they depend on the step's attention, so each step
+    forms its own. Likewise the readout and
     the output softmax feed nothing back into the recurrence, so
     _output_loss runs them once over all rows after the loop, and the loss
     is the sum of the packed targets' log-probabilities. tape is what the
@@ -127,9 +123,8 @@ def _forward(params: ModelParams, batch):
     if memory.keys is None:
         row = np.nonzero(live)[1]  # each packed row's row of the memory
         c = memory.init[row]
-        lc_rows = memory.init @ params.L.T
-        lc[...] = lc_rows[row]
-        xw += (lc_rows @ W_lc.T)[row]
+        lc[...] = memory.lc[row]
+        xw += memory.xw_lc[row]
     else:
         c = np.empty((len(targets), memory.init.shape[1]))
         ta = np.empty((len(targets),) + memory.keys.shape[1:])
@@ -137,7 +132,7 @@ def _forward(params: ModelParams, batch):
     for n, rows in steps:
         s_prev[rows] = s[:n]
         if ta is not None:
-            c[rows], alpha = _context(params, _head(memory, n), s[:n], ta[rows])
+            c[rows], alpha = _context(params, _memory_rows(memory, slice(n)), s[:n], ta[rows])
             alphas.append(alpha)
             xw[rows] += np.matmul(c[rows], params.L.T, out=lc[rows]) @ W_lc.T
         s = s_t[rows] = _gru_step(params.dec, xw[rows], s_prev[rows], zr[rows], hbar[rows])
@@ -163,7 +158,7 @@ def _output_loss(params: ModelParams, s_t, y_emb, c, targets):
     log-probability, and the targets, the inputs, the readout, the
     (n_real, v_resp) exponentials and their row sums s.
     """
-    rout = _readout(params, s_t, y_emb, c)
+    rout = _readout(params, s_t, y_emb, c @ params.W_c.T)
     e = rout @ params.W_o.T
     target_logp, s = np.empty(len(targets)), np.empty(len(targets))
     for start in range(0, len(e), _SOFTMAX_ROWS):
@@ -357,7 +352,8 @@ def _backward(params: ModelParams, batch):
         if memory.keys is not None:
             np.matmul(dpre[rows], W_lc, out=dlc[rows])
             dc = dc_out[rows, :d_v] + dlc[rows] @ params.L[:, :d_v]
-            ds_carry += _attention_backward(grads, params, _head(memory, n), _head(dmemory, n),
+            ds_carry += _attention_backward(grads, params, _memory_rows(memory, slice(n)),
+                                            _memory_rows(dmemory, slice(n)),
                                             alphas[t], ta[rows], dec_tape[1][rows], dc)
     # nothing of the columns read from init reaches the state path, so
     # their gradient takes one product over all rows after the loop

@@ -467,6 +467,29 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
         np.testing.assert_allclose(alpha_b, alpha_c, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_glo_steps_read_their_context_products_from_the_memory(scheme, make_params):
+    """Under glo the memory forms L c, its decoder-input product and W_c c
+    once, and a decoder step only reads them: with L and W_c overwritten by
+    NaN after the memory is built, the step's log-probabilities are bitwise
+    those from before. Under loc and hyb every step forms its context's
+    products, so they turn NaN."""
+    params = make_params(scheme, seed=5, low=-0.5, high=0.5)
+    one = encode_post(params, [4, 9, 6, 11])
+    memory = context_memory(params, one)
+    s = np.repeat(decoder_init(params, one), 3, axis=0)
+    y = np.array([BOS_ID, 5, 7])
+    _, before, _ = _decoder_step(params, memory, s, y)
+    params.L[...] = np.nan
+    params.W_c[...] = np.nan
+    _, after, _ = _decoder_step(params, memory, s, y)
+    if scheme == "glo":
+        assert np.isfinite(after).all()
+        np.testing.assert_array_equal(after, before)
+    else:
+        assert np.isnan(after).all()
+
+
 # --- decoder -------------------------------------------------------------
 
 
