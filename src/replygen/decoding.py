@@ -16,19 +16,33 @@ emitted; suppress_unk additionally bans the unknown token. A response
 vocabulary that leaves no token to emit (the four reserved ids alone, under
 suppress_unk) is refused with a ValueError before any decoding.
 
+Every decoder reads one memory per post (model._post_memory), built once
+with the products of the post's context, so a step multiplies no context
+by L, by the decoder input's L c columns or by W_c. Under glo the context
+is fixed and a step reads its products; under loc and hyb a step forms the
+attention weights alpha over the post's positions (one W_a product of the
+decoder states and the scores) and takes both context terms from one
+product, alpha @ the post's projected states, plus the post's fixed terms
+(g's products under hyb). The decoder GRU (its input's previous-token
+columns, U_zr, U_h) and the output layer (W_s, W_y, W_o) then run once over
+all rows.
+
 beam_search_posts runs the searches of several posts together, and
 beam_search is its one-post case. Each post gets the hypotheses of its solo
-search, in the same order. Its scores are bit-identical to the solo search's
-wherever every post keeps more live rows than the BLAS threshold: below a
-small row count, a row's product bits depend on how many rows share the
-product. With numpy 2.4 and OpenBLAS on one thread, at the benchmark's
+search, in the same order. A post's attention and context products run on
+its own rows, in the shapes of its solo search, so they have its bits. Its
+scores are bit-identical to the solo search's wherever every post keeps
+more live rows than the BLAS threshold of the products the posts share:
+below a small row count, a row's product bits depend on how many rows share
+the product. With numpy 2.4 and OpenBLAS on one thread, at the benchmark's
 dims, that is 1 row at W_o's 8000 columns (in the layout W_o is stored in)
-and at the decoder input's 768, at most 2 at U_zr's 512, at most 4 at the
-256 columns of U_h, W_s, W_y and W_c, and at most 9 at the 128 columns of
-L. A step forms the context's products with L, the decoder input's L c
-columns and W_c under loc and hyb only; glo's memory forms them once per
-post. Below the threshold, scores may differ in the last bits, and only a
-tie within that roundoff could reorder hypotheses.
+and at the decoder input's 768, at most 2 at U_zr's 512, and at most 4 at
+the 256 columns of U_h, W_s and W_y. Below the threshold, scores may differ
+in the last bits, and only a tie within that roundoff could reorder
+hypotheses. The per-post product alpha @ projected states is never shared
+between posts; its threshold, at its 1024 columns (3 d_h + d_r) and any
+post length, is 1 row, so re-scoring's one-row steps can differ there from
+a search's in the last bits.
 """
 
 from __future__ import annotations
@@ -36,8 +50,8 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (ContextMemory, ModelParams, _context, _decoder_step, _memory_rows,
-                    _start_state, context_memory, encode_post)
+from .model import (ContextMemory, ModelParams, _context_terms, _decoder_step, _memory_rows,
+                    _post_memory, _start_state)
 
 __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response",
            "first_token_best", "exhaustive_oracle"]
@@ -61,13 +75,15 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     """Argmax decoding. Returns (token ids, log-prob); ties take the smallest id.
 
     max_len = 0 is the degenerate no-step case: empty response, log-prob 0.
+    The post is encoded at every max_len, so a post that cannot be (an
+    empty one, an id outside [0, v_post)) is refused with a ValueError.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     banned = _banned_ids(params.dims.v_resp, suppress_unk)
+    memory = _post_memory(params, post_ids)
     if max_len == 0:
         return [], 0.0
-    memory = context_memory(params, encode_post(params, post_ids))
     s = _start_state(params, memory)
     y_prev = np.array([BOS_ID])
     tokens: list[int] = []
@@ -157,18 +173,21 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
     Returns one hypothesis list per post, in input order.
 
     Each post keeps its own hypotheses, top-k cut and finished pool; the
-    posts share only the products of a step. A post's encoder, memory,
-    start state and first step (one row) run alone, as in a solo search.
-    From the second step on, the live rows of every unfinished post are
-    stacked, and one _decoder_step runs the decoder GRU and output layer
-    once over them, into one (rows, v_resp) buffer reused across steps and
-    grown only when the row count does. Under glo each post's context
-    products are formed once, in its memory: a solo search broadcasts its
-    post's row of them, and a joined step gathers each live row's post's
-    row. Under loc and hyb every step forms each post's context on that
-    post's rows against its own memory, unpadded (padding the memories to
-    a common length would change the products over positions), and the
-    step forms the context's products once over all rows.
+    posts share only the decoder GRU's and output layer's products. A
+    post's encoder, memory, start state and first step (one row) run
+    alone, as in a solo search. From the second step on, the live rows of
+    every unfinished post are stacked, and one _decoder_step runs the
+    decoder GRU and output layer once over them, into one (rows, v_resp)
+    buffer reused across steps and grown only when the row count does.
+    Under glo each post's context products are formed once, in its
+    memory: a solo search broadcasts its post's row of them, and a joined
+    step gathers each live row's post's row. Under loc and hyb each
+    post's context terms (model._context_terms) are formed every step on
+    that post's rows against its own memory, unpadded (padding the
+    memories to a common length would change the products over
+    positions): its attention weights times its projected states, plus
+    its fixed terms, so a post's product has the same shape joined or
+    solo.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -176,9 +195,9 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     v_resp = params.dims.v_resp
     banned = _banned_ids(v_resp, suppress_unk)
+    memories = [_post_memory(params, ids) for ids in posts]
     if max_len == 0 or not posts:
         return [[([], 0.0)] for _ in posts]
-    memories = [context_memory(params, encode_post(params, ids)) for ids in posts]
     glo = params.attn is None
     if glo:
         # every post's context products, formed once in its memory: a solo
@@ -211,10 +230,14 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
                       else _memory_rows(joined, np.repeat(active, widths)))
             states_new = _decoder_step(params, memory, states, prev, out=logp)[0]
         else:
-            slices = np.split(states, np.cumsum(widths)[:-1])
-            c = np.concatenate([_context(params, memories[p], s)[0]
-                                for p, s in zip(active, slices)])
-            states_new = _decoder_step(params, None, states, prev, out=logp, c=c)[0]
+            # each post's context terms on its own rows, in the product
+            # shapes of its solo search
+            parts = [_context_terms(params, memories[p], s)
+                     for p, s in zip(active, np.split(states, np.cumsum(widths)[:-1]))]
+            xw_c, read_c, _ = zip(*parts)
+            terms = parts[0] if len(parts) == 1 else (np.concatenate(xw_c),
+                                                      np.concatenate(read_c), None)
+            states_new = _decoder_step(params, None, states, prev, out=logp, terms=terms)[0]
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -247,7 +270,8 @@ def beam_search(params: ModelParams, post_ids, beam_size: int = 10,
     keeps the top beam_size of {finished so far} + {extensions} by cumulative
     log-prob. Returns finished hypotheses as (token ids, log-prob), sorted by
     score descending (ties: lexicographically smaller ids first). This is the
-    one-post case of beam_search_posts.
+    one-post case of beam_search_posts. At max_len 0 it returns the empty
+    response alone, once the post is checked as at any other max_len.
     """
     return beam_search_posts(params, [post_ids], beam_size, max_len, suppress_unk)[0]
 
@@ -288,7 +312,7 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
         raise ValueError(
             f"enumeration space {v_resp}^{max_len} exceeds the "
             f"{_ENUMERATION_GUARD} guard")
-    memory = context_memory(params, encode_post(params, post_ids))
+    memory = _post_memory(params, post_ids)
     alphabet = [i for i in range(v_resp) if i not in banned and i != EOS_ID]
     best: list = [None]
 

@@ -9,8 +9,10 @@ weights sum to 1, so hyb's context is [attended states, g]: its memory
 holds the states alone, and g enters the scores as one term per post and
 the context as itself. The schemes differ only in the ContextMemory that
 context_memory builds from the encoder output; every decoder step reads
-its context from that memory, or under glo, whose context is fixed, the
-context's products.
+its context from that memory. The decoders' memory of a post
+(_post_memory) also holds the products of the context that a step reads,
+under loc and hyb those of the attended states, so their steps form no
+context.
 
 Conventions used throughout: weight matrices are (d_out, d_in) and applied to
 row-stacked activations as ``x @ W.T``; states are (batch, d_h); everything is
@@ -500,12 +502,22 @@ class ContextMemory:
     under hyb and b_a under loc; mask (B, T) is 1 on real tokens. Under glo
     those three are None.
 
-    Under glo the context is fixed, so the products of it that a decoder
-    step reads are formed here once: lc (B, d_L) is init @ L.T, the
-    projected context in the decoder input; xw_lc (B, 3 d_h) is lc @
-    dec.W[:, d_emb:].T, its part of the decoder GRU's input products; and
-    read_c (B, d_r) is init @ W_c.T, the readout's context term. Under loc
-    and hyb the context changes every step, and those three are None.
+    A decoder step reads the context through two terms: L c, in the
+    decoder GRU's input products through dec.W's last d_L columns, and
+    the readout's W_c c. Both are linear in c, so each splits into the
+    products of the attended average and those of init's columns past
+    the width of values, which are fixed for a post. lc (B, d_L) is those
+    columns' part of L c, xw_lc (B, 3 d_h) its part of the input products,
+    lc @ dec.W[:, d_emb:].T, and read_c (B, d_r) their part of W_c c.
+    context_memory forms them under glo, where they are the whole terms;
+    the decoders' one-post memory (_post_memory) forms them under every
+    scheme (zeros under loc, g's products under hyb), and under loc and
+    hyb also proj (T, 3 d_h + d_r): the attended states' products,
+    [values @ L[:, :d_h].T @ dec.W[:, d_emb:].T, values @ W_c[:, :d_h].T]
+    of its post, so that a step's terms are alpha @ proj plus xw_lc and
+    read_c. proj is None under glo, and context_memory's memory under loc
+    and hyb holds none of the four: training forms its contexts' products
+    once over all rows.
 
     A memory with B == 1 serves any number of decoder rows by broadcasting.
     """
@@ -517,13 +529,22 @@ class ContextMemory:
     lc: np.ndarray | None = None
     xw_lc: np.ndarray | None = None
     read_c: np.ndarray | None = None
+    proj: np.ndarray | None = None
 
 
 def _memory_rows(memory: ContextMemory, rows) -> ContextMemory:
     """The given rows of a context memory: views for a slice, a gather for
-    an index array."""
+    an index array. The memory holds no proj, whose rows are positions."""
     return ContextMemory(**{f.name: None if (a := getattr(memory, f.name)) is None else a[rows]
                             for f in fields(ContextMemory)})
+
+
+def _fixed_terms(params: ModelParams, init: np.ndarray, d_v: int):
+    """(lc, xw_lc, read_c) of init's columns past d_v: the context's part
+    that no attention weight multiplies, projected as ContextMemory
+    describes. Zeros when d_v is init's width."""
+    lc = init[:, d_v:] @ params.L[:, d_v:].T
+    return lc, lc @ params.dec.W[:, params.dims.d_emb:].T, init[:, d_v:] @ params.W_c[:, d_v:].T
 
 
 def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
@@ -534,26 +555,49 @@ def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
     if params.scheme == "hyb":
         init = np.concatenate([init, enc_out.global_final], axis=1)
     if params.attn is None:
-        lc = init @ params.L.T
-        return ContextMemory(init, lc=lc, xw_lc=lc @ params.dec.W[:, params.dims.d_emb:].T,
-                             read_c=init @ params.W_c.T)
+        lc, xw_lc, read_c = _fixed_terms(params, init, 0)
+        return ContextMemory(init, lc=lc, xw_lc=xw_lc, read_c=read_c)
     d_h, U_a = values.shape[2], params.attn.U_a
     keys = values @ U_a[:, :d_h].T
     keys += (init[:, d_h:] @ U_a[:, d_h:].T + params.attn.b_a)[:, None, :]
     return ContextMemory(init, values, keys, enc_out.mask)
 
 
-def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, ta=None):
-    """Context for each row of s_prev. Returns (c, alpha); alpha is None for
-    glo. Under loc and hyb, the scorer's tanh(W_a s + U_a h_j + b_a) for
-    every row and position, (B, T, d_a), goes into ta when it is given: the
-    tape training's attention adjoint reads."""
-    if memory.keys is None:
-        return np.broadcast_to(memory.init, (len(s_prev), memory.init.shape[1])), None
+def _post_memory(params: ModelParams, post_ids) -> ContextMemory:
+    """The memory every decoder builds of one post (an id sequence):
+    context_memory's, and under loc and hyb also the attended states'
+    products proj and the fixed terms, so that no step forms a context or
+    a product with L, dec.W's L c columns or W_c. Re-scoring builds the
+    same, so it shares the decoders' arithmetic."""
+    memory = context_memory(params, encode_post(params, post_ids))
+    if memory.values is None:
+        return memory
+    values = memory.values[0]
+    d_v = values.shape[1]
+    memory.lc, memory.xw_lc, memory.read_c = _fixed_terms(params, memory.init, d_v)
+    memory.proj = np.concatenate(
+        [(values @ params.L[:, :d_v].T) @ params.dec.W[:, params.dims.d_emb:].T,
+         values @ params.W_c[:, :d_v].T], axis=1)
+    return memory
+
+
+def _attention(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, ta=None):
+    """Attention weights alpha (B, T) of each row of s_prev over the
+    memory's positions, 0 at padding. The scorer's tanh(W_a s + U_a h_j +
+    b_a) for every row and position, (B, T, d_a), goes into ta when it is
+    given: the tape training's attention adjoint reads."""
     ta = np.add((s_prev @ params.attn.W_a.T)[:, None, :], memory.keys, out=ta)
     scores = np.tanh(ta, out=ta) @ params.attn.v_a
     scores = np.where(memory.mask > 0.0, scores, -np.inf)
-    alpha = softmax_stable(scores, axis=1)
+    return softmax_stable(scores, axis=1)
+
+
+def _context(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, ta=None):
+    """Context for each row of s_prev. Returns (c, alpha); alpha is None for
+    glo. Under loc and hyb, ta is _attention's."""
+    if memory.keys is None:
+        return np.broadcast_to(memory.init, (len(s_prev), memory.init.shape[1])), None
+    alpha = _attention(params, memory, s_prev, ta)
     d_h = memory.values.shape[2]
     c = np.empty((len(s_prev), memory.init.shape[1]))
     # (B, 1, T) @ (B or 1, T, d_h): c_b = sum_j alpha_bj h_j, then g under hyb
@@ -625,32 +669,52 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
     return rout, logits
 
 
-def _decoder_step(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray, y_prev,
-                  out: np.ndarray | None = None, c: np.ndarray | None = None):
-    """The decoding step every decoder runs: the context's terms, the
-    decoder GRU, then the output layer. The context enters the GRU's input
-    products through L and the readout through W_c.
+def _context_terms(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
+    """The context's two terms for each row of s_prev: (xw_c, read_c,
+    alpha), with xw_c (rows, 3 d_h) = (L c) @ dec.W[:, d_emb:].T, the
+    context's part of the decoder GRU's input products, read_c (rows, d_r)
+    = c @ W_c.T, the readout's context term, and alpha the attention
+    weights, None under glo.
 
-    When the caller passes each row's context c, memory is not read, and
-    each term is one product over all rows. Otherwise memory holds one
-    post broadcast over every row of s_prev, or one row per row: under glo
-    the step reads both terms from its products and forms no context and
-    no product with L, dec.W's L c columns or W_c; under loc and hyb it
-    forms the context from it first. The log-probabilities go into out
-    when it is given. Returns (s_t, log_probs, alpha); alpha is the step's
-    attention weights, None under glo or when c is given."""
-    alpha = read_c = None
-    if c is None and memory.xw_lc is not None:
-        xw_c, read_c = memory.xw_lc, memory.read_c
-    else:
-        if c is None:
-            c, alpha = _context(params, memory, s_prev)
-        xw_c = (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
+    memory holds one post broadcast over every row of s_prev, or one row
+    per row. Under glo the terms are its products, one row per memory row,
+    which broadcast over s_prev's rows in the step's sums. With proj
+    (the decoders' one-post memory under loc and hyb) they are alpha @
+    proj, one product, plus the fixed terms: no context is formed and no
+    product with L, dec.W or W_c. Otherwise (context_memory's memory under
+    loc and hyb) the context c is formed and multiplied by L, dec.W's L c
+    columns and W_c."""
+    if memory.keys is None:
+        return memory.xw_lc, memory.read_c, None
+    if memory.proj is None:
+        c, alpha = _context(params, memory, s_prev)
+        return ((c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T,
+                c @ params.W_c.T, alpha)
+    alpha = _attention(params, memory, s_prev)
+    terms = alpha @ memory.proj
+    d_x = memory.xw_lc.shape[1]
+    xw_c, read_c = terms[:, :d_x], terms[:, d_x:]
+    xw_c += memory.xw_lc
+    read_c += memory.read_c
+    return xw_c, read_c, alpha
+
+
+def _decoder_step(params: ModelParams, memory: ContextMemory | None, s_prev: np.ndarray,
+                  y_prev, out: np.ndarray | None = None, terms: tuple | None = None):
+    """The decoding step every decoder runs: the context's terms, the
+    decoder GRU, then the output layer.
+
+    The terms are _context_terms(params, memory, s_prev) unless the caller
+    passes them, when memory is not read. The log-probabilities go into
+    out when it is given. Returns (s_t, log_probs, alpha); alpha is the
+    step's attention weights, None under glo (and the terms' third entry
+    when they are given)."""
+    xw_c, read_c, alpha = _context_terms(params, memory, s_prev) if terms is None else terms
     y_emb = params.E_y[y_prev]
     xw = _decoder_xw(params, y_emb)
     xw += xw_c
     s_t = _gru_step(params.dec, xw, s_prev)
-    return s_t, _output_layer(params, s_t, y_emb, c, out=out, read_c=read_c)[1], alpha
+    return s_t, _output_layer(params, s_t, y_emb, None, out=out, read_c=read_c)[1], alpha
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,
@@ -687,7 +751,7 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     if markers.size:
         raise ValueError(f"response id {int(markers[0])} is a padding, begin or end "
                          f"marker, which a response holds only as its frame")
-    memory = context_memory(params, encode_post(params, post_ids))
+    memory = _post_memory(params, post_ids)
     s = _start_state(params, memory)
     targets = resp.tolist() + [EOS_ID]
     y_prev = np.array([BOS_ID])

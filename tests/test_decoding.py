@@ -16,9 +16,8 @@ from replygen.decoding import (
 )
 from replygen.model import (
     _decoder_step,
+    _post_memory,
     _start_state,
-    context_memory,
-    encode_post,
     sequence_log_likelihood,
 )
 from replygen.training import TrainConfig, init_params, train
@@ -78,6 +77,22 @@ def test_greedy_degenerate_max_len(make_params):
     assert greedy_decode(make_params("glo"), [4, 5], max_len=0) == ([], 0.0)
     with pytest.raises(ValueError):
         greedy_decode(make_params("glo"), [4, 5], max_len=-1)
+
+
+@pytest.mark.parametrize("decode", [
+    lambda p, post: greedy_decode(p, post, max_len=0),
+    lambda p, post: beam_search(p, post, 3, 0),
+    lambda p, post: beam_search_posts(p, [[4, 5], post], 3, 0),
+    lambda p, post: multi_response(p, post, 3, 0),
+], ids=["greedy", "beam", "beam-posts", "multi"])
+@pytest.mark.parametrize("post, message", [([99], "post id 99 is outside the vocabulary"),
+                                           ([], "cannot encode an empty post")],
+                         ids=["outside", "empty"])
+def test_max_len_zero_still_refuses_a_bad_post(decode, post, message, make_params):
+    """max_len 0 runs no step, but a post the decoders could not encode is
+    refused as at any other max_len."""
+    with pytest.raises(ValueError, match=message):
+        decode(make_params("loc"), post)
 
 
 def test_greedy_cap_still_scores_the_close(make_params):
@@ -185,7 +200,7 @@ def full_partition_beam_search(params, post_ids, beam_size, max_len, suppress_un
     beam_search. seen collects which selection cases the steps hit: "tie"
     when the k-th score sits inside a tie group that the cut splits, and
     "tau_finite" / "tau_inf" for the best live row's beam_size-th score."""
-    memory = context_memory(params, encode_post(params, post_ids))
+    memory = _post_memory(params, post_ids)
     v_resp = params.dims.v_resp
     banned = [PAD_ID, BOS_ID, UNK_ID] if suppress_unk else [PAD_ID, BOS_ID]
     live_tokens, live_scores = [()], np.zeros(1)

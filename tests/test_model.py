@@ -19,6 +19,8 @@ from replygen.model import (
     _decoder_step,
     _gru_step,
     _packing,
+    _post_memory,
+    _start_state,
     context_memory,
     context_vector,
     decoder_init,
@@ -488,6 +490,45 @@ def test_glo_steps_read_their_context_products_from_the_memory(scheme, make_para
         np.testing.assert_array_equal(after, before)
     else:
         assert np.isnan(after).all()
+
+
+@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
+def test_decoder_steps_read_every_context_product_from_the_post_memory(scheme, make_params):
+    """The decoders' memory of a post holds every product of the context a
+    step reads: under glo the context's, under loc and hyb the attended
+    states' and g's. With L and W_c overwritten by NaN after it is built,
+    a step's log-probabilities stay finite and bitwise those from before."""
+    params = make_params(scheme, seed=5, low=-0.5, high=0.5)
+    memory = _post_memory(params, [4, 9, 6, 11])
+    s = np.repeat(_start_state(params, memory), 3, axis=0)
+    y = np.array([BOS_ID, 5, 7])
+    _, before, _ = _decoder_step(params, memory, s, y)
+    params.L[...] = np.nan
+    params.W_c[...] = np.nan
+    _, after, _ = _decoder_step(params, memory, s, y)
+    assert np.isfinite(after).all()
+    np.testing.assert_array_equal(after, before)
+
+
+@pytest.mark.parametrize("scheme", ["loc", "hyb"])
+def test_projected_step_matches_the_context_vector_step(scheme, make_params):
+    """A step on the decoders' memory (alpha @ the projected states) agrees
+    with the public decoder_step, which forms the context vector and its
+    products, up to roundoff, with bitwise the same attention weights."""
+    params = make_params(scheme, seed=6, low=-0.5, high=0.5)
+    post = [4, 9, 6, 11, 5, 7]
+    enc_out = encode_post(params, post)
+    memory = _post_memory(params, post)
+    rng = Rng(33)
+    s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(4)])
+    y = np.array([BOS_ID, 5, 7, 9])
+    for _ in range(3):
+        s_p, logp, alpha_p = _decoder_step(params, memory, s, y)
+        s_c, probs, alpha_c = decoder_step(params, enc_out, s, y)
+        np.testing.assert_array_equal(alpha_p, alpha_c)
+        np.testing.assert_allclose(s_p, s_c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logp, np.log(probs), rtol=0, atol=1e-12)
+        s, y = s_c, probs.argmax(axis=1)
 
 
 # --- decoder -------------------------------------------------------------
