@@ -17,15 +17,16 @@ vocabulary that leaves no token to emit (the four reserved ids alone, under
 suppress_unk) is refused with a ValueError before any decoding.
 
 Every decoder reads one memory per post (model._post_memory), built once
-with the products of the post's context, so a step multiplies no context
-by L, by the decoder input's L c columns or by W_c. Under glo the context
-is fixed and a step reads its products; under loc and hyb a step forms the
-attention weights alpha over the post's positions (one W_a product of the
-decoder states and the scores) and takes both context terms from one
-product, alpha @ the post's projected states, plus the post's fixed terms
-(g's products under hyb). The decoder GRU (its input's previous-token
-columns, U_zr, U_h) and the output layer (W_s, W_y, W_o) then run once over
-all rows.
+with the products of the post's context, and runs every step as
+model._context_terms on that memory, then model._decoder_step, so a step
+multiplies no context by L, by the decoder input's L c columns or by W_c.
+Under glo the context is fixed and a step reads its products; under loc
+and hyb a step forms the attention weights alpha over the post's positions
+(one W_a product of the decoder states and the scores) and takes both
+context terms from one product, alpha @ the post's projected states, plus
+the post's fixed terms (g's products under hyb). The decoder GRU (its
+input's previous-token columns, U_zr, U_h) and the output layer (W_s, W_y,
+W_o) then run once over all rows.
 
 beam_search_posts runs the searches of several posts together, and
 beam_search is its one-post case. Each post gets the hypotheses of its solo
@@ -47,11 +48,13 @@ a search's in the last bits.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID
-from .model import (ContextMemory, ModelParams, _context_terms, _decoder_step, _memory_rows,
-                    _post_memory, _start_state)
+from .model import (ModelParams, _context_terms, _decoder_step, _post_memory, _start_state,
+                    encode_post)
 
 __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response",
            "first_token_best", "exhaustive_oracle"]
@@ -81,7 +84,7 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     banned = _banned_ids(params.dims.v_resp, suppress_unk)
-    memory = _post_memory(params, post_ids)
+    memory = _post_memory(params, encode_post(params, post_ids))
     if max_len == 0:
         return [], 0.0
     s = _start_state(params, memory)
@@ -89,7 +92,7 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     tokens: list[int] = []
     score = 0.0
     for pos in range(1, max_len + 1):
-        s, logp, _ = _decoder_step(params, memory, s, y_prev)
+        s, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
         row = logp[0]
         row[banned] = -np.inf
         if pos == 1:
@@ -101,7 +104,7 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
         tokens.append(tok)
         y_prev = np.array([tok])
     # length cap reached: close with the end marker so the score re-checks
-    _, logp, _ = _decoder_step(params, memory, s, y_prev)
+    _, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
     return tokens, score + float(logp[0, EOS_ID])
 
 
@@ -167,6 +170,19 @@ class _PostBeam:
         return [(list(tokens), score) for score, tokens in self.finished]
 
 
+def _joined_terms(parts, widths):
+    """The context terms of consecutive posts' rows, from each post's own
+    (_context_terms on its widths[k] rows), concatenated: under glo a
+    post's terms are one row, repeated over its rows. One post's terms
+    are its own; the alpha of several is not kept."""
+    if len(parts) == 1:
+        return parts[0]
+    xw_c, read_c = (np.concatenate(column) for column in list(zip(*parts))[:2])
+    if len(xw_c) < sum(widths):
+        xw_c, read_c = np.repeat(xw_c, widths, axis=0), np.repeat(read_c, widths, axis=0)
+    return xw_c, read_c, None
+
+
 def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
                       max_len: int = 30, suppress_unk: bool = False) -> list:
     """beam_search for each of several posts (id sequences), run together.
@@ -174,20 +190,20 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
 
     Each post keeps its own hypotheses, top-k cut and finished pool; the
     posts share only the decoder GRU's and output layer's products. A
-    post's encoder, memory, start state and first step (one row) run
-    alone, as in a solo search. From the second step on, the live rows of
-    every unfinished post are stacked, and one _decoder_step runs the
-    decoder GRU and output layer once over them, into one (rows, v_resp)
-    buffer reused across steps and grown only when the row count does.
-    Under glo each post's context products are formed once, in its
-    memory: a solo search broadcasts its post's row of them, and a joined
-    step gathers each live row's post's row. Under loc and hyb each
-    post's context terms (model._context_terms) are formed every step on
-    that post's rows against its own memory, unpadded (padding the
+    post's encoder, memory and start state are its own. Every step has one
+    body: each post's context terms (model._context_terms) are formed on
+    that post's live rows against its own memory, unpadded (padding the
     memories to a common length would change the products over
-    positions): its attention weights times its projected states, plus
-    its fixed terms, so a post's product has the same shape joined or
-    solo.
+    positions), so a post's products have the same shapes joined or solo.
+    Under glo they are the post's one row of fixed products, which a solo
+    search uses as it is and a joined step repeats over the post's rows;
+    under loc and hyb, its attention weights times its projected states,
+    plus its fixed terms. The posts' terms are concatenated, and one
+    _decoder_step runs the decoder GRU and output layer over a span of
+    posts' rows, into one (rows, v_resp) buffer reused across steps and
+    grown only when the row count does. The span is every post from the
+    second step on, and each post alone at the first, whose one row is
+    then computed as in a solo search.
     """
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
@@ -195,17 +211,9 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     v_resp = params.dims.v_resp
     banned = _banned_ids(v_resp, suppress_unk)
-    memories = [_post_memory(params, ids) for ids in posts]
+    memories = [_post_memory(params, encode_post(params, ids)) for ids in posts]
     if max_len == 0 or not posts:
         return [[([], 0.0)] for _ in posts]
-    glo = params.attn is None
-    if glo:
-        # every post's context products, formed once in its memory: a solo
-        # step broadcasts its post's row, a joined one gathers each live
-        # row's post's row
-        joined = memories[0] if len(posts) == 1 else ContextMemory(**{
-            name: np.concatenate([getattr(m, name) for m in memories])
-            for name in ("init", "lc", "xw_lc", "read_c")})
     beams = [_PostBeam() for _ in posts]
     buf = np.empty((0, v_resp))
 
@@ -215,29 +223,22 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
     # position max_len + 1 exists only to close still-live hypotheses
     for pos in range(1, max_len + 2):
         widths = [len(beams[p].tokens) for p in active]
-        rows = sum(widths)
-        if len(buf) < rows:
-            buf = np.empty((rows, v_resp))
-        logp = buf[:rows]
-        if pos == 1:
-            # A one-row product takes other BLAS kernels than the same row
-            # among many, so each post's first step runs alone.
-            states_new = np.concatenate([
-                _decoder_step(params, memories[i], states[i:i + 1], prev[i:i + 1],
-                              out=logp[i:i + 1])[0] for i in range(rows)])
-        elif glo:
-            memory = (joined if len(posts) == 1
-                      else _memory_rows(joined, np.repeat(active, widths)))
-            states_new = _decoder_step(params, memory, states, prev, out=logp)[0]
-        else:
-            # each post's context terms on its own rows, in the product
-            # shapes of its solo search
-            parts = [_context_terms(params, memories[p], s)
-                     for p, s in zip(active, np.split(states, np.cumsum(widths)[:-1]))]
-            xw_c, read_c, _ = zip(*parts)
-            terms = parts[0] if len(parts) == 1 else (np.concatenate(xw_c),
-                                                      np.concatenate(read_c), None)
-            states_new = _decoder_step(params, None, states, prev, out=logp, terms=terms)[0]
+        edges = [0, *itertools.accumulate(widths)]  # each active post's rows
+        if len(buf) < edges[-1]:
+            buf = np.empty((edges[-1], v_resp))
+        logp = buf[:edges[-1]]
+        # A one-row product takes other BLAS kernels than the same row among
+        # many, so each post's one-row first step runs alone: a span of
+        # posts per step, one post each at the first.
+        cuts = range(len(active) + 1) if pos == 1 else (0, len(active))
+        span_states = []
+        for a, b in zip(cuts, cuts[1:]):
+            parts = [_context_terms(params, memories[p], states[edges[k]:edges[k + 1]])
+                     for k, p in enumerate(active[a:b], a)]
+            rows = slice(edges[a], edges[b])
+            span_states.append(_decoder_step(params, _joined_terms(parts, widths[a:b]),
+                                             states[rows], prev[rows], out=logp[rows])[0])
+        states_new = span_states[0] if len(span_states) == 1 else np.concatenate(span_states)
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -246,13 +247,12 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
             logp[:] = -np.inf
             logp[:, EOS_ID] = eos_col
 
-        parents, still, start = [], [], 0
-        for p, width in zip(active, widths):
-            kept = beams[p].select(logp[start:start + width], beam_size)
+        parents, still = [], []
+        for p, start, end in zip(active, edges, edges[1:]):
+            kept = beams[p].select(logp[start:end], beam_size)
             parents.extend(start + k for k in kept)
             if kept:
                 still.append(p)
-            start += width
         active = still
         if not active:
             break
@@ -312,12 +312,13 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
         raise ValueError(
             f"enumeration space {v_resp}^{max_len} exceeds the "
             f"{_ENUMERATION_GUARD} guard")
-    memory = _post_memory(params, post_ids)
+    memory = _post_memory(params, encode_post(params, post_ids))
     alphabet = [i for i in range(v_resp) if i not in banned and i != EOS_ID]
     best: list = [None]
 
     def walk(state, y_prev, tokens, score):
-        _state_new, logp, _ = _decoder_step(params, memory, state, y_prev)
+        _state_new, logp, _ = _decoder_step(params, _context_terms(params, memory, state),
+                                            state, y_prev)
         row = logp[0]
         if tokens:
             closed = (score + float(row[EOS_ID]), tokens)

@@ -8,11 +8,11 @@ final state g of a second, separately parameterized encoder. Attention
 weights sum to 1, so hyb's context is [attended states, g]: its memory
 holds the states alone, and g enters the scores as one term per post and
 the context as itself. The schemes differ only in the ContextMemory that
-context_memory builds from the encoder output; every decoder step reads
-its context from that memory. The decoders' memory of a post
-(_post_memory) also holds the products of the context that a step reads,
-under loc and hyb those of the attended states, so their steps form no
-context.
+context_memory builds from the encoder output, which training reads. Every
+decoding step, the public decoder_step's included, reads the decoders'
+memory of its posts (_post_memory): context_memory's, plus the products of
+the context that a step reads, under loc and hyb those of the attended
+states, so a decoding step forms no context.
 
 Conventions used throughout: weight matrices are (d_out, d_in) and applied to
 row-stacked activations as ``x @ W.T``; states are (batch, d_h); everything is
@@ -510,14 +510,14 @@ class ContextMemory:
     columns' part of L c, xw_lc (B, 3 d_h) its part of the input products,
     lc @ dec.W[:, d_emb:].T, and read_c (B, d_r) their part of W_c c.
     context_memory forms them under glo, where they are the whole terms;
-    the decoders' one-post memory (_post_memory) forms them under every
-    scheme (zeros under loc, g's products under hyb), and under loc and
-    hyb also proj (T, 3 d_h + d_r): the attended states' products,
-    [values @ L[:, :d_h].T @ dec.W[:, d_emb:].T, values @ W_c[:, :d_h].T]
-    of its post, so that a step's terms are alpha @ proj plus xw_lc and
-    read_c. proj is None under glo, and context_memory's memory under loc
-    and hyb holds none of the four: training forms its contexts' products
-    once over all rows.
+    the decoders' memory (_post_memory) forms them under every scheme
+    (zeros under loc, g's products under hyb), and under loc and hyb also
+    proj (B, T, 3 d_h + d_r): the attended states' products,
+    [values @ L[:, :d_h].T @ dec.W[:, d_emb:].T, values @ W_c[:, :d_h].T],
+    so that a step's terms are alpha @ proj plus xw_lc and read_c. proj
+    is None under glo. context_memory's memory under loc and hyb holds
+    none of the four: training forms its contexts' products once over
+    all rows.
 
     A memory with B == 1 serves any number of decoder rows by broadcasting.
     """
@@ -534,7 +534,8 @@ class ContextMemory:
 
 def _memory_rows(memory: ContextMemory, rows) -> ContextMemory:
     """The given rows of a context memory: views for a slice, a gather for
-    an index array. The memory holds no proj, whose rows are positions."""
+    an index array. Training's packed steps read their live rows through
+    it; its memory holds no proj."""
     return ContextMemory(**{f.name: None if (a := getattr(memory, f.name)) is None else a[rows]
                             for f in fields(ContextMemory)})
 
@@ -563,21 +564,22 @@ def context_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
     return ContextMemory(init, values, keys, enc_out.mask)
 
 
-def _post_memory(params: ModelParams, post_ids) -> ContextMemory:
-    """The memory every decoder builds of one post (an id sequence):
-    context_memory's, and under loc and hyb also the attended states'
-    products proj and the fixed terms, so that no step forms a context or
-    a product with L, dec.W's L c columns or W_c. Re-scoring builds the
+def _post_memory(params: ModelParams, enc_out: EncodedPost) -> ContextMemory:
+    """The memory every decoding step reads of encoded posts: context_memory's,
+    and under loc and hyb also the attended states' products proj and the
+    fixed terms, so that no step forms a context or a product with L,
+    dec.W's L c columns or W_c. proj is one product over the posts' B T
+    positions, so one post's is that post's alone. Re-scoring builds the
     same, so it shares the decoders' arithmetic."""
-    memory = context_memory(params, encode_post(params, post_ids))
+    memory = context_memory(params, enc_out)
     if memory.values is None:
         return memory
-    values = memory.values[0]
-    d_v = values.shape[1]
+    b, t, d_v = memory.values.shape
+    values = memory.values.reshape(b * t, d_v)
     memory.lc, memory.xw_lc, memory.read_c = _fixed_terms(params, memory.init, d_v)
     memory.proj = np.concatenate(
         [(values @ params.L[:, :d_v].T) @ params.dec.W[:, params.dims.d_emb:].T,
-         values @ params.W_c[:, :d_v].T], axis=1)
+         values @ params.W_c[:, :d_v].T], axis=1).reshape(b, t, -1)
     return memory
 
 
@@ -670,28 +672,23 @@ def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np
 
 
 def _context_terms(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
-    """The context's two terms for each row of s_prev: (xw_c, read_c,
-    alpha), with xw_c (rows, 3 d_h) = (L c) @ dec.W[:, d_emb:].T, the
-    context's part of the decoder GRU's input products, read_c (rows, d_r)
-    = c @ W_c.T, the readout's context term, and alpha the attention
-    weights, None under glo.
+    """The context's two terms for each row of s_prev, read from the
+    decoders' memory (_post_memory): (xw_c, read_c, alpha), with xw_c
+    (rows, 3 d_h) = (L c) @ dec.W[:, d_emb:].T, the context's part of the
+    decoder GRU's input products, read_c (rows, d_r) = c @ W_c.T, the
+    readout's context term, and alpha the attention weights, None under
+    glo. No context is formed, and no product with L, dec.W or W_c.
 
-    memory holds one post broadcast over every row of s_prev, or one row
+    memory holds one post broadcast over every row of s_prev, or one post
     per row. Under glo the terms are its products, one row per memory row,
-    which broadcast over s_prev's rows in the step's sums. With proj
-    (the decoders' one-post memory under loc and hyb) they are alpha @
-    proj, one product, plus the fixed terms: no context is formed and no
-    product with L, dec.W or W_c. Otherwise (context_memory's memory under
-    loc and hyb) the context c is formed and multiplied by L, dec.W's L c
-    columns and W_c."""
+    which broadcast over s_prev's rows in the step's sums. Under loc and
+    hyb they are alpha @ proj, one product (one per row when the memory
+    holds a post per row), plus the fixed terms."""
     if memory.keys is None:
         return memory.xw_lc, memory.read_c, None
-    if memory.proj is None:
-        c, alpha = _context(params, memory, s_prev)
-        return ((c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T,
-                c @ params.W_c.T, alpha)
     alpha = _attention(params, memory, s_prev)
-    terms = alpha @ memory.proj
+    proj = memory.proj
+    terms = alpha @ proj[0] if len(proj) == 1 else (alpha[:, None, :] @ proj)[:, 0]
     d_x = memory.xw_lc.shape[1]
     xw_c, read_c = terms[:, :d_x], terms[:, d_x:]
     xw_c += memory.xw_lc
@@ -699,17 +696,14 @@ def _context_terms(params: ModelParams, memory: ContextMemory, s_prev: np.ndarra
     return xw_c, read_c, alpha
 
 
-def _decoder_step(params: ModelParams, memory: ContextMemory | None, s_prev: np.ndarray,
-                  y_prev, out: np.ndarray | None = None, terms: tuple | None = None):
-    """The decoding step every decoder runs: the context's terms, the
-    decoder GRU, then the output layer.
-
-    The terms are _context_terms(params, memory, s_prev) unless the caller
-    passes them, when memory is not read. The log-probabilities go into
-    out when it is given. Returns (s_t, log_probs, alpha); alpha is the
-    step's attention weights, None under glo (and the terms' third entry
-    when they are given)."""
-    xw_c, read_c, alpha = _context_terms(params, memory, s_prev) if terms is None else terms
+def _decoder_step(params: ModelParams, terms: tuple, s_prev: np.ndarray, y_prev,
+                  out: np.ndarray | None = None):
+    """The decoding step every decoder runs, given the context's terms
+    (xw_c, read_c, alpha) of the rows of s_prev, as _context_terms gives
+    them: the decoder GRU, then the output layer. The log-probabilities go
+    into out when it is given. Returns (s_t, log_probs, alpha), alpha the
+    terms' own (None under glo)."""
+    xw_c, read_c, alpha = terms
     y_emb = params.E_y[y_prev]
     xw = _decoder_xw(params, y_emb)
     xw += xw_c
@@ -723,12 +717,13 @@ def decoder_step(params: ModelParams, enc_out: EncodedPost,
 
     probs is the full next-token distribution (B, v_resp); alpha is the
     attention weights used for this step, or None under the glo scheme.
-    The context memory is built from enc_out on every call; enc_out may
-    hold one post broadcast over every row of s_prev. Every id in y_prev
-    must be an integer in [0, v_resp), else ValueError.
+    The decoders' memory is built from enc_out on every call; enc_out may
+    hold one post broadcast over every row of s_prev, or one post per row.
+    Every id in y_prev must be an integer in [0, v_resp), else ValueError.
     """
     y_prev = _check_ids(y_prev, params.dims.v_resp, "response")
-    s_t, logp, alpha = _decoder_step(params, context_memory(params, enc_out), s_prev, y_prev)
+    terms = _context_terms(params, _post_memory(params, enc_out), s_prev)
+    s_t, logp, alpha = _decoder_step(params, terms, s_prev, y_prev)
     return s_t, np.exp(logp), alpha
 
 
@@ -751,13 +746,13 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     if markers.size:
         raise ValueError(f"response id {int(markers[0])} is a padding, begin or end "
                          f"marker, which a response holds only as its frame")
-    memory = _post_memory(params, post_ids)
+    memory = _post_memory(params, encode_post(params, post_ids))
     s = _start_state(params, memory)
     targets = resp.tolist() + [EOS_ID]
     y_prev = np.array([BOS_ID])
     total = 0.0
     for y_t in targets:
-        s, logp, _ = _decoder_step(params, memory, s, y_prev)
+        s, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
         total += float(logp[0, y_t])
         y_prev = np.array([y_t])
     return total

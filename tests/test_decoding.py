@@ -15,9 +15,11 @@ from replygen.decoding import (
     multi_response,
 )
 from replygen.model import (
+    _context_terms,
     _decoder_step,
     _post_memory,
     _start_state,
+    encode_post,
     sequence_log_likelihood,
 )
 from replygen.training import TrainConfig, init_params, train
@@ -200,14 +202,15 @@ def full_partition_beam_search(params, post_ids, beam_size, max_len, suppress_un
     beam_search. seen collects which selection cases the steps hit: "tie"
     when the k-th score sits inside a tie group that the cut splits, and
     "tau_finite" / "tau_inf" for the best live row's beam_size-th score."""
-    memory = _post_memory(params, post_ids)
+    memory = _post_memory(params, encode_post(params, post_ids))
     v_resp = params.dims.v_resp
     banned = [PAD_ID, BOS_ID, UNK_ID] if suppress_unk else [PAD_ID, BOS_ID]
     live_tokens, live_scores = [()], np.zeros(1)
     live_states, live_prev = _start_state(params, memory), np.array([BOS_ID])
     finished = []
     for pos in range(1, max_len + 2):
-        states_new, logp, _ = _decoder_step(params, memory, live_states, live_prev)
+        states_new, logp, _ = _decoder_step(params, _context_terms(params, memory, live_states),
+                                            live_states, live_prev)
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf

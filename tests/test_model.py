@@ -16,12 +16,14 @@ from replygen.model import (
     CheckpointFormatError,
     EncodedPost,
     ModelParams,
+    _context_terms,
     _decoder_step,
+    _decoder_xw,
     _gru_step,
+    _output_layer,
     _packing,
     _post_memory,
     _start_state,
-    context_memory,
     context_vector,
     decoder_init,
     decoder_step,
@@ -444,11 +446,13 @@ def test_single_token_post_reduces_to_global_context():
 @pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
 def test_broadcast_memory_matches_copied_rows(scheme, make_params):
     """One post's encoding and memory serve n decoder rows by broadcasting,
-    as the decoders use them, with the results of an n-row copy."""
+    as the decoders use them, with the results of an n-row copy. A padded
+    batch of posts of different lengths, one post per row, steps each row
+    as that post's own memory does, with alpha exactly 0 at padding."""
     params = make_params(scheme, seed=8, low=-0.5, high=0.5)
     rng = Rng(32)
     one = encode_post(params, [4, 9, 6, 11, 5])
-    memory = context_memory(params, one)
+    memory = _post_memory(params, one)
     n = 5
     copied = EncodedPost(
         states=np.repeat(one.states, n, axis=0), mask=np.repeat(one.mask, n, axis=0),
@@ -457,8 +461,9 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
         else np.repeat(one.global_final, n, axis=0))
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(n)])
     y = np.array([4 + rng.randrange(8) for _ in range(n)])
-    s_b, logp_b, alpha_b = _decoder_step(params, memory, s, y)
-    s_c, logp_c, alpha_c = _decoder_step(params, context_memory(params, copied), s, y)
+    s_b, logp_b, alpha_b = _decoder_step(params, _context_terms(params, memory, s), s, y)
+    memory_c = _post_memory(params, copied)
+    s_c, logp_c, alpha_c = _decoder_step(params, _context_terms(params, memory_c, s), s, y)
     np.testing.assert_allclose(s_b, s_c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(logp_b, logp_c, rtol=0, atol=1e-12)
     assert memory.init.shape == (1, params.W_0.shape[1])
@@ -468,28 +473,26 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
         assert memory.keys.shape[0] == 1 and alpha_b.shape == (n, 5)
         np.testing.assert_allclose(alpha_b, alpha_c, rtol=0, atol=1e-12)
 
-
-@pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
-def test_glo_steps_read_their_context_products_from_the_memory(scheme, make_params):
-    """Under glo the memory forms L c, its decoder-input product and W_c c
-    once, and a decoder step only reads them: with L and W_c overwritten by
-    NaN after the memory is built, the step's log-probabilities are bitwise
-    those from before. Under loc and hyb every step forms its context's
-    products, so they turn NaN."""
-    params = make_params(scheme, seed=5, low=-0.5, high=0.5)
-    one = encode_post(params, [4, 9, 6, 11])
-    memory = context_memory(params, one)
-    s = np.repeat(decoder_init(params, one), 3, axis=0)
-    y = np.array([BOS_ID, 5, 7])
-    _, before, _ = _decoder_step(params, memory, s, y)
-    params.L[...] = np.nan
-    params.W_c[...] = np.nan
-    _, after, _ = _decoder_step(params, memory, s, y)
+    posts = [[4, 9, 6, 11, 5], [7, 8], [10]]
+    ids, mask = np.zeros((len(posts), 5), dtype=np.int64), np.zeros((len(posts), 5))
+    for i, post in enumerate(posts):
+        ids[i, :len(post)], mask[i, :len(post)] = post, 1.0
+    batch = encode(params, ids, mask)
+    s_p, probs, alpha_p = decoder_step(params, batch, s[:3], y[:3])
+    for i, post in enumerate(posts):
+        own = _post_memory(params, encode_post(params, post))
+        row = slice(i, i + 1)
+        s_o, logp_o, alpha_o = _decoder_step(params, _context_terms(params, own, s[row]),
+                                             s[row], y[row])
+        np.testing.assert_allclose(s_p[row], s_o, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.log(probs[row]), logp_o, rtol=0, atol=1e-12)
+        if scheme != "glo":
+            np.testing.assert_allclose(alpha_p[row, :len(post)], alpha_o, rtol=0, atol=1e-12)
     if scheme == "glo":
-        assert np.isfinite(after).all()
-        np.testing.assert_array_equal(after, before)
+        assert alpha_p is None
     else:
-        assert np.isnan(after).all()
+        assert _post_memory(params, batch).proj.shape[:2] == (len(posts), 5)
+        assert (alpha_p[mask == 0.0] == 0.0).all()
 
 
 @pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])
@@ -499,36 +502,48 @@ def test_decoder_steps_read_every_context_product_from_the_post_memory(scheme, m
     states' and g's. With L and W_c overwritten by NaN after it is built,
     a step's log-probabilities stay finite and bitwise those from before."""
     params = make_params(scheme, seed=5, low=-0.5, high=0.5)
-    memory = _post_memory(params, [4, 9, 6, 11])
+    memory = _post_memory(params, encode_post(params, [4, 9, 6, 11]))
     s = np.repeat(_start_state(params, memory), 3, axis=0)
     y = np.array([BOS_ID, 5, 7])
-    _, before, _ = _decoder_step(params, memory, s, y)
+    _, before, _ = _decoder_step(params, _context_terms(params, memory, s), s, y)
     params.L[...] = np.nan
     params.W_c[...] = np.nan
-    _, after, _ = _decoder_step(params, memory, s, y)
+    _, after, _ = _decoder_step(params, _context_terms(params, memory, s), s, y)
     assert np.isfinite(after).all()
     np.testing.assert_array_equal(after, before)
+
+
+def _context_vector_step(params, enc_out, s_prev, y_prev):
+    """A decoder step that forms the context vector c (public
+    context_vector), then L c, its product with dec.W's L c columns and
+    W_c c, then the GRU and output layer: the arithmetic that the
+    decoders' projected memory replaces. Returns (s_t, log_probs, alpha)."""
+    c, alpha = context_vector(params, enc_out, s_prev)
+    y_emb = params.E_y[y_prev]
+    xw = _decoder_xw(params, y_emb)
+    xw += (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
+    s_t = _gru_step(params.dec, xw, s_prev)
+    return s_t, _output_layer(params, s_t, y_emb, c)[1], alpha
 
 
 @pytest.mark.parametrize("scheme", ["loc", "hyb"])
 def test_projected_step_matches_the_context_vector_step(scheme, make_params):
     """A step on the decoders' memory (alpha @ the projected states) agrees
-    with the public decoder_step, which forms the context vector and its
-    products, up to roundoff, with bitwise the same attention weights."""
+    with a step that forms the context vector and its products, up to
+    roundoff, with bitwise the same attention weights."""
     params = make_params(scheme, seed=6, low=-0.5, high=0.5)
-    post = [4, 9, 6, 11, 5, 7]
-    enc_out = encode_post(params, post)
-    memory = _post_memory(params, post)
+    enc_out = encode_post(params, [4, 9, 6, 11, 5, 7])
+    memory = _post_memory(params, enc_out)
     rng = Rng(33)
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(4)])
     y = np.array([BOS_ID, 5, 7, 9])
     for _ in range(3):
-        s_p, logp, alpha_p = _decoder_step(params, memory, s, y)
-        s_c, probs, alpha_c = decoder_step(params, enc_out, s, y)
+        s_p, logp, alpha_p = _decoder_step(params, _context_terms(params, memory, s), s, y)
+        s_c, logp_c, alpha_c = _context_vector_step(params, enc_out, s, y)
         np.testing.assert_array_equal(alpha_p, alpha_c)
         np.testing.assert_allclose(s_p, s_c, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(logp, np.log(probs), rtol=0, atol=1e-12)
-        s, y = s_c, probs.argmax(axis=1)
+        np.testing.assert_allclose(logp, logp_c, rtol=0, atol=1e-12)
+        s, y = s_c, logp_c.argmax(axis=1)
 
 
 # --- decoder -------------------------------------------------------------

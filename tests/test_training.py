@@ -13,9 +13,11 @@ from replygen.corpus import BOS_ID, EOS_ID, Batch, build_vocab, _pack
 from replygen.model import (
     ContextMemory,
     _context,
+    _context_terms,
     _decoder_step,
     _new_params,
     _output_layer,
+    _post_memory,
     _start_state,
     context_memory,
     encode,
@@ -328,11 +330,12 @@ def test_batch_loss_matches_stepwise_decoder(make_params, small_batch):
     rows = np.arange(len(b))
     for scheme in ("glo", "loc", "hyb"):
         params = make_params(scheme, seed=6, low=-0.5, high=0.5)
-        memory = context_memory(params, encode(params, b.post_ids, b.post_mask))
+        memory = _post_memory(params, encode(params, b.post_ids, b.post_mask))
         s = _start_state(params, memory)
         loss_sum = 0.0
         for t in range(b.resp_ids.shape[1] - 1):
-            s, logp, _ = _decoder_step(params, memory, s, b.resp_ids[:, t])
+            s, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s,
+                                       b.resp_ids[:, t])
             loss_sum -= float((b.resp_mask[:, t + 1] * logp[rows, b.resp_ids[:, t + 1]]).sum())
         loss, n_tok = batch_loss(params, b)
         assert abs(loss - loss_sum / n_tok) < 1e-12, scheme
