@@ -113,6 +113,8 @@ def _require(value, key):
 def _require_file(path, what):
     if path is None:
         raise CliError(f"missing required setting: {what}")
+    if os.path.isdir(path):
+        raise CliError(f"{what} is a directory: {path}")
     if not os.path.isfile(path):
         raise CliError(f"{what} not found: {path}")
     return path

@@ -26,7 +26,12 @@ and hyb a step forms the attention weights alpha over the post's positions
 context terms from one product, alpha @ the post's projected states, plus
 the post's fixed terms (g's products under hyb). The decoder GRU (its
 input's previous-token columns, U_zr, U_h) and the output layer (W_s, W_y,
-W_o) then run once over all rows.
+W_o) then run once over all rows. The output layer returns each row's
+logits shifted by their maximum and its normalizer, not the
+log-probabilities: each decoder forms the log-probabilities it reads,
+shifted - normalizer, with numerics.log_softmax's bits. Greedy decoding
+and the oracle form a step's whole row, and beam search the scores of its
+cut's survivors only (_PostBeam.select).
 
 beam_search_posts runs the searches of several posts together, and
 beam_search is its one-post case. Each post gets the hypotheses of its solo
@@ -60,6 +65,9 @@ __all__ = ["greedy_decode", "beam_search", "beam_search_posts", "multi_response"
            "first_token_best", "exhaustive_oracle"]
 
 _ENUMERATION_GUARD = 1_000_000
+# _PostBeam.select's threshold margin, relative to the magnitudes of the
+# terms that form a score
+_SCORE_ROUNDING = 4 * np.finfo(float).eps
 
 
 def _banned_ids(v_resp: int, suppress_unk: bool) -> list:
@@ -92,8 +100,9 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
     tokens: list[int] = []
     score = 0.0
     for pos in range(1, max_len + 1):
-        s, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
-        row = logp[0]
+        s, shifted, log_s, _ = _decoder_step(params, _context_terms(params, memory, s), s,
+                                             y_prev)
+        row = shifted[0] - log_s[0]
         row[banned] = -np.inf
         if pos == 1:
             row[EOS_ID] = -np.inf
@@ -104,8 +113,8 @@ def greedy_decode(params: ModelParams, post_ids, max_len: int = 30,
         tokens.append(tok)
         y_prev = np.array([tok])
     # length cap reached: close with the end marker so the score re-checks
-    _, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
-    return tokens, score + float(logp[0, EOS_ID])
+    _, shifted, log_s, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
+    return tokens, score + float(shifted[0, EOS_ID] - log_s[0])
 
 
 def _kth_largest(a: np.ndarray, k: int) -> float:
@@ -124,33 +133,50 @@ class _PostBeam:
         self.scores = np.zeros(1)
         self.finished: list[tuple] = []  # (score, tokens)
 
-    def select(self, logp: np.ndarray, beam_size: int) -> list[int]:
+    def select(self, shifted: np.ndarray, log_s: np.ndarray, beam_size: int) -> list[int]:
         """Keep the top beam_size of {finished so far} + {extensions} by
-        cumulative log-prob. logp holds the step's log-probabilities, one
-        C-contiguous row per live hypothesis; the live scores are added to it
-        in place. Returns the row of each kept live hypothesis's parent.
+        cumulative log-prob. Row r of shifted, a C-contiguous array, holds
+        live hypothesis r's shifted logits for the step and log_s[r] their
+        normalizer (model._decoder_step), so extension j scores
+        (shifted[r, j] - log_s[r]) + scores[r]: the bits of the row's
+        log-softmax plus its score. Returns the row of each kept live
+        hypothesis's parent.
 
-        The top-k cut never partitions the whole (width x v_resp) score
-        array. The best live row alone holds beam_size extensions scoring at
-        least its own beam_size-th best score tau, so tau bounds the k-th
-        best score from below: one compare pass keeps the survivors >= tau
-        (every finite score when tau is -inf), and only they are partitioned
-        for the exact k-th score. The candidates, ties at the cut included,
-        are the same as a full partition would give.
+        Scores are formed for a survivor set only, and the top-k cut never
+        partitions the whole (width x v_resp) array. The best live row
+        alone holds beam_size extensions scoring at least its own
+        beam_size-th best score tau, so tau bounds the k-th best score from
+        below. Row r's extensions reach tau only where shifted is at least
+        (tau - scores[r]) + log_s[r]. One compare pass keeps each row's
+        entries at or above that threshold lowered by _SCORE_ROUNDING *
+        (|tau| + |scores[r]| + |log_s[r]|): 8 units of roundoff of those
+        magnitudes, where the sums that form a score and the threshold
+        round by at most 5, so every extension whose score rounds to tau or
+        above is kept (every finite entry when tau is -inf). Only their
+        scores are formed; they are filtered exactly against tau and
+        partitioned for the exact k-th score. The candidates, ties at the
+        cut included, are the same as a full partition of every score
+        would give.
         """
-        v_resp = logp.shape[1]
-        logp += self.scores[:, None]
-        flat = logp.ravel()
+        v_resp = shifted.shape[1]
         # the live scores are kept in descending order, ties included, so
         # row 0 is the best live row
-        tau = _kth_largest(logp[0], beam_size)
-        surv = np.flatnonzero(flat >= tau if tau > -np.inf else flat > -np.inf)
-        vals = flat[surv]
+        tau = _kth_largest((shifted[0] - log_s[0]) + self.scores[0], beam_size)
+        if tau > -np.inf:
+            bound = (tau - self.scores) + log_s
+            bound -= _SCORE_ROUNDING * (abs(tau) + np.abs(self.scores) + np.abs(log_s))
+            surv = np.flatnonzero(shifted >= bound[:, None])
+        else:
+            surv = np.flatnonzero(shifted > -np.inf)
+        rows = surv // v_resp
+        vals = (shifted.ravel()[surv] - log_s[rows]) + self.scores[rows]
+        keep = vals >= tau if tau > -np.inf else vals > -np.inf
+        surv, vals = surv[keep], vals[keep]
         kth = _kth_largest(vals, beam_size)
-        cand = surv[(vals >= kth) & (vals > -np.inf)]
+        cand = (vals >= kth) & (vals > -np.inf)
 
         pool = [(sc, tok, True, -1) for sc, tok in self.finished]
-        for i, sc in zip(cand.tolist(), flat[cand].tolist()):
+        for i, sc in zip(surv[cand].tolist(), vals[cand].tolist()):
             parent, tok = divmod(i, v_resp)
             if tok == EOS_ID:
                 pool.append((sc, self.tokens[parent], True, -1))
@@ -226,30 +252,31 @@ def beam_search_posts(params: ModelParams, posts, beam_size: int = 10,
         edges = [0, *itertools.accumulate(widths)]  # each active post's rows
         if len(buf) < edges[-1]:
             buf = np.empty((edges[-1], v_resp))
-        logp = buf[:edges[-1]]
+        shifted = buf[:edges[-1]]
         # A one-row product takes other BLAS kernels than the same row among
         # many, so each post's one-row first step runs alone: a span of
         # posts per step, one post each at the first.
         cuts = range(len(active) + 1) if pos == 1 else (0, len(active))
-        span_states = []
+        spans = []
         for a, b in zip(cuts, cuts[1:]):
             parts = [_context_terms(params, memories[p], states[edges[k]:edges[k + 1]])
                      for k, p in enumerate(active[a:b], a)]
             rows = slice(edges[a], edges[b])
-            span_states.append(_decoder_step(params, _joined_terms(parts, widths[a:b]),
-                                             states[rows], prev[rows], out=logp[rows])[0])
-        states_new = span_states[0] if len(span_states) == 1 else np.concatenate(span_states)
-        logp[:, banned] = -np.inf
+            s_t, _, log_s, _ = _decoder_step(params, _joined_terms(parts, widths[a:b]),
+                                             states[rows], prev[rows], out=shifted[rows])
+            spans.append((s_t, log_s))
+        states_new, log_s = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*spans))
+        shifted[:, banned] = -np.inf
         if pos == 1:
-            logp[:, EOS_ID] = -np.inf
+            shifted[:, EOS_ID] = -np.inf
         if pos == max_len + 1:
-            eos_col = logp[:, EOS_ID].copy()
-            logp[:] = -np.inf
-            logp[:, EOS_ID] = eos_col
+            eos_col = shifted[:, EOS_ID].copy()
+            shifted[:] = -np.inf
+            shifted[:, EOS_ID] = eos_col
 
         parents, still = [], []
         for p, start, end in zip(active, edges, edges[1:]):
-            kept = beams[p].select(logp[start:end], beam_size)
+            kept = beams[p].select(shifted[start:end], log_s[start:end], beam_size)
             parents.extend(start + k for k in kept)
             if kept:
                 still.append(p)
@@ -317,9 +344,9 @@ def exhaustive_oracle(params: ModelParams, post_ids, max_len: int = 3,
     best: list = [None]
 
     def walk(state, y_prev, tokens, score):
-        _state_new, logp, _ = _decoder_step(params, _context_terms(params, memory, state),
-                                            state, y_prev)
-        row = logp[0]
+        _state_new, shifted, log_s, _ = _decoder_step(
+            params, _context_terms(params, memory, state), state, y_prev)
+        row = shifted[0] - log_s[0]
         if tokens:
             closed = (score + float(row[EOS_ID]), tokens)
             if best[0] is None or (-closed[0], closed[1]) < (-best[0][0], best[0][1]):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .corpus import BOS_ID, EOS_ID, PAD_ID
-from .numerics import Rng, _c_order, _row_slices, log_softmax, softmax_stable
+from .numerics import Rng, _c_order, _log_normalizer, _row_slices, softmax_stable
 
 __all__ = [
     "CheckpointFormatError",
@@ -627,7 +627,7 @@ def decoder_init(params: ModelParams, enc_out: EncodedPost) -> np.ndarray:
     return _start_state(params, context_memory(params, enc_out))
 
 
-# Rows per block of _output_layer's bias and log-softmax. A block's exp
+# Rows per block of _output_layer's bias and normalizer. A block's exp
 # temporary is this many rows of v_resp, kept small beside the rows' buffer.
 _SOFTMAX_ROWS = 8
 
@@ -652,23 +652,29 @@ def _readout(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, read_c: np
 
 def _output_layer(params: ModelParams, s_t: np.ndarray, y_emb: np.ndarray, c: np.ndarray,
                   out: np.ndarray | None = None, read_c: np.ndarray | None = None):
-    """Readout and output softmax for rows of (s_t, y_emb, c); returns
-    (rout, log_probs). Each row depends only on its own inputs. The
+    """Readout and output normalizer for rows of (s_t, y_emb, c); returns
+    (rout, shifted, log_s). Each row depends only on its own inputs. The
     readout's context term read_c = c @ W_c.T is formed from c unless it
     is given, when c is not read.
 
-    The log-probabilities go into out, a C-contiguous (rows, v_resp) array,
-    when it is given. The bias and the log-softmax run on blocks of rows in
-    place, so their temporaries stay a block's size however many rows the
-    call has.
+    shifted (rows, v_resp) holds each row's logits z = rout @ W_o.T + b_o
+    less their maximum m, and log_s (rows,) each row's log of the sum of
+    exp(z - m) (numerics._log_normalizer). The normalizer is not
+    subtracted: a row's log-probabilities are shifted - log_s, the bits
+    of numerics.log_softmax(z), and each reader forms the ones it reads.
+    shifted goes into out, a C-contiguous (rows, v_resp) array, when it is
+    given. The bias and the shift run on blocks of rows in place, so their
+    temporaries stay a block's size however many rows the call has.
     """
     rout = _readout(params, s_t, y_emb, c @ params.W_c.T if read_c is None else read_c)
-    logits = np.matmul(rout, params.W_o.T, out=out)
-    for start in range(0, len(logits), _SOFTMAX_ROWS):
-        block = logits[start:start + _SOFTMAX_ROWS]
+    shifted = np.matmul(rout, params.W_o.T, out=out)
+    log_s = np.empty(len(shifted))
+    for start in range(0, len(shifted), _SOFTMAX_ROWS):
+        rows = slice(start, start + _SOFTMAX_ROWS)
+        block = shifted[rows]
         block += params.b_o
-        log_softmax(block, axis=1, out=block)
-    return rout, logits
+        log_s[rows] = _log_normalizer(block, 1, out=block)[1]
+    return rout, shifted, log_s
 
 
 def _context_terms(params: ModelParams, memory: ContextMemory, s_prev: np.ndarray):
@@ -700,15 +706,17 @@ def _decoder_step(params: ModelParams, terms: tuple, s_prev: np.ndarray, y_prev,
                   out: np.ndarray | None = None):
     """The decoding step every decoder runs, given the context's terms
     (xw_c, read_c, alpha) of the rows of s_prev, as _context_terms gives
-    them: the decoder GRU, then the output layer. The log-probabilities go
-    into out when it is given. Returns (s_t, log_probs, alpha), alpha the
-    terms' own (None under glo)."""
+    them: the decoder GRU, then the output layer. Returns (s_t, shifted,
+    log_s, alpha): the output layer's shifted logits, into out when it is
+    given, and normalizers, so row r's log-probabilities are
+    shifted[r] - log_s[r], and alpha the terms' own (None under glo)."""
     xw_c, read_c, alpha = terms
     y_emb = params.E_y[y_prev]
     xw = _decoder_xw(params, y_emb)
     xw += xw_c
     s_t = _gru_step(params.dec, xw, s_prev)
-    return s_t, _output_layer(params, s_t, y_emb, None, out=out, read_c=read_c)[1], alpha
+    _, shifted, log_s = _output_layer(params, s_t, y_emb, None, out=out, read_c=read_c)
+    return s_t, shifted, log_s, alpha
 
 
 def decoder_step(params: ModelParams, enc_out: EncodedPost,
@@ -723,8 +731,9 @@ def decoder_step(params: ModelParams, enc_out: EncodedPost,
     """
     y_prev = _check_ids(y_prev, params.dims.v_resp, "response")
     terms = _context_terms(params, _post_memory(params, enc_out), s_prev)
-    s_t, logp, alpha = _decoder_step(params, terms, s_prev, y_prev)
-    return s_t, np.exp(logp), alpha
+    s_t, shifted, log_s, alpha = _decoder_step(params, terms, s_prev, y_prev)
+    shifted -= log_s[:, None]
+    return s_t, np.exp(shifted, out=shifted), alpha
 
 
 def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
@@ -752,8 +761,9 @@ def sequence_log_likelihood(params: ModelParams, post_ids, resp_ids) -> float:
     y_prev = np.array([BOS_ID])
     total = 0.0
     for y_t in targets:
-        s, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s, y_prev)
-        total += float(logp[0, y_t])
+        s, shifted, log_s, _ = _decoder_step(params, _context_terms(params, memory, s), s,
+                                             y_prev)
+        total += float(shifted[0, y_t] - log_s[0])
         y_prev = np.array([y_t])
     return total
 

@@ -98,9 +98,20 @@ def log_softmax(logits, axis: int = -1, out: np.ndarray | None = None) -> np.nda
     z = np.asarray(logits, dtype=float)
     if z.size == 0:
         raise ValueError("log_softmax of an empty vector")
-    shifted = np.subtract(z, np.max(z, axis=axis, keepdims=True), out=out)
-    shifted -= np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted, log_s = _log_normalizer(z, axis, out)
+    shifted -= np.expand_dims(log_s, axis)
     return shifted
+
+
+def _log_normalizer(z: np.ndarray, axis: int, out: np.ndarray | None = None):
+    """(shifted, log_s): z shifted by its maximum m along axis, into out
+    when it is given, and log s, s the sum of the shifted exponentials,
+    with axis removed. The log-softmax is shifted - log s, (z - m) - log s,
+    and every log-probability the package reads has these bits, formed
+    where it is read (model._output_layer leaves the subtraction to its
+    readers)."""
+    shifted = np.subtract(z, np.max(z, axis=axis, keepdims=True), out=out)
+    return shifted, np.log(np.sum(np.exp(shifted), axis=axis))
 
 
 def _c_order(arr: np.ndarray) -> np.ndarray:

@@ -153,10 +153,12 @@ def _output_loss(params: ModelParams, s_t, y_emb, c, targets):
     logit z_t - m is read, and the shifted logits are exponentiated in
     place and summed into s: the one exponential per logit that both the
     loss and its gradient use. Each target's log-probability is
-    (z_t - m) - log s, the arithmetic of _output_layer's log-softmax, so
-    the loss has its bits. Returns (target_logp, cache): each row's target
-    log-probability, and the targets, the inputs, the readout, the
-    (n_real, v_resp) exponentials and their row sums s.
+    (z_t - m) - log s, the arithmetic of numerics.log_softmax and of the
+    decoders' log-probabilities (_output_layer's shifted logits less their
+    normalizers), so the loss has their bits. Returns (target_logp,
+    cache): each row's target log-probability, and the targets, the
+    inputs, the readout, the (n_real, v_resp) exponentials and their row
+    sums s.
     """
     rout = _readout(params, s_t, y_emb, c @ params.W_c.T)
     e = rout @ params.W_o.T

@@ -5,6 +5,7 @@ import pytest
 
 from replygen import Dims, Rng
 from replygen.corpus import BOS_ID, EOS_ID, _pack
+from replygen.model import _context_terms, _decoder_step
 from replygen.training import init_params
 
 TINY = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=12, v_resp=12)
@@ -60,6 +61,15 @@ def small_batch():
     posts = [[4, 5, 6, 7], [8, 9, 10], [11, 4]]
     resps = [[BOS_ID, 5, 6, 7, EOS_ID], [BOS_ID, 8, 9, EOS_ID], [BOS_ID, 10, EOS_ID]]
     return _pack(posts, resps)
+
+
+def step_log_probs(params, memory, s_prev, y_prev):
+    """One decoder step of rows of s_prev on the decoders' memory, as every
+    decoder runs it, with each row's log-probabilities formed whole:
+    (s_t, shifted - log_s, alpha)."""
+    s_t, shifted, log_s, alpha = _decoder_step(
+        params, _context_terms(params, memory, s_prev), s_prev, y_prev)
+    return s_t, shifted - log_s[:, None], alpha
 
 
 def random_post(rng, max_len=6, vocab=TINY.v_post):

@@ -711,6 +711,24 @@ def test_missing_input_file_reported(workdir, capsys):
     assert not (workdir / "c.tsv").exists()  # nothing half-written
 
 
+@pytest.mark.parametrize("setting", ["checkpoint", "post-vocab"])
+def test_a_directory_given_for_an_input_file_is_named_as_one(setting, tmp_path, capsys):
+    """A path that exists but is a directory is reported as a directory,
+    not as missing: inspect-checkpoint --checkpoint DIR and generate
+    --post-vocab DIR."""
+    ckpt, resp_vocab = tmp_path / "m.ckpt", tmp_path / "resp.vocab"
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=12, v_resp=12)
+    save_checkpoint(init_params("glo", dims, Rng(0)), ckpt)
+    resp_vocab.write_text("", encoding="utf-8")
+    if setting == "checkpoint":
+        argv = ["inspect-checkpoint", "--checkpoint", str(tmp_path)]
+    else:
+        argv = ["generate", "--checkpoint", str(ckpt), "--post-vocab", str(tmp_path),
+                "--resp-vocab", str(resp_vocab), "--post", "what is for lunch"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err.splitlines()) == (1, "", [f"error: {setting} is a directory: {tmp_path}"])
+
+
 def test_bad_config_value_rejected_before_output(workdir, capsys):
     cfg = workdir / "bad.cfg"
     cfg.write_text("per-post-cap = banana\n", encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from replygen import Dims, Rng
 from replygen.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 from replygen.decoding import (
+    _PostBeam,
     beam_search,
     beam_search_posts,
     exhaustive_oracle,
@@ -15,8 +16,6 @@ from replygen.decoding import (
     multi_response,
 )
 from replygen.model import (
-    _context_terms,
-    _decoder_step,
     _post_memory,
     _start_state,
     encode_post,
@@ -24,7 +23,7 @@ from replygen.model import (
 )
 from replygen.training import TrainConfig, init_params, train
 
-from conftest import FIRST_CONTENT, TINY, random_post, toy_corpus
+from conftest import FIRST_CONTENT, TINY, random_post, step_log_probs, toy_corpus
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +208,7 @@ def full_partition_beam_search(params, post_ids, beam_size, max_len, suppress_un
     live_states, live_prev = _start_state(params, memory), np.array([BOS_ID])
     finished = []
     for pos in range(1, max_len + 2):
-        states_new, logp, _ = _decoder_step(params, _context_terms(params, memory, live_states),
-                                            live_states, live_prev)
+        states_new, logp, _ = step_log_probs(params, memory, live_states, live_prev)
         logp[:, banned] = -np.inf
         if pos == 1:
             logp[:, EOS_ID] = -np.inf
@@ -278,6 +276,117 @@ def test_beam_selection_matches_a_full_partition_exactly(make_params):
                                                       suppress_unk, seen)
                     assert got == want, (scheme, seed, beam, max_len, suppress_unk)
     assert seen == {"tie", "tau_finite", "tau_inf"}
+
+
+def _beam_of(tokens, scores, finished):
+    beam = _PostBeam()
+    beam.tokens, beam.scores, beam.finished = list(tokens), np.array(scores), list(finished)
+    return beam
+
+
+def _brute_force_select(beam, shifted, log_s, beam_size):
+    """_PostBeam.select's cut by a partition of the whole normalized score
+    array, (shifted - log_s) + scores, with the same pool and tie-break:
+    (kept live tokens, their scores, their parents, the finished pool)."""
+    v_resp = shifted.shape[1]
+    flat = ((shifted - log_s[:, None]) + beam.scores[:, None]).ravel()
+    if flat.size > beam_size:
+        kth = np.partition(flat, flat.size - beam_size)[flat.size - beam_size]
+    else:
+        kth = -np.inf
+    pool = [(sc, tok, True, -1) for sc, tok in beam.finished]
+    for i in np.flatnonzero((flat >= kth) & (flat > -np.inf)):
+        parent, tok = divmod(int(i), v_resp)
+        if tok == EOS_ID:
+            pool.append((float(flat[i]), beam.tokens[parent], True, -1))
+        else:
+            pool.append((float(flat[i]), beam.tokens[parent] + (tok,), False, parent))
+    pool.sort(key=lambda h: (-h[0], h[1]))
+    kept = pool[:beam_size]
+    live = [h for h in kept if not h[2]]
+    return ([h[1] for h in live], [h[0] for h in live], [h[3] for h in live],
+            [(sc, tok) for sc, tok, done, _ in kept if done])
+
+
+def _select(beam, shifted, log_s, beam_size):
+    parents = beam.select(shifted, log_s, beam_size)
+    return beam.tokens, beam.scores.tolist(), parents, beam.finished
+
+
+def _lowest_logit_reaching(tau, score, log_s):
+    """The least shifted logit z whose score (z - log_s) + score rounds to
+    at least tau, by bisection over the floats."""
+    lo, hi = (tau - score) + log_s - 1.0, (tau - score) + log_s + 1.0
+    while True:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            return hi
+        if (mid - log_s) + score >= tau:
+            hi = mid
+        else:
+            lo = mid
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 40), v_resp=st.integers(3, 12),
+       beam_size=st.integers(1, 60), magnitude=st.sampled_from([1.0, 1e2, 1e4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_threshold_cut_matches_a_brute_force_cut(data, width, v_resp, beam_size, magnitude,
+                                                 seed):
+    """The per-row threshold cut keeps the hypotheses, parents and finished
+    pool of a full partition of the normalized scores, `==`: on random
+    shifted logits and normalizers, live scores up to 1e4 in magnitude,
+    tied columns, -inf columns, and entries placed at the least logit whose
+    score rounds to tau, where a threshold without its margin would drop
+    them."""
+    rng = np.random.default_rng(seed)
+    shifted = rng.uniform(-30.0, 0.0, (width, v_resp))
+    if data.draw(st.booleans()):
+        shifted = np.round(shifted)  # ties within rows and across them
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = rng.integers(v_resp, size=2)
+        shifted[:, b] = shifted[:, a]
+    shifted[:, rng.random(v_resp) < 0.2] = -np.inf
+    shifted[rng.random((width, v_resp)) < 0.05] = -np.inf
+    log_s = rng.uniform(0.0, 30.0, width)
+    scores = np.sort(-rng.uniform(0.0, magnitude, width))[::-1]
+    if data.draw(st.booleans()):
+        scores = np.round(scores)  # tied live scores
+    row0 = (shifted[0] - log_s[0]) + scores[0]
+    tau = np.sort(row0)[v_resp - beam_size] if v_resp > beam_size else -np.inf
+    if tau > -np.inf:
+        for r in rng.integers(width, size=data.draw(st.integers(0, width))):
+            z = _lowest_logit_reaching(tau, scores[r], log_s[r])
+            if r > 0:  # row 0 fixes tau
+                shifted[r, rng.integers(v_resp)] = z if rng.random() < 0.5 \
+                    else np.nextafter(z, -np.inf)
+    tokens = [(int(t),) for t in rng.permutation(10 * width)[:width]]
+    finished = [(float(-rng.uniform(0.0, magnitude)), (int(rng.integers(4, 50)), -1))
+                for _ in range(data.draw(st.integers(0, 5)))]
+
+    got = _select(_beam_of(tokens, scores, finished), shifted.copy(), log_s, beam_size)
+    assert got == _brute_force_select(_beam_of(tokens, scores, finished), shifted, log_s,
+                                      beam_size)
+
+
+def test_threshold_cut_keeps_an_extension_whose_score_is_tau():
+    """An extension whose score rounds to exactly tau, from a logit below
+    the row's unmargined threshold (tau - score) + log_s, ties at the cut
+    and wins it on its tokens."""
+    v_resp, beam_size = 6, 2
+    scores = np.array([-9999.25, -10000.5])
+    log_s = np.array([0.75, 0.3])
+    shifted = np.full((2, v_resp), -np.inf)
+    shifted[0, 4:] = [0.0, -1.25]
+    tau = (shifted[0, 5] - log_s[0]) + scores[0]
+    z = _lowest_logit_reaching(tau, scores[1], log_s[1])
+    assert (z - log_s[1]) + scores[1] == tau and z < (tau - scores[1]) + log_s[1]
+    shifted[1, 4], shifted[1, 5] = z, np.nextafter(z, -np.inf)
+    tokens = [(9,), (8,)]  # row 1's extension sorts before row 0's at equal score
+
+    got = _select(_beam_of(tokens, scores, []), shifted.copy(), log_s, beam_size)
+    assert got == _brute_force_select(_beam_of(tokens, scores, []), shifted, log_s, beam_size)
+    assert got[0] == [(9, 4), (8, 4)] and got[1] == [scores[0] - log_s[0], tau]
 
 
 @pytest.mark.parametrize("scheme", ["glo", "loc", "hyb"])

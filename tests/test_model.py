@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from replygen import Dims, Rng, model
 from replygen.corpus import BOS_ID, EOS_ID, PAD_ID
+from replygen.numerics import log_softmax
 from replygen.model import (
     CheckpointFormatError,
     EncodedPost,
     ModelParams,
-    _context_terms,
-    _decoder_step,
     _decoder_xw,
     _gru_step,
     _output_layer,
@@ -36,7 +35,8 @@ from replygen.model import (
     sequence_log_likelihood,
 )
 
-from conftest import HYB_TENSOR_NAMES, TINY, random_post, sigmoid, tensor_names
+from conftest import (HYB_TENSOR_NAMES, TINY, random_post, sigmoid, step_log_probs,
+                      tensor_names)
 
 
 # --- parameter construction ----------------------------------------------
@@ -461,9 +461,9 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
         else np.repeat(one.global_final, n, axis=0))
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(n)])
     y = np.array([4 + rng.randrange(8) for _ in range(n)])
-    s_b, logp_b, alpha_b = _decoder_step(params, _context_terms(params, memory, s), s, y)
+    s_b, logp_b, alpha_b = step_log_probs(params, memory, s, y)
     memory_c = _post_memory(params, copied)
-    s_c, logp_c, alpha_c = _decoder_step(params, _context_terms(params, memory_c, s), s, y)
+    s_c, logp_c, alpha_c = step_log_probs(params, memory_c, s, y)
     np.testing.assert_allclose(s_b, s_c, rtol=0, atol=1e-12)
     np.testing.assert_allclose(logp_b, logp_c, rtol=0, atol=1e-12)
     assert memory.init.shape == (1, params.W_0.shape[1])
@@ -482,8 +482,7 @@ def test_broadcast_memory_matches_copied_rows(scheme, make_params):
     for i, post in enumerate(posts):
         own = _post_memory(params, encode_post(params, post))
         row = slice(i, i + 1)
-        s_o, logp_o, alpha_o = _decoder_step(params, _context_terms(params, own, s[row]),
-                                             s[row], y[row])
+        s_o, logp_o, alpha_o = step_log_probs(params, own, s[row], y[row])
         np.testing.assert_allclose(s_p[row], s_o, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.log(probs[row]), logp_o, rtol=0, atol=1e-12)
         if scheme != "glo":
@@ -505,10 +504,10 @@ def test_decoder_steps_read_every_context_product_from_the_post_memory(scheme, m
     memory = _post_memory(params, encode_post(params, [4, 9, 6, 11]))
     s = np.repeat(_start_state(params, memory), 3, axis=0)
     y = np.array([BOS_ID, 5, 7])
-    _, before, _ = _decoder_step(params, _context_terms(params, memory, s), s, y)
+    _, before, _ = step_log_probs(params, memory, s, y)
     params.L[...] = np.nan
     params.W_c[...] = np.nan
-    _, after, _ = _decoder_step(params, _context_terms(params, memory, s), s, y)
+    _, after, _ = step_log_probs(params, memory, s, y)
     assert np.isfinite(after).all()
     np.testing.assert_array_equal(after, before)
 
@@ -517,13 +516,16 @@ def _context_vector_step(params, enc_out, s_prev, y_prev):
     """A decoder step that forms the context vector c (public
     context_vector), then L c, its product with dec.W's L c columns and
     W_c c, then the GRU and output layer: the arithmetic that the
-    decoders' projected memory replaces. Returns (s_t, log_probs, alpha)."""
+    decoders' projected memory replaces. Returns (s_t, log_probs, alpha),
+    the log-probabilities the output layer's shifted logits less their
+    normalizers."""
     c, alpha = context_vector(params, enc_out, s_prev)
     y_emb = params.E_y[y_prev]
     xw = _decoder_xw(params, y_emb)
     xw += (c @ params.L.T) @ params.dec.W[:, params.dims.d_emb:].T
     s_t = _gru_step(params.dec, xw, s_prev)
-    return s_t, _output_layer(params, s_t, y_emb, c)[1], alpha
+    _, shifted, log_s = _output_layer(params, s_t, y_emb, c)
+    return s_t, shifted - log_s[:, None], alpha
 
 
 @pytest.mark.parametrize("scheme", ["loc", "hyb"])
@@ -538,7 +540,7 @@ def test_projected_step_matches_the_context_vector_step(scheme, make_params):
     s = np.array([[rng.uniform(-1, 1) for _ in range(TINY.d_h)] for _ in range(4)])
     y = np.array([BOS_ID, 5, 7, 9])
     for _ in range(3):
-        s_p, logp, alpha_p = _decoder_step(params, _context_terms(params, memory, s), s, y)
+        s_p, logp, alpha_p = step_log_probs(params, memory, s, y)
         s_c, logp_c, alpha_c = _context_vector_step(params, enc_out, s, y)
         np.testing.assert_array_equal(alpha_p, alpha_c)
         np.testing.assert_allclose(s_p, s_c, rtol=0, atol=1e-12)
@@ -556,6 +558,27 @@ def test_decoder_init_shape_and_bounds(make_params, small_batch):
         s0 = decoder_init(params, enc_out)
         assert s0.shape == (len(small_batch), TINY.d_h)
         assert (np.abs(s0) < 1.0).all()  # tanh output
+
+
+@pytest.mark.parametrize("rows", [1, 3 * model._SOFTMAX_ROWS + 5])
+def test_output_layer_normalizers_give_the_log_softmax_bits(rows, make_params):
+    """The output layer's shifted logits less their normalizers are bitwise
+    numerics.log_softmax of the logits plus b_o, over rows that span
+    several blocks of its loop and with -inf entries, into its out buffer
+    or not."""
+    dims = Dims(d_h=8, d_emb=6, d_a=8, d_L=6, d_r=8, v_post=12, v_resp=50)
+    params = make_params("hyb", seed=3, low=-1.0, high=1.0, dims=dims)
+    params.b_o[[EOS_ID, 7, 31]] = -np.inf
+    rng = np.random.default_rng(4)
+    s_t, y_emb, c = (rng.uniform(-1.0, 1.0, (rows, d))
+                     for d in (dims.d_h, dims.d_emb, params.W_c.shape[1]))
+    rout, shifted, log_s = _output_layer(params, s_t, y_emb, c)
+    want = log_softmax(rout @ params.W_o.T + params.b_o, axis=1)
+    assert np.isneginf(want[:, [EOS_ID, 7, 31]]).all() and log_s.shape == (rows,)
+    assert np.array_equal(shifted - log_s[:, None], want)
+    out = np.empty((rows, dims.v_resp))
+    _, into, log_s_into = _output_layer(params, s_t, y_emb, c, out=out)
+    assert into is out and np.array_equal(into, shifted) and np.array_equal(log_s_into, log_s)
 
 
 def test_decoder_step_probability_rows(make_params, small_batch):

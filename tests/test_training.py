@@ -13,8 +13,6 @@ from replygen.corpus import BOS_ID, EOS_ID, Batch, build_vocab, _pack
 from replygen.model import (
     ContextMemory,
     _context,
-    _context_terms,
-    _decoder_step,
     _new_params,
     _output_layer,
     _post_memory,
@@ -38,7 +36,8 @@ from replygen.training import (
     train,
 )
 
-from conftest import FIRST_CONTENT, HYB_TENSOR_NAMES, TINY, sigmoid, toy_corpus
+from conftest import (FIRST_CONTENT, HYB_TENSOR_NAMES, TINY, sigmoid, step_log_probs,
+                      toy_corpus)
 
 
 # --- the per-gate reference cell ---------------------------------------------
@@ -122,12 +121,13 @@ def _all_rows_output_loss(params, batch, s_t, y_emb, c):
     """Reference for training._output_loss: the output layer over all
     steps * B rows, padding included, as it ran before the packing, with
     the target log-probabilities masked to 0 at padding. The loss is read
-    from _output_layer's log-softmax; the exponentials of the shifted
-    logits and their row sums are kept for the gradient."""
+    from _output_layer's shifted logits less their normalizers; the
+    exponentials of the shifted logits and their row sums are kept for the
+    gradient."""
     steps, b = s_t.shape[:2]
     rows = tuple(x.reshape(steps * b, -1) for x in (s_t, y_emb, c))
-    rout, logp = _output_layer(params, *rows)
-    logp = logp.reshape(steps, b, -1)
+    rout, shifted, log_s = _output_layer(params, *rows)
+    logp = (shifted - log_s[:, None]).reshape(steps, b, -1)
     target_logp = logp[np.arange(steps)[:, None], np.arange(b), batch.resp_ids[:, 1:].T]
     target_logp *= batch.resp_mask[:, 1:].T
     logits = rout @ params.W_o.T + params.b_o
@@ -334,8 +334,7 @@ def test_batch_loss_matches_stepwise_decoder(make_params, small_batch):
         s = _start_state(params, memory)
         loss_sum = 0.0
         for t in range(b.resp_ids.shape[1] - 1):
-            s, logp, _ = _decoder_step(params, _context_terms(params, memory, s), s,
-                                       b.resp_ids[:, t])
+            s, logp, _ = step_log_probs(params, memory, s, b.resp_ids[:, t])
             loss_sum -= float((b.resp_mask[:, t + 1] * logp[rows, b.resp_ids[:, t + 1]]).sum())
         loss, n_tok = batch_loss(params, b)
         assert abs(loss - loss_sum / n_tok) < 1e-12, scheme
